@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .config import ToolConfig, load_config
@@ -32,8 +33,11 @@ from .workload import aggregate_rates, htc_rates, mtc_rates
 
 def _parse_grid(text: str) -> list[float]:
     """'1:30' -> 1..30 step 1; '1:30:5' -> step 5; '1,5,10' -> the list; '10' -> [10]."""
+    try:
+        parts = [float(p) for p in text.split(":" if ":" in text else ",")]
+    except ValueError:
+        raise ConfigError(f"bad grid spec {text!r}") from None
     if ":" in text:
-        parts = [float(p) for p in text.split(":")]
         if len(parts) == 2:
             lo, hi, step = parts[0], parts[1], 1.0
         elif len(parts) == 3:
@@ -48,7 +52,25 @@ def _parse_grid(text: str) -> list[float]:
             out.append(round(v, 9))
             v += step
         return out
-    return [float(p) for p in text.split(",")]
+    return parts
+
+
+def _flag(value, default, name: str, kind=float, strict: bool = True, scale: float = 1):
+    """A flag's value times `scale`, or the config default if the flag is absent.
+
+    A flag given as zero is a value, not an absent flag. The value must be a
+    `kind` (float or int) and > 0, or >= 0 when not `strict`; anything else
+    raises ConfigError.
+    """
+    v = default if value is None else value
+    try:
+        ok = kind(v) == float(v) and (float(v) > 0 if strict else float(v) >= 0)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what} {'>' if strict else '>='} 0, got {v!r}")
+    return kind(v) * (1 if value is None else scale)
 
 
 def _emit(rows: list[dict], meta: dict, args) -> None:
@@ -76,17 +98,20 @@ def _meta(cfg: ToolConfig, **extra) -> dict:
 
 
 def _scenario_counts(cfg: ToolConfig, args) -> tuple[int, int]:
-    n_u = args.users if getattr(args, "users", None) is not None else cfg.scenario["n_u"]
-    if getattr(args, "mtcd_ratio", None) is not None:
-        n_d = int(round(args.mtcd_ratio * n_u))
-    else:
-        n_d = cfg.scenario["n_d"]
-    return int(n_u), int(n_d)
+    n_u = _flag(args.users, cfg.scenario["n_u"], "--users", int, strict=False)
+    if args.mtcd_ratio is None:
+        return n_u, int(cfg.scenario["n_d"])
+    return n_u, int(round(_flag(args.mtcd_ratio, None, "--mtcd-ratio", strict=False) * n_u))
 
 
 def cmd_rates(cfg: ToolConfig, args) -> None:
-    tis = _parse_grid(args.ti) if args.ti else [cfg.scenario["t_i_s"]]
+    if args.ti is None:
+        tis = [cfg.scenario["t_i_s"]]
+    else:
+        tis = [_flag(v, None, "--ti", strict=False) for v in _parse_grid(args.ti)]
     n_u, n_d = _scenario_counts(cfg, args)
+    if args.simulate:
+        horizon = _flag(args.duration_s, cfg.scenario["horizon_s"], "--duration-s")
     rows = []
     sim_cols = {"lam_u_sr": [], "lam_s_sr": []}
     theory_cols = {"lam_u_sr": [], "lam_s_sr": []}
@@ -100,13 +125,9 @@ def cmd_rates(cfg: ToolConfig, args) -> None:
             "lam_s_sr_per_s": s_sr,
         }
         if args.simulate:
-            trace = generate_triggers(
-                cfg.mix, cfg.geom, cfg.mmpp, n_u, n_d, ti,
-                args.duration_s or cfg.scenario["horizon_s"],
-                args.seed, speed_dist=cfg.speed_dist,
-            )
-            emp = measured_rates(trace, n_u, n_d,
-                                 args.duration_s or cfg.scenario["horizon_s"])
+            trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, n_u, n_d, ti, horizon,
+                                      args.seed, speed_dist=cfg.speed_dist)
+            emp = measured_rates(trace, n_u, n_d, horizon)
             row["sim_lam_u_sr_per_s"] = emp.lam_u_sr
             row["sim_lam_u_hr_per_s"] = emp.lam_u_hr
             row["sim_lam_s_sr_per_s"] = emp.lam_s_sr
@@ -131,15 +152,12 @@ def _analytic_rates(cfg: ToolConfig, n_u: int, n_d: int, ti: float):
 
 
 def cmd_dimension(cfg: ToolConfig, args) -> None:
-    ti = cfg.scenario["t_i_s"] if args.ti is None else float(args.ti)
+    ti = _flag(args.ti, cfg.scenario["t_i_s"], "--ti", strict=False)
+    t_max = _flag(args.tmax_us, cfg.queue.t_max, "--tmax-us", scale=1e-6)
     n_u, n_d = _scenario_counts(cfg, args)
     rates = _analytic_rates(cfg, n_u, n_d, ti)
-    t_max = (args.tmax_us * 1e-6) if args.tmax_us else cfg.queue.t_max
     m = dimension(rates, cfg.queue, t_max)
-    params = cfg.queue
-    from dataclasses import replace
-
-    total, breakdown = system_response(rates, replace(params, m=m))
+    total, breakdown = system_response(rates, replace(cfg.queue, m=m))
     rows = [{
         "n_u": n_u,
         "n_d": n_d,
@@ -157,16 +175,16 @@ def cmd_dimension(cfg: ToolConfig, args) -> None:
 
 
 def _capacity_points(cfg: ToolConfig, ks: list[int], args):
-    ti = cfg.scenario["t_i_s"] if args.ti is None else float(args.ti)
-    ratio = args.mtcd_ratio if args.mtcd_ratio is not None else cfg.scenario["mtcd_per_ue"]
-    t_max = (args.tmax_us * 1e-6) if args.tmax_us else cfg.queue.t_max
+    ti = _flag(args.ti, cfg.scenario["t_i_s"], "--ti", strict=False)
+    t_max = _flag(args.tmax_us, cfg.queue.t_max, "--tmax-us", scale=1e-6)
+    ratio = _flag(args.mtcd_ratio, cfg.scenario["mtcd_per_ue"], "--mtcd-ratio", strict=False)
     for k in ks:
         yield capacity(k, cfg.queue, cfg.mix, cfg.geom, cfg.mmpp, ti,
                        mtcd_per_ue=ratio, t_max=t_max)
 
 
 def cmd_capacity(cfg: ToolConfig, args) -> None:
-    ks = [int(v) for v in _parse_grid(args.m or "1:10")]
+    ks = [_flag(v, None, "--m", int) for v in _parse_grid("1:10" if args.m is None else args.m)]
     rows = []
     for res in _capacity_points(cfg, ks, args):
         rows.append({
@@ -181,11 +199,11 @@ def cmd_capacity(cfg: ToolConfig, args) -> None:
 
 
 def cmd_scalability(cfg: ToolConfig, args) -> None:
-    ks = list(range(1, args.kmax + 1))
+    ks = list(range(1, _flag(args.kmax, None, "--kmax", int) + 1))
     points = []
     for res in _capacity_points(cfg, ks, args):
         points.append((res.m, res.n_u_max, res.lam_msgs, res.t_mean_s))
-    gamma = args.gamma if args.gamma is not None else cfg.gamma
+    gamma = _flag(args.gamma, cfg.gamma, "--gamma", strict=False)
     table = scalability_table(points, cfg.cost, cfg.t_hat_s, gamma)
     rows = [{
         "k": p.k,
@@ -202,26 +220,23 @@ def cmd_scalability(cfg: ToolConfig, args) -> None:
 
 
 def cmd_simulate(cfg: ToolConfig, args) -> None:
-    ti = cfg.scenario["t_i_s"] if args.ti is None else float(args.ti)
+    ti = _flag(args.ti, cfg.scenario["t_i_s"], "--ti", strict=False)
+    horizon = _flag(args.duration_s, cfg.scenario["horizon_s"], "--duration-s")
+    m = _flag(args.m_instances, cfg.queue.m, "--m", int)
     n_u, n_d = _scenario_counts(cfg, args)
-    horizon = args.duration_s or cfg.scenario["horizon_s"]
     trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, n_u, n_d, ti,
                               horizon, args.seed, speed_dist=cfg.speed_dist)
     if args.trace_out:
         trace.to_csv(args.trace_out)
-    from dataclasses import replace
-
-    params = replace(cfg.queue, m=args.m_instances) if args.m_instances else cfg.queue
-    stats = run_queue_sim(trace, params,
-                          service_law=args.service_law or cfg.scenario["service_law"],
-                          seed=args.seed)
+    law = args.service_law or cfg.scenario["service_law"]
+    stats = run_queue_sim(trace, replace(cfg.queue, m=m), service_law=law, seed=args.seed)
     emp = measured_rates(trace, n_u, n_d, horizon)
     rows = [{
         "n_u": n_u,
         "n_d": n_d,
         "t_i_s": ti,
         "horizon_s": horizon,
-        "m": params.m,
+        "m": m,
         "n_triggers": stats.n_triggers,
         "n_messages": stats.n_messages,
         "mean_response_us": stats.mean_response_s * 1e6,
@@ -237,8 +252,7 @@ def cmd_simulate(cfg: ToolConfig, args) -> None:
         "max_backlog": stats.max_backlog,
         "stats_valid": stats.valid,
     }]
-    _emit(rows, _meta(cfg, seed=args.seed, service_law=args.service_law
-                      or cfg.scenario["service_law"]), args)
+    _emit(rows, _meta(cfg, seed=args.seed, service_law=law), args)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -65,7 +65,7 @@ def _dist(spec, where: str) -> Dist:
         raise ConfigError(f"{where}: {e}") from e
 
 
-def _app(spec: dict, link_unused, idx: int) -> AppProfile:
+def _app(spec: dict, idx: int) -> AppProfile:
     where = f"traffic.apps[{idx}]"
     try:
         mspec = dict(spec["model"])
@@ -122,7 +122,7 @@ def build(cfg: dict) -> ToolConfig:
     """Turn a merged configuration dict into typed model objects."""
     try:
         t = cfg["traffic"]
-        apps = tuple(_app(a, None, i) for i, a in enumerate(t["apps"]))
+        apps = tuple(_app(a, i) for i, a in enumerate(t["apps"]))
         mix = TrafficMix(
             apps=apps,
             mean_iast_s=float(t["mean_iast_s"]),

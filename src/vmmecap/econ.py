@@ -75,14 +75,6 @@ def tiered_egress_cost(monthly_gb: float, sched: CostSchedule) -> float:
     return cost
 
 
-def tiered_egress_rate(monthly_gb: float, sched: CostSchedule | None = None) -> float:
-    """Volume-weighted blended $/GB across the brackets."""
-    sched = sched or CostSchedule()
-    if monthly_gb <= 0:
-        return 0.0
-    return tiered_egress_cost(monthly_gb, sched) / monthly_gb
-
-
 def cost_per_second(
     m: int,
     lam_msgs: float,

@@ -36,31 +36,6 @@ class MmppParams:
             raise ParameterError(f"slot length must be > 0, got {self.delta_t}")
 
 
-def stationary_distribution(transition: np.ndarray) -> np.ndarray:
-    """Stationary row vector of a row-stochastic transition matrix.
-
-    Solves pi (P - I) = 0 with the normalization constraint appended;
-    works for any number of states, not just two.
-    """
-    P = np.asarray(transition, dtype=float)
-    n = P.shape[0]
-    if P.shape != (n, n):
-        raise ParameterError(f"transition matrix must be square, got {P.shape}")
-    if np.any(P < -1e-12) or np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-9):
-        raise ParameterError("rows of the transition matrix must be probabilities summing to 1")
-    A = np.vstack([P.T - np.eye(n), np.ones(n)])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if np.any(pi < -1e-9):
-        raise DegenerateChainError("no non-negative stationary distribution")
-    pi = np.clip(pi, 0.0, None)
-    s = pi.sum()
-    if not np.isfinite(s) or s <= 0:
-        raise DegenerateChainError("stationary solve failed")
-    return pi / s
-
-
 def mmpp_stationary(params: MmppParams) -> tuple[float, float, float]:
     """(pi1, pi2, mean packet rate in packets/s) of the modulating chain."""
     p, q = params.p, params.q

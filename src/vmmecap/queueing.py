@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .errors import InfeasibleError, InstabilityError, ParameterError
 from .mmpp import MmppParams
 from .workload import (
@@ -232,8 +230,7 @@ def capacity(
     """Largest UE count (with N_D = ratio * N_U) whose response meets the budget.
 
     The message rate is linear in N_U and the response monotone in the rate,
-    so the boundary is found by root-finding on the rate, then floored to a
-    whole device count.
+    so a bisection on the whole UE count finds the boundary exactly.
     """
     if not (isinstance(m, int) and m >= 1):
         raise ParameterError(f"m must be an integer >= 1, got {m}")
@@ -250,23 +247,24 @@ def capacity(
     procs_per_ue = unit.lam_sr + unit.lam_srr + unit.lam_hr
     t_sl = weighted_sl_service_time(unit, params.sl_times)  # mix-invariant in n_u
 
-    lam_hi = min(params.mu_fe, params.mu_sdb, params.mu_oi_effective, m / t_sl)
-    lam_hi *= 1.0 - 1e-9
-
-    def excess(lam):
-        return response_at(lam, t_sl, params, m)[0] - t_max
-
-    if excess(lam_hi) < 0:  # budget never binds before instability (not with defaults)
-        lam_star = lam_hi
-    else:
-        lam_star = brentq(excess, 1e-9, lam_hi, xtol=1e-6)
-    n_u = int(lam_star / msgs_per_ue)
-    while n_u > 0:
+    def meets(n_u: int) -> bool:
         r = aggregate_rates(per_ue, per_mtcd, n_u, mtcd_per_ue * n_u)
-        total, _ = response_at(r.lam_total_msgs, t_sl, params, m)
-        if total <= t_max:
-            break
-        n_u -= 1
+        try:
+            return response_at(r.lam_total_msgs, t_sl, params, m)[0] <= t_max
+        except InstabilityError:
+            return False
+
+    # lo meets the budget (no UEs trivially does); hi does not, or is unstable:
+    # two UEs past the first stage's saturation rate
+    lam_max = min(params.mu_fe, params.mu_sdb, params.mu_oi_effective, m / t_sl)
+    lo, hi = 0, int(lam_max / msgs_per_ue) + 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if meets(mid):
+            lo = mid
+        else:
+            hi = mid
+    n_u = lo
     r = aggregate_rates(per_ue, per_mtcd, n_u, mtcd_per_ue * n_u)
     t_mean = response_at(r.lam_total_msgs, t_sl, params, m)[0] if n_u > 0 else 0.0
     return CapacityResult(

@@ -4,10 +4,16 @@ Each trigger spawns its procedure's message sequence. The first message
 reaches the front end one propagation delay after the trigger; each later
 message arrives one inter-message round trip after the previous message
 finishes vMME processing (closed loop). All four stages are FCFS; the SL
-pool shares one queue across its m servers. Because arrivals at every
-stage are processed in global time order, waiting times follow from the
-Lindley recursion (track when each server frees up), so no separate
-departure events are needed.
+pool shares one queue across its m servers.
+
+Every stage is a heap of server-free times (one entry per server), and one
+step serves a message at any stage: start when the earliest server frees
+up, finish one service time later (the Lindley recursion; for the pool,
+the Kiefer-Wolfowitz one). A stage must see its arrivals in time order.
+A single FCFS server keeps the order it receives, so a message popped
+from the event heap walks on through the following stages at once. Only
+a stage with more than one server can let a later message overtake, so a
+message re-enters the event heap after the pool and nowhere else.
 
 Response time per message covers the four stages only — the propagation
 delay and inter-message gap shape arrival timing but are not vMME
@@ -60,72 +66,58 @@ def run_queue_sim(
     if not (0 <= warmup_fraction < 1):
         raise ParameterError(f"warmup_fraction must be in [0,1), got {warmup_fraction}")
     st = params.sl_times
-    sl_seq = {
-        PROC_SR: (st.t_sr1, st.t_sr2, st.t_sr3),
-        PROC_SRR: (st.t_srr1, st.t_srr2, st.t_srr3),
-        PROC_HR: (st.t_hr1, st.t_hr2),
-    }
-    t_fe = 1.0 / params.mu_fe
-    t_db = 1.0 / params.mu_sdb
-    t_oi = 1.0 / params.mu_oi_effective
+    t_fe, t_db, t_oi = 1.0 / params.mu_fe, 1.0 / params.mu_sdb, 1.0 / params.mu_oi_effective
+    # per procedure, each message's mean service time at each of the four stages
+    means = {proc: [(t_fe, t_sl, t_db, t_oi) for t_sl in sl]
+             for proc, sl in ((PROC_SR, (st.t_sr1, st.t_sr2, st.t_sr3)),
+                              (PROC_SRR, (st.t_srr1, st.t_srr2, st.t_srr3)),
+                              (PROC_HR, (st.t_hr1, st.t_hr2)))}
     m = params.m
     rng = np.random.default_rng(seed)
     exp = service_law == "exponential"
 
-    def svc(mean: float) -> float:
-        return rng.exponential(mean) if exp else mean
+    # event: (time, seq, next stage, proc, msg_idx, fe_arrival); seq breaks ties
+    events = [(t + params.prop_delay, i, 0, int(proc), 0, 0.0)
+              for i, (t, proc) in enumerate(zip(trace.time_s, trace.procedure))]
+    heapq.heapify(events)
+    seq = len(events)
 
-    # event: (time, seq, stage_idx, proc, msg_idx, fe_arrival)
-    events: list = []
-    seq = 0
-    for t, proc in zip(trace.time_s, trace.procedure):
-        heapq.heappush(events, (t + params.prop_delay, seq, 0, int(proc), 0, 0.0))
-        seq += 1
-
-    free_fe = free_db = free_oi = -np.inf
-    sl_free = [-np.inf] * m  # heap of server-free times
+    free = [[-np.inf], [-np.inf] * m, [-np.inf], [-np.inf]]  # server-free times
+    busy = [0.0] * 4
     responses: list[float] = []
-    busy = dict.fromkeys(_STAGES, 0.0)
     t_first = np.inf
     t_last = -np.inf
+    in_chain: list = []  # (OI arrival, seq) per message, popped once an FE arrival passes it
     backlog = max_backlog = 0  # messages inside the chain
 
     while events:
         t, sq, stage, proc, msg_idx, fe_arr = heapq.heappop(events)
-        if stage == 0:  # front end
+        if stage == 0:
+            while in_chain and in_chain[0] < (t, sq):
+                heapq.heappop(in_chain)
+                backlog -= 1
             backlog += 1
             max_backlog = max(max_backlog, backlog)
             t_first = min(t_first, t)
-            s = svc(t_fe)
-            start = max(t, free_fe)
-            free_fe = start + s
-            busy["fe"] += s
-            heapq.heappush(events, (free_fe, sq, 1, proc, msg_idx, t))
-        elif stage == 1:  # service-logic pool
-            s = svc(sl_seq[proc][msg_idx])
-            start = max(t, sl_free[0])
-            heapq.heapreplace(sl_free, start + s)
-            busy["sl"] += s
-            heapq.heappush(events, (start + s, sq, 2, proc, msg_idx, fe_arr))
-        elif stage == 2:  # state database
-            s = svc(t_db)
-            start = max(t, free_db)
-            free_db = start + s
-            busy["db"] += s
-            heapq.heappush(events, (free_db, sq, 3, proc, msg_idx, fe_arr))
-        else:  # output interface
-            s = svc(t_oi)
-            start = max(t, free_oi)
-            free_oi = start + s
-            busy["oi"] += s
-            done = free_oi
-            responses.append(done - fe_arr)
-            t_last = max(t_last, done)
-            backlog -= 1
-            if msg_idx + 1 < len(sl_seq[proc]):
+            fe_arr = t
+        for i in range(stage, 4):
+            if i == 3:
+                heapq.heappush(in_chain, (t, sq))
+            s = means[proc][msg_idx][i]
+            if exp:
+                s = rng.exponential(s)
+            t = max(t, free[i][0]) + s
+            heapq.heapreplace(free[i], t)
+            busy[i] += s
+            if len(free[i]) > 1:  # a pool may reorder messages: back to the heap
+                heapq.heappush(events, (t, sq, i + 1, proc, msg_idx, fe_arr))
+                break
+        else:
+            responses.append(t - fe_arr)
+            t_last = max(t_last, t)
+            if msg_idx + 1 < len(means[proc]):
+                heapq.heappush(events, (t + params.t_im, seq, 0, proc, msg_idx + 1, 0.0))
                 seq += 1
-                heapq.heappush(events, (done + params.t_im, seq, 0, proc,
-                                        msg_idx + 1, 0.0))
 
     n_msgs = len(responses)
     counts = {
@@ -134,7 +126,7 @@ def run_queue_sim(
         "HR": int(np.sum(trace.procedure == PROC_HR)),
     }
     span = max(t_last - t_first, 0.0)
-    util = {s: (busy[s] / span if span > 0 else 0.0) for s in _STAGES}
+    util = {s: (b / span if span > 0 else 0.0) for s, b in zip(_STAGES, busy)}
     util["sl"] = util["sl"] / m
 
     resp = np.asarray(responses)

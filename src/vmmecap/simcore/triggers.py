@@ -78,23 +78,6 @@ class TriggerTrace:
                                   self.device_kind, self.procedure):
                 w.writerow([f"{t:.9f}", int(d), KIND_NAMES[k], PROC_NAMES[p]])
 
-    @staticmethod
-    def from_csv(path, horizon_s: float, n_u: int, n_d: int) -> "TriggerTrace":
-        kinds = {n: i for i, n in enumerate(KIND_NAMES)}
-        procs = {n: i for i, n in enumerate(PROC_NAMES)}
-        t, d, k, p = [], [], [], []
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                t.append(float(row["time_s"]))
-                d.append(int(row["device_id"]))
-                k.append(kinds[row["device_kind"]])
-                p.append(procs[row["procedure"]])
-        return TriggerTrace(
-            np.asarray(t), np.asarray(d, dtype=np.int64),
-            np.asarray(k, dtype=np.uint8), np.asarray(p, dtype=np.uint8),
-            horizon_s, n_u, n_d,
-        )
-
 
 def device_rng(seed: int, device_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, device_index])

@@ -124,6 +124,23 @@ class TestCli:
         p.write_text("nonsense: 1\n")
         assert main(["rates", "--config", str(p)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["dimension", "--ti", "1:30"],  # a grid where a scalar is needed
+        ["capacity", "--m", "0"],
+        ["dimension", "--users", "-5"],
+        ["dimension", "--tmax-us", "0"],  # a given zero is not the default
+        ["simulate", "--m", "0"],
+        ["simulate", "--duration-s", "0"],
+        ["scalability", "--kmax", "0"],
+        ["rates", "--ti", "abc"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_bad_flag_exit_code(self, argv, tmp_path, capsys):
+        # rejected before any trace is generated or any output written
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
     def test_infeasible_exit_code(self, tmp_path):
         # DB-saturating population: dimensioning has no solution
         assert main(["dimension", "--users", "30000000", "--out",

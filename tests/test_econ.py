@@ -9,7 +9,6 @@ from vmmecap.econ import (
     productivity,
     scalability_table,
     tiered_egress_cost,
-    tiered_egress_rate,
 )
 from vmmecap.errors import ParameterError
 
@@ -34,10 +33,6 @@ class TestEgress:
         base = tiered_egress_cost(1.0 + (10 + 40 + 100 + 350) * 1024.0, SCHED)
         more = tiered_egress_cost(1.0 + (10 + 40 + 100 + 350) * 1024.0 + 10.0, SCHED)
         assert more - base == pytest.approx(10 * 0.050)
-
-    def test_blended_rate(self):
-        assert tiered_egress_rate(0.0) == 0.0
-        assert tiered_egress_rate(2.0) == pytest.approx(0.045)
 
     def test_negative_rejected(self):
         with pytest.raises(ParameterError):

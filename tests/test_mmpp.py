@@ -8,7 +8,6 @@ from vmmecap.mmpp import (
     MmppParams,
     mmpp_packet_stream,
     mmpp_stationary,
-    stationary_distribution,
 )
 
 TABLE = MmppParams(p=6.75e-5, q=1.47e-4, lambda1=0.0015, lambda2=0.065,
@@ -30,18 +29,6 @@ class TestStationary:
     def test_degenerate(self):
         with pytest.raises(DegenerateChainError):
             mmpp_stationary(MmppParams(0.0, 0.0, 1.0, 2.0))
-
-    def test_matrix_solver_matches_two_state(self):
-        P = np.array([[1 - TABLE.p, TABLE.p], [TABLE.q, 1 - TABLE.q]])
-        pi = stationary_distribution(P)
-        pi1, pi2, _ = mmpp_stationary(TABLE)
-        assert pi == pytest.approx([pi1, pi2], rel=1e-9)
-
-    def test_matrix_solver_three_states(self):
-        P = np.array([[0.9, 0.1, 0.0], [0.2, 0.7, 0.1], [0.1, 0.0, 0.9]])
-        pi = stationary_distribution(P)
-        assert pi.sum() == pytest.approx(1.0)
-        assert pi @ P == pytest.approx(pi, rel=1e-9)
 
     def test_invalid_params(self):
         with pytest.raises(ParameterError):

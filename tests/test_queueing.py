@@ -216,3 +216,19 @@ class TestCapacity:
         t_sl = weighted_sl_service_time(res.rates, cfg.queue.sl_times)
         above = (res.n_u_max + 2) * per_pair
         assert response_at(above, t_sl, cfg.queue, 3)[0] > cfg.queue.t_max
+
+    def test_exact_at_budget_boundary(self, cfg):
+        # a point where a rate root-finder with a 1e-6 tolerance, floored to
+        # whole UEs, lands one UE short of the true maximum
+        geom = replace(cfg.geom, mean_speed_mps=3.358)
+        res = capacity(7, cfg.queue, cfg.mix, geom, cfg.mmpp, 19.808, 1.0, 0.92e-3)
+        r = res.rates  # per-device rates ride along; same arithmetic as capacity
+        per_ue, per_mtcd = (r.lam_u_sr, r.lam_u_srr, r.lam_u_hr), (r.lam_s_sr, r.lam_s_srr)
+        t_sl = weighted_sl_service_time(aggregate_rates(per_ue, per_mtcd, 1.0, 1.0),
+                                        cfg.queue.sl_times)
+
+        def total(n_u):
+            lam = aggregate_rates(per_ue, per_mtcd, n_u, n_u).lam_total_msgs
+            return response_at(lam, t_sl, cfg.queue, 7)[0]
+
+        assert total(res.n_u_max) <= 0.92e-3 < total(res.n_u_max + 1)

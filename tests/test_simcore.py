@@ -1,6 +1,7 @@
 """Simulator invariants: determinism, conservation, causality, and agreement
 with the analytic model at small scale."""
 
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,14 @@ from vmmecap.simcore import (
     rmse,
     run_queue_sim,
 )
-from vmmecap.simcore.triggers import KIND_UE, PROC_SR, PROC_SRR
+from vmmecap.simcore.triggers import (
+    KIND_NAMES,
+    KIND_UE,
+    PROC_HR,
+    PROC_NAMES,
+    PROC_SR,
+    PROC_SRR,
+)
 from vmmecap.workload import aggregate_rates, htc_rates, mtc_rates
 
 
@@ -86,14 +94,19 @@ class TestTraceInvariants:
                                   10000.0, 124, speed_dist=cfg.speed_dist)
         assert not np.array_equal(small_trace.time_s, other.time_s)
 
-    def test_csv_round_trip(self, small_trace, tmp_path):
+    def test_csv_columns(self, small_trace, tmp_path):
+        # the file `simulate --trace-out` writes
         path = tmp_path / "trace.csv"
         small_trace.to_csv(path)
-        back = TriggerTrace.from_csv(path, small_trace.horizon_s,
-                                     small_trace.n_u, small_trace.n_d)
-        assert np.allclose(back.time_s, small_trace.time_s, atol=1e-9)
-        assert np.array_equal(back.procedure, small_trace.procedure)
-        assert np.array_equal(back.device_kind, small_trace.device_kind)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(small_trace)
+        assert np.allclose([float(r["time_s"]) for r in rows], small_trace.time_s,
+                           rtol=0, atol=1e-9)
+        assert [r["device_kind"] for r in rows] == \
+            [KIND_NAMES[k] for k in small_trace.device_kind]
+        assert [r["procedure"] for r in rows] == \
+            [PROC_NAMES[p] for p in small_trace.procedure]
 
 
 class TestMeasuredRates:
@@ -154,6 +167,63 @@ class TestQueueSim:
         # recover per-message responses from the batch-less path
         assert st.mean_response_s == pytest.approx(np.mean(expected), rel=1e-12)
         assert st.max_backlog == 1
+
+    def test_pool_overtaking_walk(self, cfg):
+        # m = 2: an SR at t = 0 and an HR at 1 us. The HR's first message
+        # waits for the FE, then takes the second SL server and leaves the
+        # pool after 94 us, before the SR's first message (127.4 us), so it
+        # must reach the SDB first and never wait there.
+        trace = TriggerTrace(np.array([0.0, 1e-6]), np.array([0, 1], dtype=np.int64),
+                             np.array([KIND_UE, KIND_UE], dtype=np.uint8),
+                             np.array([PROC_SR, PROC_HR], dtype=np.uint8), 1.0, 2, 0)
+        params = replace(cfg.queue, m=2)
+        st = run_queue_sim(trace, params, "deterministic")
+        q, t = params, params.sl_times
+        t_fe = 1 / q.mu_fe
+        base = t_fe + 1 / q.mu_sdb + 1 / q.mu_oi_effective
+        expected = [
+            base + t.t_sr1,  # SR message 1: no wait anywhere
+            (t_fe - 1e-6) + base + t.t_hr1,  # HR message 1: waits for the FE only
+            base + t.t_hr2,  # the second and third messages are 25 us apart
+            base + t.t_sr2,
+            base + t.t_sr3,
+        ]
+        assert st.n_messages == 5
+        assert st.mean_response_s == pytest.approx(np.mean(expected), rel=1e-12)
+        assert st.max_backlog == 2
+
+    def test_golden_deterministic(self, cfg):
+        # Every field recorded from the four-branch kernel this one replaced;
+        # under the deterministic law the results must stay bit-identical.
+        # The m = 1 trace is generated, so a change to trace generation
+        # changes these figures too.
+        small = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 50, 50, 10.0,
+                                  3000.0, 7, speed_dist=cfg.speed_dist)
+        st = run_queue_sim(small, replace(cfg.queue, m=1), "deterministic", seed=3)
+        assert (st.mean_response_s, st.ci_halfwidth_s) == (
+            0.00011790620971223005, 5.327697480601541e-08)
+        assert (st.n_messages, st.n_triggers, st.max_backlog, st.n_batches) == (
+            17105, 5747, 2, 20)
+        assert st.utilization == {
+            "fe": 4.7540408832516495e-05, "sl": 0.0005668448087316869,
+            "db": 5.70484905990352e-05, "oi": 1.140969811980618e-06}
+        assert st.empirical_lam_msgs == 5.70484905990251
+        assert st.per_procedure_counts == {"SR": 2813, "SRR": 2798, "HR": 136}
+        assert (st.warmup_fraction, st.seed, st.valid) == (0.1, 3, True)
+
+        # m = 3 pool at about 75 % load, where messages queue and overtake
+        pool = poisson_triggers(3500.0, 3500.0, 1500.0, 0.5, 17)
+        st = run_queue_sim(pool, replace(cfg.queue, m=3), "deterministic", seed=5)
+        assert (st.mean_response_s, st.ci_halfwidth_s) == (
+            0.00015801191006490766, 7.996251928581538e-06)
+        assert (st.n_messages, st.n_triggers, st.max_backlog, st.n_batches) == (
+            12098, 4275, 16, 20)
+        assert st.utilization == {
+            "fe": 0.19011940698560942, "sl": 0.7517182432097299,
+            "db": 0.2281432883827241, "oi": 0.004562865767654604}
+        assert st.empirical_lam_msgs == 22814.32883827509
+        assert st.per_procedure_counts == {"SR": 1798, "SRR": 1750, "HR": 727}
+        assert (st.warmup_fraction, st.seed, st.valid) == (0.1, 5, True)
 
     def test_reproducible(self, cfg, small_trace):
         a = run_queue_sim(small_trace, cfg.queue, "exponential", seed=11)
