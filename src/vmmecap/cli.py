@@ -224,6 +224,8 @@ def cmd_simulate(cfg: ToolConfig, args) -> None:
     horizon = _flag(args.duration_s, cfg.scenario["horizon_s"], "--duration-s")
     m = _flag(args.m_instances, cfg.queue.m, "--m", int)
     n_u, n_d = _scenario_counts(cfg, args)
+    if n_u + n_d == 0:
+        raise ConfigError("simulate needs at least one device, got 0 UEs and 0 MTCDs")
     trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, n_u, n_d, ti,
                               horizon, args.seed, speed_dist=cfg.speed_dist)
     if args.trace_out:

@@ -2,7 +2,8 @@
 
 Every law is described by a :class:`Dist` record (kind + named parameters).
 Sampling of the truncated laws uses inverse-CDF restricted to the quantile
-range [F(lo), F(hi)], so draws are exact and cost one uniform each.
+range [F(lo), F(hi)], so draws are exact and cost one uniform each; each
+truncated law computes that range once, when it is built.
 `tail_prob` and `expected_truncated` are closed-form for all kinds.
 """
 
@@ -42,6 +43,7 @@ class Dist:
     def __post_init__(self):
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         _validate(self)
+        object.__setattr__(self, "_cdf_range", _cdf_range(self))
 
     def __getitem__(self, key: str) -> float:
         return self.params[key]
@@ -145,6 +147,17 @@ def _pareto_cdf(x, shape, lo):
     return np.where(x <= lo, 0.0, 1.0 - (lo / np.maximum(x, lo)) ** shape)
 
 
+def _cdf_range(d: Dist):
+    """(F(lo), F(hi)) of a truncated law's untruncated parent; None for the others."""
+    p = d.params
+    if d.kind == "trunc_lognormal":
+        mu, s = p["mu"], p["sigma"]
+        return _lognorm_cdf(p["lo"], mu, s), _lognorm_cdf(p["hi"], mu, s)
+    if d.kind == "trunc_pareto":
+        return 0.0, 1.0 - (p["lo"] / p["hi"]) ** p["shape"]
+    return None
+
+
 def mean(d: Dist) -> float:
     """Analytic mean of the law (all kinds have one in closed form)."""
     p = d.params
@@ -202,17 +215,16 @@ def sample(d: Dist, rng: np.random.Generator, size=None):
             out = m + s / k * ((1.0 - u) ** (-k) - 1.0)
     elif d.kind == "trunc_lognormal":
         mu, s, lo, hi = p["mu"], p["sigma"], p["lo"], p["hi"]
-        flo = _lognorm_cdf(lo, mu, s)
-        fhi = _lognorm_cdf(hi, mu, s)
+        flo, fhi = d._cdf_range
         u = flo + rng.random(n) * (fhi - flo)
         out = np.exp(mu + s * ndtri(u))
-        out = np.clip(out, lo, hi)
+        out = np.minimum(np.maximum(out, lo, out=out), hi, out=out)  # np.clip, cheaper
     elif d.kind == "trunc_pareto":
         a, lo, hi = p["shape"], p["lo"], p["hi"]
-        fhi = 1.0 - (lo / hi) ** a
+        fhi = d._cdf_range[1]
         u = rng.random(n) * fhi
         out = lo * (1.0 - u) ** (-1.0 / a)
-        out = np.clip(out, lo, hi)
+        out = np.minimum(np.maximum(out, lo, out=out), hi, out=out)  # np.clip, cheaper
     else:
         raise ParameterError(d.kind)
     return float(out[0]) if scalar else out
@@ -249,7 +261,7 @@ def tail_prob(d: Dist, t: float) -> float:
             return 1.0
         if t >= hi:
             return 0.0
-        flo, fhi = _lognorm_cdf(lo, mu, s), _lognorm_cdf(hi, mu, s)
+        flo, fhi = d._cdf_range
         return float((fhi - _lognorm_cdf(t, mu, s)) / (fhi - flo))
     if d.kind == "trunc_pareto":
         a, lo, hi = p["shape"], p["lo"], p["hi"]
@@ -257,7 +269,7 @@ def tail_prob(d: Dist, t: float) -> float:
             return 1.0
         if t >= hi:
             return 0.0
-        flo, fhi = 0.0, _pareto_cdf(hi, a, lo)
+        flo, fhi = d._cdf_range
         return float((fhi - _pareto_cdf(t, a, lo)) / (fhi - flo))
     raise ParameterError(d.kind)
 
@@ -302,7 +314,7 @@ def expected_truncated(d: Dist, t_cap: float) -> float:
             return t_cap
         if t_cap >= hi:
             return mean(d)
-        flo, fhi = _lognorm_cdf(lo, mu, s), _lognorm_cdf(hi, mu, s)
+        flo, fhi = d._cdf_range
         den = fhi - flo
         a = (math.log(lo) - mu) / s
         bt = (math.log(t_cap) - mu) / s

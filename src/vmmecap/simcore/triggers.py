@@ -5,7 +5,9 @@ while idle, release when the inactivity timer fires, handover at every cell
 crossing while holding signaling state); MTCDs replay their MMPP packet
 stream against the same timer logic, without mobility. Each device owns an
 independent random stream derived from the master seed, so traces are
-reproducible and insensitive to device ordering.
+reproducible and insensitive to device ordering. A UE takes its draws from
+that stream in blocks of BLOCK per law (`device_draws`), one vectorised call
+per block instead of one call per draw.
 
 Devices are warmed up over a lead-in interval before time zero; triggers
 from the lead-in are dropped, as are any release/handover triggers that
@@ -15,6 +17,7 @@ trace causally consistent (SRR/HR only after a matching SR).
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -83,26 +86,60 @@ def device_rng(seed: int, device_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, device_index])
 
 
+BLOCK = 64  # draws of one law taken from a device's stream at a time
+_UNIT = dists.uniform(0.0, 1.0)  # picks an app or an encoding rate
+
+
+def device_draws(rng: np.random.Generator):
+    """One device's draw function, taking draws from `rng` in blocks of BLOCK per law.
+
+    ``draw(law)`` returns the law's next draw and ``draw(law, k)`` the sum of
+    its next ``k``; a law's block is refilled from the stream when used up.
+    A law is known by identity, so it must stay alive while draws are taken.
+    """
+    blocks = {}  # id(law) -> [block as a list, position of the next draw]
+
+    def draw(law: Dist, k: int = 1) -> float:
+        st = blocks.get(id(law))
+        if st is not None:
+            pos = st[1]
+            end = pos + k
+            if end <= BLOCK:
+                st[1] = end
+                return st[0][pos] if k == 1 else sum(st[0][pos:end])
+        st = blocks.setdefault(id(law), [[], BLOCK])  # a new law starts with its block used up
+        taken = st[0][st[1]:]
+        while len(taken) < k:
+            block = dists.sample(law, rng, size=BLOCK).tolist()
+            used = min(k - len(taken), BLOCK)
+            taken += block[:used]
+            st[0], st[1] = block, used
+        return sum(taken)
+
+    return draw
+
+
 # ---------------------------------------------------------------------------
 # per-AAP duration sampling (simulation-side counterpart of the analytic means)
 # ---------------------------------------------------------------------------
 
-def sample_aap_duration(model, link_rate_bps: float, rng: np.random.Generator) -> float:
+def sample_aap_duration(model, link_rate_bps: float, draw) -> float:
+    """One AAP's duration, its draws taken with `draw` (see `device_draws`)."""
     if isinstance(model, WebModel):
-        main = dists.sample(model.main_obj_bytes, rng)
-        k = int(round(dists.sample(model.n_embedded, rng)))
-        total = main + (dists.sample(model.embedded_obj_bytes, rng, size=k).sum() if k else 0.0)
-        parse = dists.sample(model.parsing_time_s, rng)
+        k = int(round(draw(model.n_embedded)))
+        total = draw(model.main_obj_bytes) + draw(model.embedded_obj_bytes, k)
+        parse = draw(model.parsing_time_s)
         if model.parsing_per_object:
             parse *= 1 + k
         return total * 8.0 / link_rate_bps + parse
     if isinstance(model, VideoModel):
-        enc = dists.sample(model.encoding_rate_choices[rng.integers(len(model.encoding_rate_choices))], rng)
-        dur = dists.sample(model.duration_s, rng)
+        choices = model.encoding_rate_choices
+        enc = draw(choices[int(draw(_UNIT) * len(choices))])
+        dur = draw(model.duration_s)
         burst = min(dur, model.burst_media_s)
         return burst * enc / link_rate_bps + max(dur - model.burst_media_s, 0.0) / model.throttle_factor
     if isinstance(model, CallModel):
-        return dists.sample(model.holding_time_s, rng)
+        return draw(model.holding_time_s)
     raise ParameterError(f"unknown AAP model {type(model).__name__}")
 
 
@@ -110,71 +147,86 @@ def sample_aap_duration(model, link_rate_bps: float, rng: np.random.Generator) -
 # mobility: cell-crossing times of reflected straight-line motion
 # ---------------------------------------------------------------------------
 
-def _axis_crossings(x0, v, span, lines, t_a, t_b):
-    """Times in (t_a, t_b] when the reflected coordinate hits any of `lines`.
+def _grid_lines(geom: CellGeometry):
+    """Per axis (x, then y): the grid's span and its interior lines.
+
+    Only interior lines count: bouncing at the outer edge keeps the device
+    in its cell, so no handover is generated there.
+    """
+    return ((geom.grid_cols * geom.cell_width_m,
+             np.arange(1, geom.grid_cols) * geom.cell_width_m),
+            (geom.grid_rows * geom.cell_height_m,
+             np.arange(1, geom.grid_rows) * geom.cell_height_m))
+
+
+def _crossing_times(windows, x0, y0, vx, vy, lines) -> np.ndarray:
+    """Sorted times in the active windows (t_a, t_b] at which a grid line is hit.
 
     Reflection in [0, span] unfolds to straight motion with period 2*span:
-    the device is at line g whenever x0 + v*t = +-g (mod 2*span).
+    the device is at line g whenever x0 + v*t = +-g (mod 2*span). Each axis
+    solves every (window, target) pair at once; `lines` is `_grid_lines`.
     """
-    if v == 0.0 or not lines:
-        return []
-    period = 2.0 * span
     out = []
-    for g in lines:
-        for target in (g, -g):
-            # x0 + v t = target + period*k  <=>  k = (x0 + v t - target)/period
-            k1 = (x0 + v * t_a - target) / period
-            k2 = (x0 + v * t_b - target) / period
-            k_lo, k_hi = min(k1, k2), max(k1, k2)
-            for k in range(math.ceil(k_lo - 1e-12), math.floor(k_hi + 1e-12) + 1):
-                t = (target + period * k - x0) / v
-                if t_a < t <= t_b:
-                    out.append(t)
-    return out
-
-
-def _crossing_times(windows, x0, y0, vx, vy, geom: CellGeometry):
-    """Cell-boundary crossing times within the active windows.
-
-    Only interior grid lines count: bouncing at the outer edge keeps the
-    device in its cell, so no handover is generated there.
-    """
-    w, h = geom.cell_width_m, geom.cell_height_m
-    span_x = geom.grid_cols * w
-    span_y = geom.grid_rows * h
-    v_lines = [i * w for i in range(1, geom.grid_cols)]
-    h_lines = [j * h for j in range(1, geom.grid_rows)]
-    out = []
-    for t_a, t_b in windows:
-        out.extend(_axis_crossings(x0, vx, span_x, v_lines, t_a, t_b))
-        out.extend(_axis_crossings(y0, vy, span_y, h_lines, t_a, t_b))
-    return out
+    t_a = np.array([w[0] for w in windows], dtype=float)[:, None]
+    t_b = np.array([w[1] for w in windows], dtype=float)[:, None]
+    for x, v, (span, g) in ((x0, vx, lines[0]), (y0, vy, lines[1])):
+        if v == 0.0 or not len(g):
+            continue
+        period = 2.0 * span
+        target = np.concatenate((g, -g))
+        # x + v t = target + period*k  <=>  k = (x + v t - target)/period
+        k1 = (x + v * t_a - target) / period
+        k2 = (x + v * t_b - target) / period
+        k_lo = np.ceil(np.minimum(k1, k2) - 1e-12).ravel()
+        n_k = np.floor(np.maximum(k1, k2) + 1e-12).ravel() - k_lo + 1
+        n_k = np.maximum(n_k, 0).astype(np.int64)
+        pair = np.repeat(np.arange(n_k.size), n_k)
+        k = k_lo[pair] + (np.arange(pair.size) - np.repeat(np.cumsum(n_k) - n_k, n_k))
+        t = (np.broadcast_to(target, k1.shape).ravel()[pair] + period * k - x) / v
+        row = pair // len(target)
+        out.append(t[(t_a[row, 0] < t) & (t <= t_b[row, 0])])
+    return np.sort(np.concatenate(out)) if out else np.empty(0)
 
 
 # ---------------------------------------------------------------------------
 # per-device generators
 # ---------------------------------------------------------------------------
 
-def _ue_events(rng, mix: TrafficMix, geom: CellGeometry, speed_dist: Dist,
-               t_i: float, horizon_s: float, settle_s: float):
-    """(times, procs) for one UE, lead-in included and later clipped."""
-    p_apps = np.array([a.p_app for a in mix.apps])
-    cum = np.cumsum(p_apps)
-    mean_sst = []
-    for app in mix.apps:
-        mom = app_session_moments(app, mix.link_rate_bps)
-        mean_sst.append(mix.mean_iast_s - mom.mean_t_sd_s)
-        if mean_sst[-1] <= 0:
-            raise ParameterError(
-                f"app {app.name!r}: session duration exceeds the IAST budget"
-            )
+@dataclass(frozen=True)
+class _UePlan:
+    """What every UE of a trace shares, worked out once per trace."""
 
-    span_x = geom.grid_cols * geom.cell_width_m
-    span_y = geom.grid_rows * geom.cell_height_m
+    apps: tuple[AppProfile, ...]
+    cum_p: list[float]  # cumulative app probabilities
+    standby: tuple[Dist, ...]  # per app: the gap between sessions
+    link_rate_bps: float
+    speed: Dist
+    lines: tuple  # `_grid_lines` of the geometry
+
+    @staticmethod
+    def build(mix: TrafficMix, geom: CellGeometry, speed_dist: Dist) -> "_UePlan":
+        standby = []
+        for app in mix.apps:
+            mom = app_session_moments(app, mix.link_rate_bps)
+            mean_sst = mix.mean_iast_s - mom.mean_t_sd_s
+            if mean_sst <= 0:
+                raise ParameterError(
+                    f"app {app.name!r}: session duration exceeds the IAST budget"
+                )
+            standby.append(dists.exponential(mean_sst))
+        cum_p = np.cumsum([a.p_app for a in mix.apps]).tolist()
+        return _UePlan(mix.apps, cum_p, tuple(standby), mix.link_rate_bps,
+                       speed_dist, _grid_lines(geom))
+
+
+def _ue_events(rng, plan: _UePlan, t_i: float, horizon_s: float, settle_s: float):
+    """(times, procs) for one UE, lead-in included and later clipped."""
+    (span_x, _), (span_y, _) = plan.lines
     x0 = rng.uniform(0.0, span_x)
     y0 = rng.uniform(0.0, span_y)
-    speed = dists.sample(speed_dist, rng)
     heading = rng.uniform(0.0, 2.0 * math.pi)
+    draw = device_draws(rng)
+    speed = draw(plan.speed)
     vx, vy = speed * math.cos(heading), speed * math.sin(heading)
 
     times, procs = [], []
@@ -191,17 +243,17 @@ def _ue_events(rng, mix: TrafficMix, geom: CellGeometry, speed_dist: Dist,
         connected = False
         win_start = None
 
+    last_app = len(plan.apps) - 1
     while t_end < horizon_s:
-        ai = int(np.searchsorted(cum, rng.random(), side="right"))
-        ai = min(ai, len(mix.apps) - 1)
-        app: AppProfile = mix.apps[ai]
-        t_sst = rng.exponential(mean_sst[ai])
+        ai = min(bisect.bisect_right(plan.cum_p, draw(_UNIT)), last_app)
+        app: AppProfile = plan.apps[ai]
+        t_sst = draw(plan.standby[ai])
         if connected and t_sst > t_i:
             close_window(t_end + t_i)
         t_start = t_end + t_sst
         if t_start >= horizon_s:
             break
-        n = max(1, int(round(dists.sample(app.n_aap, rng))))
+        n = max(1, int(round(draw(app.n_aap))))
         t_cur = t_start
         for j in range(n):
             if not connected:
@@ -209,9 +261,9 @@ def _ue_events(rng, mix: TrafficMix, geom: CellGeometry, speed_dist: Dist,
                 procs.append(PROC_SR)
                 connected = True
                 win_start = t_cur
-            t_cur += sample_aap_duration(app.model, mix.link_rate_bps, rng)
+            t_cur += sample_aap_duration(app.model, plan.link_rate_bps, draw)
             if j < n - 1:
-                d = dists.sample(app.reading_time_s, rng)
+                d = draw(app.reading_time_s)
                 if d > t_i:
                     close_window(t_cur + t_i)
                 t_cur += d
@@ -220,10 +272,10 @@ def _ue_events(rng, mix: TrafficMix, geom: CellGeometry, speed_dist: Dist,
         # timer pending past the horizon: the window runs to the horizon
         windows.append((win_start, min(t_end + t_i, horizon_s)))
 
-    for t in _crossing_times(windows, x0, y0, vx, vy, geom):
-        times.append(t)
-        procs.append(PROC_HR)
-    return np.asarray(times), np.asarray(procs, dtype=np.uint8)
+    hr = _crossing_times(windows, x0, y0, vx, vy, plan.lines)
+    return (np.concatenate((times, hr)),
+            np.concatenate((np.asarray(procs, dtype=np.uint8),
+                            np.full(len(hr), PROC_HR, dtype=np.uint8))))
 
 
 def _mtcd_events(rng, mmpp: MmppParams, t_i: float, horizon_s: float, settle_s: float):
@@ -281,10 +333,11 @@ def generate_triggers(
         speed_dist = dists.uniform(0.0, 2.0 * geom.mean_speed_mps) \
             if geom.mean_speed_mps > 0 else dists.constant(0.0)
 
+    plan = _UePlan.build(mix, geom, speed_dist) if n_u else None
     all_t, all_p, all_d, all_k = [], [], [], []
     for dev in range(n_u):
         rng = device_rng(seed, dev)
-        t, p = _ue_events(rng, mix, geom, speed_dist, t_i, horizon_s, settle_s)
+        t, p = _ue_events(rng, plan, t_i, horizon_s, settle_s)
         t, p = _clip_device(t, p, horizon_s)
         all_t.append(t)
         all_p.append(p)

@@ -131,6 +131,7 @@ class TestCli:
         ["dimension", "--tmax-us", "0"],  # a given zero is not the default
         ["simulate", "--m", "0"],
         ["simulate", "--duration-s", "0"],
+        ["simulate", "--users", "0", "--mtcd-ratio", "0"],  # no devices to simulate
         ["scalability", "--kmax", "0"],
         ["rates", "--ti", "abc"],
     ], ids=lambda argv: " ".join(argv))

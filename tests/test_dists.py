@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from vmmecap import dists
 from vmmecap.dists import Dist
@@ -169,6 +170,31 @@ class TestSampling:
             for t in (0.3 * dists.mean(d), dists.mean(d)):
                 emp = float(np.mean(x > t))
                 assert emp == pytest.approx(dists.tail_prob(d, t), abs=5e-3)
+
+
+class TestTruncatedBounds:
+    """Each truncated law keeps F(lo) and F(hi) from its construction; its
+    draws must be bit-identical to the formula that recomputed them per draw."""
+
+    VIDEO_DURATION = dists.trunc_lognormal(5.102108, 0.7, 1e-3, 1e6)
+
+    def test_trunc_lognormal_block(self):
+        for d in (MAIN_OBJ, EMB_OBJ, self.VIDEO_DURATION):
+            mu, s, lo, hi = d["mu"], d["sigma"], d["lo"], d["hi"]
+            flo = dists._lognorm_cdf(lo, mu, s)
+            fhi = dists._lognorm_cdf(hi, mu, s)
+            u = flo + RNG(21).random(64) * (fhi - flo)
+            want = np.clip(np.exp(mu + s * ndtri(u)), lo, hi)
+            assert np.array_equal(dists.sample(d, RNG(21), size=64), want)
+            assert dists.sample(d, RNG(21)) == want[0]
+
+    def test_trunc_pareto_block(self):
+        for d in (EMB_COUNT, dists.trunc_pareto(2.5, 1.0, 40.0)):
+            a, lo, hi = d["shape"], d["lo"], d["hi"]
+            u = RNG(22).random(64) * (1.0 - (lo / hi) ** a)
+            want = np.clip(lo * (1.0 - u) ** (-1.0 / a), lo, hi)
+            assert np.array_equal(dists.sample(d, RNG(22), size=64), want)
+            assert dists.sample(d, RNG(22)) == want[0]
 
 
 class TestValidation:

@@ -2,6 +2,7 @@
 with the analytic model at small scale."""
 
 import csv
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -22,14 +23,22 @@ from vmmecap.simcore import (
     run_queue_sim,
 )
 from vmmecap.simcore.triggers import (
+    BLOCK,
     KIND_NAMES,
     KIND_UE,
     PROC_HR,
     PROC_NAMES,
     PROC_SR,
     PROC_SRR,
+    _clip_device,
+    _crossing_times,
+    _grid_lines,
+    _ue_events,
+    _UePlan,
+    device_draws,
+    device_rng,
 )
-from vmmecap.workload import aggregate_rates, htc_rates, mtc_rates
+from vmmecap.workload import CellGeometry, aggregate_rates, htc_rates, mtc_rates
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +116,125 @@ class TestTraceInvariants:
             [KIND_NAMES[k] for k in small_trace.device_kind]
         assert [r["procedure"] for r in rows] == \
             [PROC_NAMES[p] for p in small_trace.procedure]
+
+
+def _axis_crossings(x0, v, span, lines, t_a, t_b):
+    """Reference: times in (t_a, t_b] when the reflected coordinate hits any of `lines`.
+
+    One scalar step per line, sign and period; `_crossing_times` must give
+    the same times bit for bit.
+    """
+    if v == 0.0 or not lines:
+        return []
+    period = 2.0 * span
+    out = []
+    for g in lines:
+        for target in (g, -g):
+            k1 = (x0 + v * t_a - target) / period
+            k2 = (x0 + v * t_b - target) / period
+            k_lo, k_hi = min(k1, k2), max(k1, k2)
+            for k in range(math.ceil(k_lo - 1e-12), math.floor(k_hi + 1e-12) + 1):
+                t = (target + period * k - x0) / v
+                if t_a < t <= t_b:
+                    out.append(t)
+    return out
+
+
+def _reference_crossing_times(windows, x0, y0, vx, vy, geom):
+    w, h = geom.cell_width_m, geom.cell_height_m
+    v_lines = [i * w for i in range(1, geom.grid_cols)]
+    h_lines = [j * h for j in range(1, geom.grid_rows)]
+    out = []
+    for t_a, t_b in windows:
+        out.extend(_axis_crossings(x0, vx, geom.grid_cols * w, v_lines, t_a, t_b))
+        out.extend(_axis_crossings(y0, vy, geom.grid_rows * h, h_lines, t_a, t_b))
+    return sorted(out)
+
+
+class TestCrossingTimes:
+    GEOM = CellGeometry(138.0, 129.0, 4, 3)
+
+    def check(self, windows, x0, y0, vx, vy, geom=GEOM):
+        got = _crossing_times(windows, x0, y0, vx, vy, _grid_lines(geom))
+        want = _reference_crossing_times(windows, x0, y0, vx, vy, geom)
+        assert got.tolist() == want
+        return want
+
+    def test_random_windows_and_headings(self):
+        rng = np.random.default_rng(5)
+        total = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 8))
+            starts = np.sort(rng.uniform(-3000.0, 20000.0, n))
+            windows = list(zip(starts.tolist(), (starts + rng.exponential(300.0, n)).tolist()))
+            speed, heading = rng.uniform(0.0, 8.4), rng.uniform(0.0, 2 * math.pi)
+            total += len(self.check(windows, rng.uniform(0.0, 552.0), rng.uniform(0.0, 387.0),
+                                    speed * math.cos(heading), speed * math.sin(heading)))
+        assert total > 1000
+
+    def test_still_on_one_axis(self):
+        windows = [(-500.0, 10.0), (40.0, 900.0)]
+        assert self.check(windows, 100.0, 200.0, 0.0, 2.5)
+        assert self.check(windows, 100.0, 200.0, -3.0, 0.0)
+        assert self.check(windows, 100.0, 200.0, 0.0, 0.0) == []
+
+    def test_motion_along_one_axis(self):
+        # cos(pi/2) leaves a residual ~1e-16 m/s across the other axis
+        windows = [(0.0, 5000.0)]
+        for heading in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi):
+            assert self.check(windows, 70.0, 60.0, 3.0 * math.cos(heading),
+                              3.0 * math.sin(heading))
+        # a grid one cell wide has no interior line to cross along x
+        assert self.check(windows, 70.0, 60.0, 3.0, 0.0, CellGeometry(138.0, 129.0, 1, 3)) == []
+
+    def test_window_end_on_grid_line(self):
+        # x = 1 m/s * t reaches the line at 138 m exactly at t = 138 s, which
+        # closes the first window (kept) and opens the second (excluded)
+        times = self.check([(100.0, 138.0), (138.0, 200.0)], 0.0, 10.0, 1.0, 0.0)
+        assert times == [138.0]
+
+    def test_no_windows(self):
+        assert self.check([], 10.0, 10.0, 1.0, 1.0) == []
+
+
+class TestDeviceDraws:
+    LAW = dists.trunc_lognormal(6.17, 2.36, 50.0, 2e6)
+
+    def test_successive_draws_match_sample(self):
+        for law in (self.LAW, dists.exponential(30.0), dists.geometric_count(0.893)):
+            draw = device_draws(np.random.default_rng(3))
+            assert draw(law, 0) == 0  # an empty sum takes no draw
+            got = [draw(law) for _ in range(3 * BLOCK + 5)]
+            assert got == dists.sample(law, np.random.default_rng(3),
+                                       size=3 * BLOCK + 5).tolist()
+
+    def test_k_sums_match_sum_of_next_draws(self):
+        for seed in range(4, 10):
+            ref = dists.sample(self.LAW, np.random.default_rng(seed), size=4 * BLOCK).tolist()
+            draw = device_draws(np.random.default_rng(seed))
+            assert [draw(self.LAW) for _ in range(BLOCK - 33)] == ref[:BLOCK - 33]
+            assert draw(self.LAW, 30) == sum(ref[BLOCK - 33:BLOCK - 3])  # within a block
+            assert draw(self.LAW, 10) == sum(ref[BLOCK - 3:BLOCK + 7])  # across one boundary
+            assert draw(self.LAW, 2 * BLOCK) == sum(ref[BLOCK + 7:3 * BLOCK + 7])
+            assert draw(self.LAW, 0) == 0
+            assert draw(self.LAW) == ref[3 * BLOCK + 7]
+
+    def test_ue_trace_independent_of_population(self, cfg):
+        args = (cfg.mix, cfg.geom, None)
+        few = generate_triggers(*args, 5, 0, 10.0, 5000.0, 11, speed_dist=cfg.speed_dist)
+        many = generate_triggers(*args, 12, 0, 10.0, 5000.0, 11, speed_dist=cfg.speed_dist)
+        sel = many.device_id < 5
+        assert len(few) > 0 and len(few) < len(many)
+        assert np.array_equal(few.time_s, many.time_s[sel])
+        assert np.array_equal(few.device_id, many.device_id[sel])
+        assert np.array_equal(few.procedure, many.procedure[sel])
+        # the last device's events come from its own stream alone
+        plan = _UePlan.build(cfg.mix, cfg.geom, cfg.speed_dist)
+        t, p = _clip_device(*_ue_events(device_rng(11, 11), plan, 10.0, 5000.0, 3000.0), 5000.0)
+        last = many.device_id == 11
+        assert len(t) > 0
+        assert np.array_equal(t, many.time_s[last])
+        assert np.array_equal(p, many.procedure[last])
 
 
 class TestMeasuredRates:
@@ -196,19 +324,20 @@ class TestQueueSim:
         # Every field recorded from the four-branch kernel this one replaced;
         # under the deterministic law the results must stay bit-identical.
         # The m = 1 trace is generated, so a change to trace generation
-        # changes these figures too.
+        # changes these figures too (recorded again after UE draws moved to
+        # per-device blocks).
         small = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 50, 50, 10.0,
                                   3000.0, 7, speed_dist=cfg.speed_dist)
         st = run_queue_sim(small, replace(cfg.queue, m=1), "deterministic", seed=3)
         assert (st.mean_response_s, st.ci_halfwidth_s) == (
-            0.00011790620971223005, 5.327697480601541e-08)
+            0.00011785337488459643, 5.0403380577216525e-08)
         assert (st.n_messages, st.n_triggers, st.max_backlog, st.n_batches) == (
-            17105, 5747, 2, 20)
+            16849, 5678, 2, 20)
         assert st.utilization == {
-            "fe": 4.7540408832516495e-05, "sl": 0.0005668448087316869,
-            "db": 5.70484905990352e-05, "oi": 1.140969811980618e-06}
-        assert st.empirical_lam_msgs == 5.70484905990251
-        assert st.per_procedure_counts == {"SR": 2813, "SRR": 2798, "HR": 136}
+            "fe": 4.690420379538938e-05, "sl": 0.0005590636569635469,
+            "db": 5.628504455448174e-05, "oi": 1.125700891089556e-06}
+        assert st.empirical_lam_msgs == 5.628504455447247
+        assert st.per_procedure_counts == {"SR": 2753, "SRR": 2740, "HR": 185}
         assert (st.warmup_fraction, st.seed, st.valid) == (0.1, 3, True)
 
         # m = 3 pool at about 75 % load, where messages queue and overtake
