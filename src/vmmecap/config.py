@@ -185,8 +185,8 @@ def build(cfg: dict) -> ToolConfig:
     )
 
 
-def load_config(path: str | None = None, overrides: dict | None = None) -> ToolConfig:
-    """Defaults, optionally overlaid with a YAML file and programmatic overrides."""
+def load_config(path: str | None = None) -> ToolConfig:
+    """Defaults, optionally overlaid with a YAML file."""
     cfg = paper_defaults()
     if path is not None:
         try:
@@ -199,6 +199,4 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> ToolC
         if not isinstance(user, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
         cfg = deep_merge(cfg, user)
-    if overrides:
-        cfg = deep_merge(cfg, overrides)
     return build(cfg)

@@ -1,55 +1,33 @@
 """Random-variate generation and analytic moments for the traffic-model laws.
 
-Every law is described by a :class:`Dist` record (kind + named parameters).
-Sampling of the truncated laws uses inverse-CDF restricted to the quantile
-range [F(lo), F(hi)], so draws are exact and cost one uniform each; each
-truncated law computes that range once, when it is built.
-`tail_prob` and `expected_truncated` are closed-form for all kinds.
+Every law is a small frozen dataclass, one class per kind, on the base
+:class:`Dist`. Its fields are the law's parameters, checked when it is built,
+and it carries its own mean, draw, tail and E[min(X, t)] formulas; the module
+functions below call into it. Sampling of the truncated laws uses inverse-CDF
+restricted to the quantile range [F(lo), F(hi)], so draws are exact and cost
+one uniform each; each truncated law computes that range once, when it is
+built. `tail_prob` and `expected_truncated` are closed-form for all kinds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import ParameterError
 
-KINDS = (
-    "exponential",
-    "uniform",
-    "trunc_lognormal",
-    "trunc_pareto",
-    "geometric_count",
-    "gpd",
-    "constant",
-)
 
-
-@dataclass(frozen=True)
 class Dist:
-    """One distribution specification: kind plus named parameters.
+    """Base of the laws; `kind` names a law in configuration files.
 
     Units (seconds, bytes, counts, bit/s) are carried by the calling context.
     """
 
-    kind: str
-    params: Mapping[str, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
-        _validate(self)
-        object.__setattr__(self, "_cdf_range", _cdf_range(self))
-
-    def __getitem__(self, key: str) -> float:
-        return self.params[key]
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, **self.params}
+    kind: ClassVar[str]
 
     @staticmethod
     def from_dict(d: Mapping) -> "Dist":
@@ -58,194 +36,157 @@ class Dist:
             kind = d.pop("kind")
         except KeyError:
             raise ParameterError(f"distribution spec missing 'kind': {d!r}")
-        return Dist(kind, d)
+        if kind not in _BY_KIND:
+            raise ParameterError(f"unknown distribution kind {kind!r}")
+        try:
+            return _BY_KIND[kind](**d)
+        except TypeError as e:  # an unknown or missing parameter name
+            raise ParameterError(f"{kind} spec: {e}") from None
 
 
-def exponential(mean: float) -> Dist:
-    return Dist("exponential", {"mean": mean})
+@dataclass(frozen=True)
+class Exponential(Dist):
+    kind = "exponential"
+    mean: float
+
+    def __post_init__(self):
+        if not self.mean > 0:
+            raise ParameterError(f"exponential mean must be > 0, got {self.mean}")
+
+    def _mean(self):
+        return self.mean
+
+    def _draw(self, rng, n):
+        return rng.exponential(self.mean, n)
+
+    def _tail(self, t):
+        return math.exp(-t / self.mean)
+
+    def _emin(self, t):
+        return self.mean * (1.0 - math.exp(-t / self.mean))
 
 
-def uniform(lo: float, hi: float) -> Dist:
-    return Dist("uniform", {"lo": lo, "hi": hi})
+@dataclass(frozen=True)
+class Uniform(Dist):
+    kind = "uniform"
+    lo: float
+    hi: float
+
+    def __post_init__(self):
+        if not (0 <= self.lo < self.hi):
+            raise ParameterError(f"uniform needs 0 <= lo < hi, got {self.lo}, {self.hi}")
+
+    def _mean(self):
+        return 0.5 * (self.lo + self.hi)
+
+    def _draw(self, rng, n):
+        return rng.uniform(self.lo, self.hi, n)
+
+    def _tail(self, t):
+        lo, hi = self.lo, self.hi
+        return min(1.0, max(0.0, (hi - t) / (hi - lo))) if t > lo else 1.0
+
+    def _emin(self, t):
+        lo, hi = self.lo, self.hi
+        if t <= lo:
+            return t
+        if t >= hi:
+            return self._mean()
+        # integral of the survival function piecewise
+        return lo + (t - lo) - 0.5 * (t - lo) ** 2 / (hi - lo)
 
 
-def trunc_lognormal(mu: float, sigma: float, lo: float, hi: float) -> Dist:
-    return Dist("trunc_lognormal", {"mu": mu, "sigma": sigma, "lo": lo, "hi": hi})
+@dataclass(frozen=True)
+class Constant(Dist):
+    kind = "constant"
+    value: float
+
+    def __post_init__(self):
+        if not self.value >= 0:
+            raise ParameterError(f"constant must be >= 0, got {self.value}")
+
+    def _mean(self):
+        return self.value
+
+    def _draw(self, rng, n):
+        return np.full(n, self.value)
+
+    def _tail(self, t):
+        return 1.0 if t < self.value else 0.0
+
+    def _emin(self, t):
+        return min(self.value, t)
 
 
-def trunc_pareto(shape: float, lo: float, hi: float) -> Dist:
-    return Dist("trunc_pareto", {"shape": shape, "lo": lo, "hi": hi})
-
-
-def geometric_count(p_continue: float) -> Dist:
+@dataclass(frozen=True)
+class GeometricCount(Dist):
     """Count on {1, 2, ...} with P(N=n) = (1-p)*p^(n-1); mean 1/(1-p)."""
-    return Dist("geometric_count", {"p_continue": p_continue})
 
+    kind = "geometric_count"
+    p_continue: float
 
-def gpd(shape: float, scale: float, loc: float = 0.0) -> Dist:
-    """Generalized Pareto (shape k, scale s, location m); bounded support for k<0."""
-    return Dist("gpd", {"shape": shape, "scale": scale, "loc": loc})
+    def __post_init__(self):
+        if not (0 <= self.p_continue < 1):
+            raise ParameterError(f"p_continue must be in [0, 1), got {self.p_continue}")
 
+    def _mean(self):
+        return 1.0 / (1.0 - self.p_continue)
 
-def constant(value: float) -> Dist:
-    return Dist("constant", {"value": value})
-
-
-def _validate(d: Dist) -> None:
-    if d.kind not in KINDS:
-        raise ParameterError(f"unknown distribution kind {d.kind!r}")
-    p = d.params
-    try:
-        if d.kind == "exponential":
-            if not p["mean"] > 0:
-                raise ParameterError(f"exponential mean must be > 0, got {p['mean']}")
-        elif d.kind == "uniform":
-            if not (0 <= p["lo"] < p["hi"]):
-                raise ParameterError(f"uniform needs 0 <= lo < hi, got {p['lo']}, {p['hi']}")
-        elif d.kind == "trunc_lognormal":
-            if not p["sigma"] > 0:
-                raise ParameterError(f"lognormal sigma must be > 0, got {p['sigma']}")
-            if not (0 < p["lo"] < p["hi"]):
-                raise ParameterError(f"truncation needs 0 < lo < hi, got {p['lo']}, {p['hi']}")
-        elif d.kind == "trunc_pareto":
-            if not p["shape"] > 0:
-                raise ParameterError(f"pareto shape must be > 0, got {p['shape']}")
-            if not (0 < p["lo"] < p["hi"]):
-                raise ParameterError(f"truncation needs 0 < lo < hi, got {p['lo']}, {p['hi']}")
-        elif d.kind == "geometric_count":
-            if not (0 <= p["p_continue"] < 1):
-                raise ParameterError(f"p_continue must be in [0, 1), got {p['p_continue']}")
-        elif d.kind == "gpd":
-            if not p["scale"] > 0:
-                raise ParameterError(f"gpd scale must be > 0, got {p['scale']}")
-            if not p.get("loc", 0.0) >= 0:
-                raise ParameterError(f"gpd location must be >= 0, got {p['loc']}")
-            if not p["shape"] < 1:
-                raise ParameterError(f"gpd shape must be < 1 for a finite mean, got {p['shape']}")
-        elif d.kind == "constant":
-            if not p["value"] >= 0:
-                raise ParameterError(f"constant must be >= 0, got {p['value']}")
-    except KeyError as e:
-        raise ParameterError(f"{d.kind} spec missing parameter {e}")
-
-
-# ---------------------------------------------------------------------------
-# helpers for the truncated laws
-# ---------------------------------------------------------------------------
-
-def _lognorm_cdf(x, mu, sigma):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = ndtr((np.log(x[pos]) - mu) / sigma)
-    return out if out.ndim else float(out)
-
-
-def _pareto_cdf(x, shape, lo):
-    # unbounded Pareto with scale lo
-    x = np.asarray(x, dtype=float)
-    return np.where(x <= lo, 0.0, 1.0 - (lo / np.maximum(x, lo)) ** shape)
-
-
-def _cdf_range(d: Dist):
-    """(F(lo), F(hi)) of a truncated law's untruncated parent; None for the others."""
-    p = d.params
-    if d.kind == "trunc_lognormal":
-        mu, s = p["mu"], p["sigma"]
-        return _lognorm_cdf(p["lo"], mu, s), _lognorm_cdf(p["hi"], mu, s)
-    if d.kind == "trunc_pareto":
-        return 0.0, 1.0 - (p["lo"] / p["hi"]) ** p["shape"]
-    return None
-
-
-def mean(d: Dist) -> float:
-    """Analytic mean of the law (all kinds have one in closed form)."""
-    p = d.params
-    if d.kind == "exponential":
-        return p["mean"]
-    if d.kind == "uniform":
-        return 0.5 * (p["lo"] + p["hi"])
-    if d.kind == "constant":
-        return p["value"]
-    if d.kind == "geometric_count":
-        return 1.0 / (1.0 - p["p_continue"])
-    if d.kind == "gpd":
-        return p.get("loc", 0.0) + p["scale"] / (1.0 - p["shape"])
-    if d.kind == "trunc_lognormal":
-        mu, s, lo, hi = p["mu"], p["sigma"], p["lo"], p["hi"]
-        a = (math.log(lo) - mu) / s
-        b = (math.log(hi) - mu) / s
-        den = ndtr(b) - ndtr(a)
-        num = ndtr(b - s) - ndtr(a - s)
-        return math.exp(mu + 0.5 * s * s) * num / den
-    if d.kind == "trunc_pareto":
-        a, lo, hi = p["shape"], p["lo"], p["hi"]
-        c = 1.0 - (lo / hi) ** a
-        if abs(a - 1.0) < 1e-12:
-            return lo / c * math.log(hi / lo)
-        return a * lo**a / c * (lo ** (1 - a) - hi ** (1 - a)) / (a - 1.0)
-    raise ParameterError(d.kind)
-
-
-def sample(d: Dist, rng: np.random.Generator, size=None):
-    """Draw variates; scalar when size is None, else an ndarray."""
-    p = d.params
-    scalar = size is None
-    n = 1 if scalar else size
-    if d.kind == "exponential":
-        out = rng.exponential(p["mean"], n)
-    elif d.kind == "uniform":
-        out = rng.uniform(p["lo"], p["hi"], n)
-    elif d.kind == "constant":
-        out = np.full(n, p["value"])
-    elif d.kind == "geometric_count":
-        pc = p["p_continue"]
+    def _draw(self, rng, n):
+        pc = self.p_continue
         if pc == 0.0:
-            out = np.ones(n)
-        else:
-            u = rng.random(n)
-            out = np.ceil(np.log1p(-u) / math.log(pc))
-            out = np.maximum(out, 1.0)
-    elif d.kind == "gpd":
-        k, s, m = p["shape"], p["scale"], p.get("loc", 0.0)
+            return np.ones(n)
+        u = rng.random(n)
+        return np.maximum(np.ceil(np.log1p(-u) / math.log(pc)), 1.0)
+
+    def _tail(self, t):
+        return self.p_continue ** math.floor(t)
+
+    def _emin(self, t):
+        pc = self.p_continue
+        if pc == 0.0:
+            return min(t, 1.0)
+        j = math.floor(t)
+        whole = (1.0 - pc**j) / (1.0 - pc)
+        return whole + (t - j) * pc**j
+
+
+# Below this |shape| the GPD's powers (1 + k z) ** (c / k) lose about eps/|k|
+# of their precision, so they are taken through log1p and expm1 instead.
+_SMALL_SHAPE = 1e-4
+
+
+@dataclass(frozen=True)
+class Gpd(Dist):
+    """Generalized Pareto (shape k, scale s, location m); bounded support for k<0."""
+
+    kind = "gpd"
+    shape: float
+    scale: float
+    loc: float = 0.0
+
+    def __post_init__(self):
+        if not self.scale > 0:
+            raise ParameterError(f"gpd scale must be > 0, got {self.scale}")
+        if not self.loc >= 0:
+            raise ParameterError(f"gpd location must be >= 0, got {self.loc}")
+        if not self.shape < 1:
+            raise ParameterError(f"gpd shape must be < 1 for a finite mean, got {self.shape}")
+
+    def _mean(self):
+        return self.loc + self.scale / (1.0 - self.shape)
+
+    def _draw(self, rng, n):
+        k, s, m = self.shape, self.scale, self.loc
         u = rng.random(n)
         if abs(k) < 1e-12:
-            out = m + s * (-np.log1p(-u))
-        else:
-            out = m + s / k * ((1.0 - u) ** (-k) - 1.0)
-    elif d.kind == "trunc_lognormal":
-        mu, s, lo, hi = p["mu"], p["sigma"], p["lo"], p["hi"]
-        flo, fhi = d._cdf_range
-        u = flo + rng.random(n) * (fhi - flo)
-        out = np.exp(mu + s * ndtri(u))
-        out = np.minimum(np.maximum(out, lo, out=out), hi, out=out)  # np.clip, cheaper
-    elif d.kind == "trunc_pareto":
-        a, lo, hi = p["shape"], p["lo"], p["hi"]
-        fhi = d._cdf_range[1]
-        u = rng.random(n) * fhi
-        out = lo * (1.0 - u) ** (-1.0 / a)
-        out = np.minimum(np.maximum(out, lo, out=out), hi, out=out)  # np.clip, cheaper
-    else:
-        raise ParameterError(d.kind)
-    return float(out[0]) if scalar else out
+            return m + s * (-np.log1p(-u))
+        if abs(k) < _SMALL_SHAPE:
+            return m + s / k * np.expm1(-k * np.log1p(-u))
+        return m + s / k * ((1.0 - u) ** (-k) - 1.0)
 
-
-def tail_prob(d: Dist, t: float) -> float:
-    """P(X > t), closed form for every kind."""
-    if t < 0:
-        return 1.0
-    p = d.params
-    if d.kind == "exponential":
-        return math.exp(-t / p["mean"])
-    if d.kind == "uniform":
-        lo, hi = p["lo"], p["hi"]
-        return min(1.0, max(0.0, (hi - t) / (hi - lo))) if t > lo else 1.0
-    if d.kind == "constant":
-        return 1.0 if t < p["value"] else 0.0
-    if d.kind == "geometric_count":
-        return p["p_continue"] ** math.floor(t)
-    if d.kind == "gpd":
-        k, s, m = p["shape"], p["scale"], p.get("loc", 0.0)
+    def _tail(self, t):
+        k, s, m = self.shape, self.scale, self.loc
         if t <= m:
             return 1.0
         z = (t - m) / s
@@ -254,85 +195,155 @@ def tail_prob(d: Dist, t: float) -> float:
         base = 1.0 + k * z
         if base <= 0:
             return 0.0  # beyond the bounded support (k < 0)
+        if abs(k) < _SMALL_SHAPE:
+            return math.exp(-math.log1p(k * z) / k)
         return base ** (-1.0 / k)
-    if d.kind == "trunc_lognormal":
-        mu, s, lo, hi = p["mu"], p["sigma"], p["lo"], p["hi"]
-        if t <= lo:
-            return 1.0
-        if t >= hi:
-            return 0.0
-        flo, fhi = d._cdf_range
-        return float((fhi - _lognorm_cdf(t, mu, s)) / (fhi - flo))
-    if d.kind == "trunc_pareto":
-        a, lo, hi = p["shape"], p["lo"], p["hi"]
-        if t <= lo:
-            return 1.0
-        if t >= hi:
-            return 0.0
-        flo, fhi = d._cdf_range
-        return float((fhi - _pareto_cdf(t, a, lo)) / (fhi - flo))
-    raise ParameterError(d.kind)
 
-
-def expected_truncated(d: Dist, t_cap: float) -> float:
-    """E[min(X, t_cap)] = t_cap*P(X > t_cap) + integral of x f(x) up to t_cap."""
-    if t_cap <= 0:
-        return 0.0
-    p = d.params
-    if d.kind == "exponential":
-        return p["mean"] * (1.0 - math.exp(-t_cap / p["mean"]))
-    if d.kind == "constant":
-        return min(p["value"], t_cap)
-    if d.kind == "uniform":
-        lo, hi = p["lo"], p["hi"]
-        if t_cap <= lo:
-            return t_cap
-        if t_cap >= hi:
-            return 0.5 * (lo + hi)
-        # integral of the survival function piecewise
-        return lo + (t_cap - lo) - 0.5 * (t_cap - lo) ** 2 / (hi - lo)
-    if d.kind == "geometric_count":
-        pc = p["p_continue"]
-        j = math.floor(t_cap)
-        if pc == 0.0:
-            return min(t_cap, 1.0)
-        whole = (1.0 - pc**j) / (1.0 - pc)
-        return whole + (t_cap - j) * pc**j
-    if d.kind == "gpd":
-        k, s, m = p["shape"], p["scale"], p.get("loc", 0.0)
-        if t_cap <= m:
-            return t_cap
-        z = t_cap - m
+    def _emin(self, t):
+        k, s, m = self.shape, self.scale, self.loc
+        if t <= m:
+            return t
+        z = t - m
         if abs(k) < 1e-12:
             return m + s * (1.0 - math.exp(-z / s))
         if k < 0:
             z = min(z, s / (-k))
-        return m + s / (k - 1.0) * ((1.0 + k * z / s) ** ((k - 1.0) / k) - 1.0)
-    if d.kind == "trunc_lognormal":
-        mu, s, lo, hi = p["mu"], p["sigma"], p["lo"], p["hi"]
-        if t_cap <= lo:
-            return t_cap
-        if t_cap >= hi:
-            return mean(d)
-        flo, fhi = d._cdf_range
-        den = fhi - flo
-        a = (math.log(lo) - mu) / s
-        bt = (math.log(t_cap) - mu) / s
-        partial = math.exp(mu + 0.5 * s * s) * (ndtr(bt - s) - ndtr(a - s)) / den
-        return t_cap * tail_prob(d, t_cap) + partial
-    if d.kind == "trunc_pareto":
-        a, lo, hi = p["shape"], p["lo"], p["hi"]
-        if t_cap <= lo:
-            return t_cap
-        if t_cap >= hi:
-            return mean(d)
-        c = 1.0 - (lo / hi) ** a
+        base = 1.0 + k * z / s
+        if base <= 0:
+            return self._mean()  # at the end of the bounded support (k < 0)
+        if abs(k) < _SMALL_SHAPE:
+            return m + s / (k - 1.0) * math.expm1((k - 1.0) / k * math.log1p(k * z / s))
+        return m + s / (k - 1.0) * (base ** ((k - 1.0) / k) - 1.0)
+
+
+class _Truncated(Dist):
+    """A parent law restricted to [lo, hi]; F(lo) and F(hi) are computed once.
+
+    A subclass gives the parent's CDF `_cdf`, its quantile `_quantile`, and
+    `_partial(t)`, the integral of x f(x) over [lo, t] under the truncated law.
+    """
+
+    def __post_init__(self):
+        if not (0 < self.lo < self.hi):
+            raise ParameterError(f"truncation needs 0 < lo < hi, got {self.lo}, {self.hi}")
+        flo, fhi = self._cdf(self.lo), self._cdf(self.hi)
+        if not fhi > flo:
+            raise ParameterError(f"{self.kind} on [{self.lo}, {self.hi}] has no probability "
+                                 f"mass: F(lo) = {flo}, F(hi) = {fhi}")
+        object.__setattr__(self, "_flo", flo)
+        object.__setattr__(self, "_fhi", fhi)
+
+    def _draw(self, rng, n):
+        u = self._flo + rng.random(n) * (self._fhi - self._flo)
+        out = self._quantile(u)
+        return np.minimum(np.maximum(out, self.lo, out=out), self.hi, out=out)  # np.clip, cheaper
+
+    def _tail(self, t):
+        if t <= self.lo:
+            return 1.0
+        if t >= self.hi:
+            return 0.0
+        return float((self._fhi - self._cdf(t)) / (self._fhi - self._flo))
+
+    def _emin(self, t):
+        if t <= self.lo:
+            return t
+        if t >= self.hi:
+            return self._mean()
+        return t * self._tail(t) + self._partial(t)
+
+
+@dataclass(frozen=True)
+class TruncLognormal(_Truncated):
+    kind = "trunc_lognormal"
+    mu: float
+    sigma: float
+    lo: float
+    hi: float
+
+    def __post_init__(self):
+        if not self.sigma > 0:
+            raise ParameterError(f"lognormal sigma must be > 0, got {self.sigma}")
+        super().__post_init__()
+
+    def _cdf(self, x):
+        # NumPy's log on an array, whose last bit can differ from math.log's;
+        # F(lo) and F(hi) set every seeded draw
+        return float(ndtr((np.log(np.array([x], dtype=float)) - self.mu) / self.sigma)[0])
+
+    def _quantile(self, u):
+        return np.exp(self.mu + self.sigma * ndtri(u))
+
+    def _mean(self):
+        mu, s = self.mu, self.sigma
+        a = (math.log(self.lo) - mu) / s
+        b = (math.log(self.hi) - mu) / s
+        # its own ndtr(b) - ndtr(a), which can differ from _fhi - _flo in the last bit
+        return math.exp(mu + 0.5 * s * s) * (ndtr(b - s) - ndtr(a - s)) / (ndtr(b) - ndtr(a))
+
+    def _partial(self, t):
+        mu, s = self.mu, self.sigma
+        a = (math.log(self.lo) - mu) / s
+        bt = (math.log(t) - mu) / s
+        return math.exp(mu + 0.5 * s * s) * (ndtr(bt - s) - ndtr(a - s)) / (self._fhi - self._flo)
+
+
+@dataclass(frozen=True)
+class TruncPareto(_Truncated):
+    kind = "trunc_pareto"
+    shape: float
+    lo: float
+    hi: float
+
+    def __post_init__(self):
+        if not self.shape > 0:
+            raise ParameterError(f"pareto shape must be > 0, got {self.shape}")
+        super().__post_init__()
+
+    def _cdf(self, x):
+        # unbounded Pareto with scale lo
+        return 1.0 - (self.lo / x) ** self.shape
+
+    def _quantile(self, u):
+        return self.lo * (1.0 - u) ** (-1.0 / self.shape)
+
+    def _mean(self):
+        return self._partial(self.hi)
+
+    def _partial(self, t):
+        a, lo, c = self.shape, self.lo, self._fhi
         if abs(a - 1.0) < 1e-12:
-            partial = lo / c * math.log(t_cap / lo)
-        else:
-            partial = a * lo**a / c * (lo ** (1 - a) - t_cap ** (1 - a)) / (a - 1.0)
-        return t_cap * tail_prob(d, t_cap) + partial
-    raise ParameterError(d.kind)
+            return lo / c * math.log(t / lo)
+        return a * lo**a / c * (lo ** (1 - a) - t ** (1 - a)) / (a - 1.0)
+
+
+_BY_KIND = {c.kind: c for c in (Exponential, Uniform, TruncLognormal, TruncPareto,
+                                GeometricCount, Gpd, Constant)}
+
+# the public constructors, one per kind
+exponential, uniform, constant = Exponential, Uniform, Constant
+trunc_lognormal, trunc_pareto = TruncLognormal, TruncPareto
+geometric_count, gpd = GeometricCount, Gpd
+
+
+def mean(d: Dist) -> float:
+    """Analytic mean of the law (all kinds have one in closed form)."""
+    return d._mean()
+
+
+def sample(d: Dist, rng: np.random.Generator, size=None):
+    """Draw variates; scalar when size is None, else an ndarray."""
+    return float(d._draw(rng, 1)[0]) if size is None else d._draw(rng, size)
+
+
+def tail_prob(d: Dist, t: float) -> float:
+    """P(X > t), closed form for every kind."""
+    return 1.0 if t < 0 else d._tail(t)
+
+
+def expected_truncated(d: Dist, t_cap: float) -> float:
+    """E[min(X, t_cap)] = t_cap*P(X > t_cap) + integral of x f(x) up to t_cap."""
+    return 0.0 if t_cap <= 0 else d._emin(t_cap)
 
 
 def solve_trunc_pareto_lo(shape: float, hi: float, target_mean: float) -> float:

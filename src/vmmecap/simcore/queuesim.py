@@ -33,6 +33,8 @@ from .triggers import PROC_HR, PROC_SR, PROC_SRR, TriggerTrace
 from .stats import batch_means
 
 _STAGES = ("fe", "sl", "db", "oi")
+WARMUP_FRACTION = 0.10  # leading share of responses dropped before batch means
+MIN_BATCHES = 20
 
 
 @dataclass(frozen=True)
@@ -56,15 +58,11 @@ def run_queue_sim(
     params: QueueParams,
     service_law: str = "deterministic",
     seed: int = 0,
-    warmup_fraction: float = 0.10,
-    min_batches: int = 20,
 ) -> SimStats:
     """Replay a trigger trace through the queueing chain and measure delays."""
     if service_law not in ("deterministic", "exponential"):
         raise ParameterError(f"service_law must be deterministic or exponential, "
                              f"got {service_law!r}")
-    if not (0 <= warmup_fraction < 1):
-        raise ParameterError(f"warmup_fraction must be in [0,1), got {warmup_fraction}")
     st = params.sl_times
     t_fe, t_db, t_oi = 1.0 / params.mu_fe, 1.0 / params.mu_sdb, 1.0 / params.mu_oi_effective
     # per procedure, each message's mean service time at each of the four stages
@@ -130,9 +128,9 @@ def run_queue_sim(
     util["sl"] = util["sl"] / m
 
     resp = np.asarray(responses)
-    kept = resp[int(len(resp) * warmup_fraction):]
-    if len(kept) >= 2 * min_batches:
-        mean, half, n_b = batch_means(kept, min_batches)
+    kept = resp[int(len(resp) * WARMUP_FRACTION):]
+    if len(kept) >= 2 * MIN_BATCHES:
+        mean, half, n_b = batch_means(kept, MIN_BATCHES)
         valid = True
     else:
         mean = float(kept.mean()) if len(kept) else float("nan")
@@ -149,7 +147,7 @@ def run_queue_sim(
         per_procedure_counts=counts,
         max_backlog=max_backlog,
         n_batches=n_b,
-        warmup_fraction=warmup_fraction,
+        warmup_fraction=WARMUP_FRACTION,
         seed=seed,
         valid=valid,
     )

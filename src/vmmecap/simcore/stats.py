@@ -11,8 +11,8 @@ from ..errors import ParameterError
 from ..workload import ProcedureRates, aggregate_rates
 
 
-def batch_means(samples, n_batches: int = 20, confidence: float = 0.95):
-    """(mean, CI half-width, batches used) from correlated output samples.
+def batch_means(samples, n_batches: int = 20):
+    """(mean, 95% CI half-width, batches used) from correlated output samples.
 
     Splits the series into equal batches and treats batch averages as
     approximately independent; the half-width uses the Student t quantile.
@@ -28,7 +28,7 @@ def batch_means(samples, n_batches: int = 20, confidence: float = 0.95):
     means = x[:usable].reshape(n_batches, -1).mean(axis=1)
     grand = float(means.mean())
     se = float(means.std(ddof=1)) / math.sqrt(n_batches)
-    tq = float(sps.t.ppf(0.5 + confidence / 2.0, df=n_batches - 1))
+    tq = float(sps.t.ppf(0.975, df=n_batches - 1))
     return grand, tq * se, n_batches
 
 

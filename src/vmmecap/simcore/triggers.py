@@ -36,6 +36,7 @@ from ..workload import (
     VideoModel,
     WebModel,
     app_session_moments,
+    standby_dist,
 )
 
 PROC_SR, PROC_SRR, PROC_HR = 0, 1, 2
@@ -205,18 +206,11 @@ class _UePlan:
 
     @staticmethod
     def build(mix: TrafficMix, geom: CellGeometry, speed_dist: Dist) -> "_UePlan":
-        standby = []
-        for app in mix.apps:
-            mom = app_session_moments(app, mix.link_rate_bps)
-            mean_sst = mix.mean_iast_s - mom.mean_t_sd_s
-            if mean_sst <= 0:
-                raise ParameterError(
-                    f"app {app.name!r}: session duration exceeds the IAST budget"
-                )
-            standby.append(dists.exponential(mean_sst))
+        standby = tuple(standby_dist(mix, app, app_session_moments(app, mix.link_rate_bps))
+                        for app in mix.apps)
         cum_p = np.cumsum([a.p_app for a in mix.apps]).tolist()
-        return _UePlan(mix.apps, cum_p, tuple(standby), mix.link_rate_bps,
-                       speed_dist, _grid_lines(geom))
+        return _UePlan(mix.apps, cum_p, standby, mix.link_rate_bps, speed_dist,
+                       _grid_lines(geom))
 
 
 def _ue_events(rng, plan: _UePlan, t_i: float, horizon_s: float, settle_s: float):
@@ -319,7 +313,7 @@ def generate_triggers(
     t_i: float,
     horizon_s: float,
     seed: int,
-    speed_dist: Dist | None = None,
+    speed_dist: Dist,
     settle_s: float = 3000.0,
 ) -> TriggerTrace:
     """Generate the full scenario trace, sorted by time."""
@@ -329,9 +323,6 @@ def generate_triggers(
         raise ParameterError("device counts must be >= 0")
     if n_d > 0 and mmpp is None:
         raise ParameterError("MTCDs requested but no MMPP parameters given")
-    if speed_dist is None:
-        speed_dist = dists.uniform(0.0, 2.0 * geom.mean_speed_mps) \
-            if geom.mean_speed_mps > 0 else dists.constant(0.0)
 
     plan = _UePlan.build(mix, geom, speed_dist) if n_u else None
     all_t, all_p, all_d, all_k = [], [], [], []

@@ -145,9 +145,6 @@ class ProcedureRates:
     n_u: float
     n_d: float
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 # ---------------------------------------------------------------------------
 # session moments
@@ -201,7 +198,8 @@ def cell_crossing_rate(geom: CellGeometry) -> float:
     return geom.mean_speed_mps * geom.perimeter_m / (math.pi * geom.area_m2)
 
 
-def _standby_dist(mix: TrafficMix, app: AppProfile, moments: SessionMoments) -> Dist:
+def standby_dist(mix: TrafficMix, app: AppProfile, moments: SessionMoments) -> Dist:
+    """The exponential gap between two sessions of `app`: the mean IAST less one session."""
     mean_sst = mix.mean_iast_s - moments.mean_t_sd_s
     if mean_sst <= 0:
         raise InfeasibleError(
@@ -221,7 +219,7 @@ def user_active_time_fraction(mix: TrafficMix, t_i: float) -> float:
     p_ua = 0.0
     for app in mix.apps:
         mom = app_session_moments(app, mix.link_rate_bps)
-        sst = _standby_dist(mix, app, mom)
+        sst = standby_dist(mix, app, mom)
         active = mom.mean_n * mom.mean_t_on_s
         if app.reading_time_s is not None:
             active += (mom.mean_n - 1.0) * dists.expected_truncated(app.reading_time_s, t_i)
@@ -243,7 +241,7 @@ def htc_rates(mix: TrafficMix, geom: CellGeometry, t_i: float) -> tuple[float, f
     lam_sr = 0.0
     for app in mix.apps:
         mom = app_session_moments(app, mix.link_rate_bps)
-        sst = _standby_dist(mix, app, mom)
+        sst = standby_dist(mix, app, mom)
         term = dists.tail_prob(sst, t_i)
         if app.reading_time_s is not None:
             term += (mom.mean_n - 1.0) * dists.tail_prob(app.reading_time_s, t_i)

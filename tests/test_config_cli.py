@@ -142,10 +142,31 @@ class TestCli:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("spec", [
+        "{kind: uniform, lo: 0.0, hi: 4.2, hgih: 9.0}",  # misspelt parameter
+        "{kind: trunc_lognormal, mu: 8, sigma: 0.05, lo: 1, hi: 100}",  # no mass on [lo, hi]
+    ], ids=["unknown-parameter", "empty-truncation"])
+    def test_bad_distribution_exit_code(self, spec, tmp_path, capsys):
+        p = tmp_path / "bad.yaml"
+        p.write_text(f"geometry:\n  speed_dist: {spec}\n")
+        assert main(["capacity", "--m", "1", "--config", str(p),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: geometry.speed_dist: ")
+        assert err.count("\n") == 1
+
     def test_infeasible_exit_code(self, tmp_path):
         # DB-saturating population: dimensioning has no solution
         assert main(["dimension", "--users", "30000000", "--out",
                      str(tmp_path / "x")]) == 3
+
+    @pytest.mark.parametrize("command", ["rates", "dimension", "simulate"])
+    def test_session_longer_than_iast_exit_code(self, command, tmp_path, capsys):
+        # every command reaches the same standby law, so all call it infeasible
+        p = tmp_path / "short.yaml"
+        p.write_text("traffic:\n  mean_iast_s: 5.0\n")
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err.startswith("infeasible model: ")
 
     def test_digest_in_header(self, tmp_path):
         _, text = run_cli(["rates", "--ti", "10"], tmp_path)

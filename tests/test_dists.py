@@ -5,10 +5,13 @@ high-precision script (scipy-based closed forms and brentq root finds).
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 
 from vmmecap import dists
 from vmmecap.dists import Dist
@@ -146,8 +149,8 @@ class TestSampling:
     def test_truncation_respected(self):
         for d in (MAIN_OBJ, EMB_OBJ, EMB_COUNT):
             x = dists.sample(d, RNG(5), size=20000)
-            assert x.min() >= d["lo"] - 1e-9
-            assert x.max() <= d["hi"] + 1e-9
+            assert x.min() >= d.lo - 1e-9
+            assert x.max() <= d.hi + 1e-9
 
     def test_geometric_integers_ge_one(self):
         x = dists.sample(dists.geometric_count(0.893), RNG(2), size=20000)
@@ -172,6 +175,27 @@ class TestSampling:
                 assert emp == pytest.approx(dists.tail_prob(d, t), abs=5e-3)
 
 
+class TestGpdEdges:
+    @pytest.mark.parametrize("k", [1e-12, -1e-9, 1e-7, -1e-5])
+    def test_near_zero_shape(self, k):
+        # second-order expansions in k of the tail, E[min(X, z)] and the
+        # quantile at scale 1, each exact to O(k^2) here
+        d = dists.gpd(k, 1.0)
+        z = 1.5
+        assert dists.tail_prob(d, z) == pytest.approx(math.exp(-z + k * z * z / 2), rel=1e-9)
+        emin = 1 - math.exp(-z) + k / 2 * (2 - math.exp(-z) * (z * z + 2 * z + 2))
+        assert dists.expected_truncated(d, z) == pytest.approx(emin, rel=1e-9)
+        log_s = np.log1p(-RNG(4).random(64))  # log survival of each draw
+        want = -log_s + k * log_s**2 / 2
+        assert np.allclose(dists.sample(d, RNG(4), size=64), want, rtol=1e-7, atol=0)
+
+    def test_truncated_mean_past_bounded_support(self):
+        # z clamped to the end s/(-k) rounds 1 + k z/s just below 0
+        d = dists.gpd(-1.3677775441368198, 56.098050164504585, 1.9750067041033992)
+        got = dists.expected_truncated(d, 100.0)
+        assert type(got) is float and got == dists.mean(d)
+
+
 class TestTruncatedBounds:
     """Each truncated law keeps F(lo) and F(hi) from its construction; its
     draws must be bit-identical to the formula that recomputed them per draw."""
@@ -180,9 +204,9 @@ class TestTruncatedBounds:
 
     def test_trunc_lognormal_block(self):
         for d in (MAIN_OBJ, EMB_OBJ, self.VIDEO_DURATION):
-            mu, s, lo, hi = d["mu"], d["sigma"], d["lo"], d["hi"]
-            flo = dists._lognorm_cdf(lo, mu, s)
-            fhi = dists._lognorm_cdf(hi, mu, s)
+            mu, s, lo, hi = d.mu, d.sigma, d.lo, d.hi
+            flo = ndtr((np.log(lo) - mu) / s)
+            fhi = ndtr((np.log(hi) - mu) / s)
             u = flo + RNG(21).random(64) * (fhi - flo)
             want = np.clip(np.exp(mu + s * ndtri(u)), lo, hi)
             assert np.array_equal(dists.sample(d, RNG(21), size=64), want)
@@ -190,7 +214,7 @@ class TestTruncatedBounds:
 
     def test_trunc_pareto_block(self):
         for d in (EMB_COUNT, dists.trunc_pareto(2.5, 1.0, 40.0)):
-            a, lo, hi = d["shape"], d["lo"], d["hi"]
+            a, lo, hi = d.shape, d.lo, d.hi
             u = RNG(22).random(64) * (1.0 - (lo / hi) ** a)
             want = np.clip(lo * (1.0 - u) ** (-1.0 / a), lo, hi)
             assert np.array_equal(dists.sample(d, RNG(22), size=64), want)
@@ -214,10 +238,105 @@ class TestValidation:
         with pytest.raises(ParameterError):
             dists.constant(-1.0)
         with pytest.raises(ParameterError):
-            Dist("nonsense", {})
+            Dist.from_dict({"kind": "nonsense"})
 
     def test_from_dict_round_trip(self):
         d = Dist.from_dict({"kind": "uniform", "lo": 1.0, "hi": 2.0})
-        assert d.to_dict() == {"kind": "uniform", "lo": 1.0, "hi": 2.0}
+        assert (d.kind, d.lo, d.hi) == ("uniform", 1.0, 2.0)
+        assert d == dists.uniform(1.0, 2.0)
         with pytest.raises(ParameterError):
             Dist.from_dict({"lo": 1.0, "hi": 2.0})
+
+    def test_from_dict_parameter_names_checked(self):
+        with pytest.raises(ParameterError, match="hi"):
+            Dist.from_dict({"kind": "uniform", "lo": 1.0})  # missing
+        with pytest.raises(ParameterError, match="location"):
+            Dist.from_dict({"kind": "gpd", "shape": 0.1, "scale": 2.0, "location": 1.0})
+
+    def test_truncation_without_mass_rejected(self):
+        # F(lo) = F(hi) = 0 in double precision: e^8 lies 160 sigmas above hi
+        with pytest.raises(ParameterError, match="no probability mass"):
+            dists.trunc_lognormal(mu=8, sigma=0.05, lo=1, hi=100)
+        # (lo/hi)^shape rounds to 1, so F(hi) = 0
+        with pytest.raises(ParameterError, match="no probability mass"):
+            dists.trunc_pareto(1e-17, 1.0, 2.0)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# Random laws of each kind. The lognormal bounds lie within [-3, 6] sigmas
+# of mu, so [lo, hi] always has mass. Two limits serve the 4-SE check of a
+# sample mean, which estimates the SE from the sample: the GPD shape stays
+# below 1/3, so the third moment is finite, and a geometric count continues
+# with p = 0 or p >= 1e-3, so a 1e5 block sees counts above 1.
+LAWS = {
+    "exponential": st.builds(dists.exponential, _floats(1e-2, 1e3)),
+    "uniform": st.builds(lambda lo, w: dists.uniform(lo, lo + w),
+                         _floats(0.0, 100.0), _floats(1e-2, 100.0)),
+    "trunc_lognormal": st.builds(
+        lambda mu, s, z, w: dists.trunc_lognormal(
+            mu, s, math.exp(mu + s * z), math.exp(mu + s * (z + w))),
+        _floats(-2.0, 8.0), _floats(0.1, 2.0), _floats(-3.0, 2.0), _floats(0.2, 4.0)),
+    "trunc_pareto": st.builds(lambda a, lo, r: dists.trunc_pareto(a, lo, lo * r),
+                              st.one_of(st.just(1.0), _floats(0.2, 3.0)),
+                              _floats(0.1, 10.0), _floats(1.5, 1000.0)),
+    "geometric_count": st.builds(dists.geometric_count,
+                                 st.one_of(st.just(0.0), _floats(1e-3, 0.95))),
+    "gpd": st.builds(dists.gpd, st.one_of(st.just(0.0), _floats(-1.5, 0.3)),
+                     _floats(0.1, 100.0), _floats(0.0, 10.0)),
+    "constant": st.builds(dists.constant, _floats(0.0, 100.0)),
+}
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def _kinks(d):
+    """Points where E[min(X, t)] has no derivative (besides the integers of a count)."""
+    pts = [getattr(d, name) for name in ("lo", "hi", "value", "loc") if hasattr(d, name)]
+    if d.kind == "gpd" and d.shape < 0:
+        pts.append(d.loc + d.scale / -d.shape)  # end of the bounded support
+    return pts
+
+
+@pytest.mark.parametrize("kind", sorted(LAWS))
+class TestProperties:
+    @PROPERTY
+    @given(data=st.data())
+    def test_slope_of_truncated_mean_is_tail(self, kind, data):
+        d = data.draw(LAWS[kind])
+        scale = max(dists.mean(d), 1e-3)
+        t = scale * data.draw(_floats(0.01, 3.0))
+        h = 1e-6 * scale
+        assume(all(abs(t - k) > 100 * h for k in _kinks(d)))
+        if kind == "geometric_count":
+            assume(abs(t - round(t)) > 100 * h)
+        slope = (dists.expected_truncated(d, t + h) - dists.expected_truncated(d, t - h)) / (2 * h)
+        assert slope == pytest.approx(dists.tail_prob(d, t), abs=1e-5)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_tail_bounded_and_non_increasing(self, kind, data):
+        d = data.draw(LAWS[kind])
+        scale = max(dists.mean(d), 1e-3)
+        t = st.one_of(_floats(-scale, 5.0 * scale), st.sampled_from(_kinks(d) or [0.0]))
+        t1, t2 = sorted((data.draw(t), data.draw(t)))
+        assert 0.0 <= dists.tail_prob(d, t2) <= dists.tail_prob(d, t1) <= 1.0
+
+    @settings(PROPERTY, max_examples=15)
+    @given(data=st.data())
+    def test_block_mean_within_four_standard_errors(self, kind, data):
+        d = data.draw(LAWS[kind])
+        n = 10**5
+        x = dists.sample(d, RNG(data.draw(st.integers(0, 2**32 - 1))), size=n)
+        mu = dists.mean(d)
+        se = x.std(ddof=1) / math.sqrt(n)
+        # the 1e-12 is float summation error, for laws with no variance
+        assert abs(x.mean() - mu) <= 4 * se + 1e-12 * abs(mu)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_from_dict_of_own_fields(self, kind, data):
+        d = data.draw(LAWS[kind])
+        spec = {"kind": d.kind, **{f.name: getattr(d, f.name) for f in fields(d)}}
+        assert Dist.from_dict(spec) == d
