@@ -31,6 +31,8 @@ class Dist:
 
     @staticmethod
     def from_dict(d: Mapping) -> "Dist":
+        if not isinstance(d, Mapping):
+            raise ParameterError(f"distribution spec must be a mapping, got {d!r}")
         d = dict(d)
         try:
             kind = d.pop("kind")

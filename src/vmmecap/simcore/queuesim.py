@@ -6,14 +6,22 @@ message arrives one inter-message round trip after the previous message
 finishes vMME processing (closed loop). All four stages are FCFS; the SL
 pool shares one queue across its m servers.
 
-Every stage is a heap of server-free times (one entry per server), and one
-step serves a message at any stage: start when the earliest server frees
-up, finish one service time later (the Lindley recursion; for the pool,
-the Kiefer-Wolfowitz one). A stage must see its arrivals in time order.
-A single FCFS server keeps the order it receives, so a message popped
-from the event heap walks on through the following stages at once. Only
-a stage with more than one server can let a later message overtake, so a
-message re-enters the event heap after the pool and nowhere else.
+A stage serves a message by the Lindley recursion: start when the earliest
+server frees up, finish one service time later (for the pool, the
+Kiefer-Wolfowitz recursion over a heap of m server-free times). FE, SDB and
+OI are single servers and hold one float each. A stage must see its
+arrivals in time order, so messages are served in the order of their
+(time, seq) events, taken from three sources that are each already in that
+order:
+
+- first messages, read in order from the sorted trace;
+- follow-up messages, made at an OI departure plus the round trip. The OI
+  serves in time order, so they are made in time order and a FIFO holds
+  them;
+- pool departures. Only a pool of more than one server can let a later
+  message overtake, so only such a pool sends its departures back to the
+  event sources, through a heap; with m = 1 that heap stays empty and a
+  message walks through all four stages at once.
 
 Response time per message covers the four stages only — the propagation
 delay and inter-message gap shape arrival timing but are not vMME
@@ -23,6 +31,8 @@ processing time.
 from __future__ import annotations
 
 import heapq
+import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +55,6 @@ class SimStats:
     n_triggers: int
     utilization: dict  # stage -> busy fraction over the measured span
     empirical_lam_msgs: float
-    per_procedure_counts: dict
     max_backlog: int
     n_batches: int
     warmup_fraction: float
@@ -63,6 +72,8 @@ def run_queue_sim(
     if service_law not in ("deterministic", "exponential"):
         raise ParameterError(f"service_law must be deterministic or exponential, "
                              f"got {service_law!r}")
+    if not np.all(np.isfinite(trace.time_s)) or np.any(np.diff(trace.time_s) < 0):
+        raise ParameterError("trigger times must be finite and sorted")
     st = params.sl_times
     t_fe, t_db, t_oi = 1.0 / params.mu_fe, 1.0 / params.mu_sdb, 1.0 / params.mu_oi_effective
     # per procedure, each message's mean service time at each of the four stages
@@ -71,60 +82,90 @@ def run_queue_sim(
                               (PROC_SRR, (st.t_srr1, st.t_srr2, st.t_srr3)),
                               (PROC_HR, (st.t_hr1, st.t_hr2)))}
     m = params.m
+    pooled = m > 1
     rng = np.random.default_rng(seed)
     exp = service_law == "exponential"
+    draw = rng.exponential
 
-    # event: (time, seq, next stage, proc, msg_idx, fe_arrival); seq breaks ties
-    events = [(t + params.prop_delay, i, 0, int(proc), 0, 0.0)
-              for i, (t, proc) in enumerate(zip(trace.time_s, trace.procedure))]
-    heapq.heapify(events)
-    seq = len(events)
+    # first messages in trace order, then a sentinel; a trigger's seq is its index
+    arrivals = (trace.time_s + params.prop_delay).tolist() + [math.inf]
+    procs = trace.procedure.tolist() + [0]
+    i = 0
+    t_trig = arrivals[0]
+    seq = len(trace)  # follow-ups are numbered after every trigger
+    follow: deque = deque()  # (FE arrival, seq, proc, msg_idx)
+    departed: list = []  # pool departures: (time, seq, proc, msg_idx, fe_arrival)
 
-    free = [[-np.inf], [-np.inf] * m, [-np.inf], [-np.inf]]  # server-free times
-    busy = [0.0] * 4
+    free_fe = free_db = free_oi = -math.inf  # server-free times
+    pool = [-math.inf] * m
+    busy_fe = busy_sl = busy_db = busy_oi = 0.0
     responses: list[float] = []
-    t_first = np.inf
-    t_last = -np.inf
-    in_chain: list = []  # (OI arrival, seq) per message, popped once an FE arrival passes it
+    t_first = math.inf
+    t_last = -math.inf
+    # (OI arrival, seq) per message inside the chain. OI arrivals are SDB
+    # departures, which strictly increase (every service takes time), so the
+    # FIFO stays sorted.
+    in_chain: deque = deque()
     backlog = max_backlog = 0  # messages inside the chain
 
-    while events:
-        t, sq, stage, proc, msg_idx, fe_arr = heapq.heappop(events)
-        if stage == 0:
+    while True:
+        # the next FE arrival: a trigger wins a tie, its seq being the smaller
+        if follow and follow[0][0] < t_trig:
+            t, sq, proc, msg_idx = follow[0]
+        else:
+            t, sq, proc, msg_idx = t_trig, i, procs[i], 0
+        if departed and departed[0][:2] < (t, sq):
+            t, sq, proc, msg_idx, fe_arr = heapq.heappop(departed)
+            svc = means[proc][msg_idx]
+        else:
+            if t == math.inf:
+                break
+            if msg_idx:
+                follow.popleft()
+            else:
+                i += 1
+                t_trig = arrivals[i]
             while in_chain and in_chain[0] < (t, sq):
-                heapq.heappop(in_chain)
+                in_chain.popleft()
                 backlog -= 1
             backlog += 1
-            max_backlog = max(max_backlog, backlog)
-            t_first = min(t_first, t)
+            if backlog > max_backlog:
+                max_backlog = backlog
+            if t < t_first:
+                t_first = t
             fe_arr = t
-        for i in range(stage, 4):
-            if i == 3:
-                heapq.heappush(in_chain, (t, sq))
-            s = means[proc][msg_idx][i]
-            if exp:
-                s = rng.exponential(s)
-            t = max(t, free[i][0]) + s
-            heapq.heapreplace(free[i], t)
-            busy[i] += s
-            if len(free[i]) > 1:  # a pool may reorder messages: back to the heap
-                heapq.heappush(events, (t, sq, i + 1, proc, msg_idx, fe_arr))
-                break
-        else:
-            responses.append(t - fe_arr)
-            t_last = max(t_last, t)
-            if msg_idx + 1 < len(means[proc]):
-                heapq.heappush(events, (t + params.t_im, seq, 0, proc, msg_idx + 1, 0.0))
-                seq += 1
+            svc = means[proc][msg_idx]
+            s = draw(svc[0]) if exp else svc[0]
+            t = (free_fe if free_fe > t else t) + s
+            free_fe = t
+            busy_fe += s
+            s = draw(svc[1]) if exp else svc[1]
+            t = (pool[0] if pool[0] > t else t) + s
+            heapq.heapreplace(pool, t)
+            busy_sl += s
+            if pooled:  # a pool may reorder messages: back to the event sources
+                heapq.heappush(departed, (t, sq, proc, msg_idx, fe_arr))
+                continue
+        s = draw(svc[2]) if exp else svc[2]
+        t = (free_db if free_db > t else t) + s
+        free_db = t
+        busy_db += s
+        in_chain.append((t, sq))
+        s = draw(svc[3]) if exp else svc[3]
+        t = (free_oi if free_oi > t else t) + s
+        free_oi = t
+        busy_oi += s
+        responses.append(t - fe_arr)
+        if t > t_last:
+            t_last = t
+        if msg_idx + 1 < len(means[proc]):
+            follow.append((t + params.t_im, seq, proc, msg_idx + 1))
+            seq += 1
 
     n_msgs = len(responses)
-    counts = {
-        "SR": int(np.sum(trace.procedure == PROC_SR)),
-        "SRR": int(np.sum(trace.procedure == PROC_SRR)),
-        "HR": int(np.sum(trace.procedure == PROC_HR)),
-    }
     span = max(t_last - t_first, 0.0)
-    util = {s: (b / span if span > 0 else 0.0) for s, b in zip(_STAGES, busy)}
+    util = {s: (b / span if span > 0 else 0.0)
+            for s, b in zip(_STAGES, (busy_fe, busy_sl, busy_db, busy_oi))}
     util["sl"] = util["sl"] / m
 
     resp = np.asarray(responses)
@@ -144,7 +185,6 @@ def run_queue_sim(
         n_triggers=len(trace),
         utilization=util,
         empirical_lam_msgs=(n_msgs / span if span > 0 else 0.0),
-        per_procedure_counts=counts,
         max_backlog=max_backlog,
         n_batches=n_b,
         warmup_fraction=WARMUP_FRACTION,

@@ -9,10 +9,11 @@ reproducible and insensitive to device ordering. A UE takes its draws from
 that stream in blocks of BLOCK per law (`device_draws`), one vectorised call
 per block instead of one call per draw.
 
-Devices are warmed up over a lead-in interval before time zero; triggers
-from the lead-in are dropped, as are any release/handover triggers that
-would precede a device's first in-horizon service request, keeping the
-trace causally consistent (SRR/HR only after a matching SR).
+Devices are warmed up over a lead-in interval before time zero: `settle_s`
+for a UE, one timer length for an MTCD (`_mtcd_lead_in`). Triggers from the
+lead-in are dropped, as are any release/handover triggers that would
+precede a device's first in-horizon service request, keeping the trace
+causally consistent (SRR/HR only after a matching SR).
 """
 
 from __future__ import annotations
@@ -272,8 +273,31 @@ def _ue_events(rng, plan: _UePlan, t_i: float, horizon_s: float, settle_s: float
                             np.full(len(hr), PROC_HR, dtype=np.uint8))))
 
 
-def _mtcd_events(rng, mmpp: MmppParams, t_i: float, horizon_s: float, settle_s: float):
-    pk = mmpp_packet_stream(mmpp, settle_s + horizon_s, rng) - settle_s
+def _mtcd_lead_in(mmpp: MmppParams, t_i: float, settle_s: float) -> float:
+    """An MTCD's lead-in: the fewest whole MMPP slots covering `t_i`, at most `settle_s`.
+
+    The packet stream starts in the stationary state, so the modulating
+    chain is stationary at every slot boundary, and from a boundary on the
+    stream depends on the past only through the state there. A lead-in of
+    whole slots therefore gives the packets in [-lead, horizon) the law they
+    have under any longer lead-in of whole slots. Triggers in [0, horizon)
+    depend only on the packets from -t_i on: a packet is an SR when none came
+    within `t_i` before it, and a packet at q is followed by an SRR at
+    q + t_i, which is in the horizon only for q >= -t_i. So a lead-in of at
+    least `t_i` leaves the law of the trace unchanged. (When `settle_s` is
+    not a whole number of slots, the two lead-ins also place the slot grid
+    at different phases, which the model leaves free.)
+    """
+    if t_i >= settle_s:  # also t_i = inf, on which math.ceil raises
+        return settle_s
+    n = math.ceil(t_i / mmpp.delta_t)
+    if n * mmpp.delta_t < t_i:  # t_i / delta_t rounded down
+        n += 1
+    return min(settle_s, n * mmpp.delta_t)
+
+
+def _mtcd_events(rng, mmpp: MmppParams, t_i: float, horizon_s: float, lead_s: float):
+    pk = mmpp_packet_stream(mmpp, lead_s + horizon_s, rng) - lead_s
     if len(pk) == 0:
         return np.empty(0), np.empty(0, dtype=np.uint8)
     gaps = np.diff(pk)
@@ -321,10 +345,13 @@ def generate_triggers(
         raise ParameterError(f"horizon must be > 0, got {horizon_s}")
     if n_u < 0 or n_d < 0:
         raise ParameterError("device counts must be >= 0")
+    if not t_i >= 0:
+        raise ParameterError(f"inactivity timer must be >= 0, got {t_i}")
     if n_d > 0 and mmpp is None:
         raise ParameterError("MTCDs requested but no MMPP parameters given")
 
     plan = _UePlan.build(mix, geom, speed_dist) if n_u else None
+    lead_s = _mtcd_lead_in(mmpp, t_i, settle_s) if n_d else settle_s
     all_t, all_p, all_d, all_k = [], [], [], []
     for dev in range(n_u):
         rng = device_rng(seed, dev)
@@ -337,7 +364,7 @@ def generate_triggers(
     for i in range(n_d):
         dev = n_u + i
         rng = device_rng(seed, dev)
-        t, p = _mtcd_events(rng, mmpp, t_i, horizon_s, settle_s)
+        t, p = _mtcd_events(rng, mmpp, t_i, horizon_s, lead_s)
         t, p = _clip_device(t, p, horizon_s)
         all_t.append(t)
         all_p.append(p)

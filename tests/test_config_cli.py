@@ -145,7 +145,8 @@ class TestCli:
     @pytest.mark.parametrize("spec", [
         "{kind: uniform, lo: 0.0, hi: 4.2, hgih: 9.0}",  # misspelt parameter
         "{kind: trunc_lognormal, mu: 8, sigma: 0.05, lo: 1, hi: 100}",  # no mass on [lo, hi]
-    ], ids=["unknown-parameter", "empty-truncation"])
+        "abc",  # not a mapping
+    ], ids=["unknown-parameter", "empty-truncation", "not-a-mapping"])
     def test_bad_distribution_exit_code(self, spec, tmp_path, capsys):
         p = tmp_path / "bad.yaml"
         p.write_text(f"geometry:\n  speed_dist: {spec}\n")

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vmmecap.config import load_config
 from vmmecap.errors import InfeasibleError, InstabilityError, ParameterError
@@ -19,7 +21,7 @@ from vmmecap.queueing import (
     system_response,
     weighted_sl_service_time,
 )
-from vmmecap.workload import aggregate_rates
+from vmmecap.workload import aggregate_rates, htc_rates, mtc_rates
 
 
 @pytest.fixture(scope="module")
@@ -232,3 +234,56 @@ class TestCapacity:
             return response_at(lam, t_sl, cfg.queue, 7)[0]
 
         assert total(res.n_u_max) <= 0.92e-3 < total(res.n_u_max + 1)
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def _total_or_inf(lam, t_sl, params, m):
+    try:
+        return response_at(lam, t_sl, params, m)[0]
+    except InstabilityError:
+        return math.inf
+
+
+class TestProperties:
+    @PROPERTY
+    @given(m=st.integers(1, 600), rho=st.floats(0.0, 0.999),
+           step=st.floats(1e-6, 0.999))
+    def test_erlang_c_bounded_and_non_decreasing_in_load(self, m, rho, step):
+        a1 = rho * m
+        a2 = a1 + step * (m - a1)  # a1 < a2 < m
+        c1, c2 = erlang_c(m, a1), erlang_c(m, a2)
+        assert 0.0 <= c1 <= c2 <= 1.0
+
+    @settings(PROPERTY, max_examples=25)
+    @given(m=st.integers(1, 24), t_i=st.floats(1.0, 60.0),
+           ratio=st.floats(0.0, 3.0), t_max=st.floats(0.3e-3, 2e-3))
+    def test_capacity_is_the_last_ue_count_within_budget(self, cfg, m, t_i, ratio, t_max):
+        res = capacity(m, cfg.queue, cfg.mix, cfg.geom, cfg.mmpp, t_i, ratio, t_max)
+        # the arithmetic `capacity` does: per-device rates, mix fixed by one UE
+        per_ue = htc_rates(cfg.mix, cfg.geom, t_i)
+        per_mtcd = mtc_rates(cfg.mmpp, t_i) if ratio > 0 else (0.0, 0.0)
+        t_sl = weighted_sl_service_time(aggregate_rates(per_ue, per_mtcd, 1.0, ratio),
+                                        cfg.queue.sl_times)
+
+        def total(n_u):
+            lam = aggregate_rates(per_ue, per_mtcd, n_u, ratio * n_u).lam_total_msgs
+            return _total_or_inf(lam, t_sl, cfg.queue, m)
+
+        assert res.n_u_max > 0
+        assert total(res.n_u_max) <= t_max < total(res.n_u_max + 1)
+
+    @PROPERTY
+    @given(lam_sr=st.floats(0.0, 8000.0), lam_srr=st.floats(0.0, 8000.0),
+           lam_hr=st.floats(0.0, 4000.0), t_max=st.floats(0.3e-3, 2e-3))
+    def test_dimension_is_minimal(self, cfg, lam_sr, lam_srr, lam_hr, t_max):
+        r = _rates(lam_sr, lam_srr, lam_hr)
+        m = dimension(r, cfg.queue, t_max)
+        if r.lam_total_msgs == 0:
+            assert m == 1
+            return
+        t_sl = weighted_sl_service_time(r, cfg.queue.sl_times)
+        assert _total_or_inf(r.lam_total_msgs, t_sl, cfg.queue, m) <= t_max
+        if m > 1:
+            assert _total_or_inf(r.lam_total_msgs, t_sl, cfg.queue, m - 1) > t_max

@@ -2,8 +2,9 @@
 with the analytic model at small scale."""
 
 import csv
+import heapq
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from vmmecap.simcore import (
     rmse,
     run_queue_sim,
 )
+from vmmecap.simcore.queuesim import MIN_BATCHES, WARMUP_FRACTION, SimStats
 from vmmecap.simcore.triggers import (
     BLOCK,
+    KIND_MTCD,
     KIND_NAMES,
     KIND_UE,
     PROC_HR,
@@ -33,6 +36,8 @@ from vmmecap.simcore.triggers import (
     _clip_device,
     _crossing_times,
     _grid_lines,
+    _mtcd_events,
+    _mtcd_lead_in,
     _ue_events,
     _UePlan,
     device_draws,
@@ -237,6 +242,60 @@ class TestDeviceDraws:
         assert np.array_equal(p, many.procedure[last])
 
 
+class TestMtcdLeadIn:
+    def test_lead_in_is_whole_slots_covering_the_timer(self, cfg):
+        assert _mtcd_lead_in(cfg.mmpp, 7.5, 3000.0) == 8.0
+        assert _mtcd_lead_in(cfg.mmpp, 10.0, 3000.0) == 10.0
+        assert _mtcd_lead_in(cfg.mmpp, 0.0, 3000.0) == 0.0
+        assert _mtcd_lead_in(cfg.mmpp, 2999.5, 3000.0) == 3000.0
+        # 0.9000000000000001 / 0.1 rounds down to 9, and 9 slots fall short
+        t_i = 0.9000000000000001
+        assert _mtcd_lead_in(replace(cfg.mmpp, delta_t=0.1), t_i, 3000.0) >= t_i
+        for t_i in (3000.0, 5000.0, np.inf):
+            assert _mtcd_lead_in(cfg.mmpp, t_i, 3000.0) == 3000.0
+
+    @pytest.mark.parametrize("t_i", [-1.0, np.nan])
+    def test_bad_timer(self, cfg, t_i):
+        with pytest.raises(ParameterError):
+            generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 0, 2, t_i, 100.0, 1,
+                              speed_dist=cfg.speed_dist)
+
+    @pytest.mark.parametrize("t_i", [60.0, np.inf])
+    def test_timer_past_settle_keeps_settle(self, cfg, t_i):
+        trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 0, 40, t_i, 500.0, 5,
+                                  speed_dist=cfg.speed_dist, settle_s=50.0)
+        assert len(trace) > 0
+        for dev in range(40):
+            t, p = _clip_device(*_mtcd_events(device_rng(5, dev), cfg.mmpp, t_i, 500.0,
+                                              50.0), 500.0)
+            sel = trace.device_id == dev
+            assert np.array_equal(trace.time_s[sel], t)
+            assert np.array_equal(trace.procedure[sel], p)
+            assert np.all(trace.device_kind[sel] == KIND_MTCD)
+
+    def test_short_lead_in_keeps_the_trigger_law(self, cfg):
+        # Only the triggers in [0, t_i) can see the lead-in. Clipping drops
+        # every SRR there (it closes a session opened before 0), so SRRs are
+        # counted before clipping, SRs after it.
+        t_i, horizon, n = 7.5, 15.0, 20_000
+
+        def per_device(seed, lead_s):
+            n_sr, n_srr = np.empty(n), np.empty(n)
+            for dev in range(n):
+                t, p = _mtcd_events(device_rng(seed, dev), cfg.mmpp, t_i, horizon, lead_s)
+                n_srr[dev] = np.sum((p == PROC_SRR) & (t >= 0.0) & (t < t_i))
+                t, p = _clip_device(t, p, horizon)
+                n_sr[dev] = np.sum((p == PROC_SR) & (t < t_i))
+            return n_sr, n_srr
+
+        lead_s = _mtcd_lead_in(cfg.mmpp, t_i, 3000.0)
+        assert lead_s == 8.0
+        for long, short in zip(per_device(1, 3000.0), per_device(2, lead_s)):
+            se = math.hypot(long.std(ddof=1), short.std(ddof=1)) / math.sqrt(n)
+            assert long.mean() > 0.05
+            assert abs(long.mean() - short.mean()) <= 4 * se
+
+
 class TestMeasuredRates:
     def test_matches_theory_at_small_scale(self, cfg, small_trace):
         emp = measured_rates(small_trace, 200, 200, 10000.0)
@@ -272,7 +331,129 @@ class TestCallOnlyScenario:
         assert c["UE_SR"] == 5  # the timer never fires -> one SR total per device
 
 
+def _reference_queue_sim(trace, params, service_law, seed):
+    """Reference: the same chain driven by one heap of every pending event.
+
+    Each event is (time, seq, next stage, proc, msg_idx, fe_arrival); every
+    stage is a heap of server-free times. `run_queue_sim` must give the same
+    `SimStats` field for field.
+    """
+    st = params.sl_times
+    t_fe, t_db, t_oi = 1.0 / params.mu_fe, 1.0 / params.mu_sdb, 1.0 / params.mu_oi_effective
+    means = {proc: [(t_fe, t_sl, t_db, t_oi) for t_sl in sl]
+             for proc, sl in ((PROC_SR, (st.t_sr1, st.t_sr2, st.t_sr3)),
+                              (PROC_SRR, (st.t_srr1, st.t_srr2, st.t_srr3)),
+                              (PROC_HR, (st.t_hr1, st.t_hr2)))}
+    m = params.m
+    rng = np.random.default_rng(seed)
+    exp = service_law == "exponential"
+
+    events = [(t + params.prop_delay, i, 0, int(proc), 0, 0.0)
+              for i, (t, proc) in enumerate(zip(trace.time_s, trace.procedure))]
+    heapq.heapify(events)
+    seq = len(events)
+    free = [[-np.inf], [-np.inf] * m, [-np.inf], [-np.inf]]
+    busy = [0.0] * 4
+    responses = []
+    t_first, t_last = np.inf, -np.inf
+    in_chain = []
+    backlog = max_backlog = 0
+    while events:
+        t, sq, stage, proc, msg_idx, fe_arr = heapq.heappop(events)
+        if stage == 0:
+            while in_chain and in_chain[0] < (t, sq):
+                heapq.heappop(in_chain)
+                backlog -= 1
+            backlog += 1
+            max_backlog = max(max_backlog, backlog)
+            t_first = min(t_first, t)
+            fe_arr = t
+        for i in range(stage, 4):
+            if i == 3:
+                heapq.heappush(in_chain, (t, sq))
+            s = means[proc][msg_idx][i]
+            if exp:
+                s = rng.exponential(s)
+            t = max(t, free[i][0]) + s
+            heapq.heapreplace(free[i], t)
+            busy[i] += s
+            if len(free[i]) > 1:
+                heapq.heappush(events, (t, sq, i + 1, proc, msg_idx, fe_arr))
+                break
+        else:
+            responses.append(t - fe_arr)
+            t_last = max(t_last, t)
+            if msg_idx + 1 < len(means[proc]):
+                heapq.heappush(events, (t + params.t_im, seq, 0, proc, msg_idx + 1, 0.0))
+                seq += 1
+
+    span = max(t_last - t_first, 0.0)
+    util = {s: (b / span if span > 0 else 0.0) for s, b in zip(("fe", "sl", "db", "oi"), busy)}
+    util["sl"] = util["sl"] / m
+    resp = np.asarray(responses)
+    kept = resp[int(len(resp) * WARMUP_FRACTION):]
+    if len(kept) >= 2 * MIN_BATCHES:
+        mean, half, n_b = batch_means(kept, MIN_BATCHES)
+        valid = True
+    else:
+        mean = float(kept.mean()) if len(kept) else float("nan")
+        half, n_b, valid = float("nan"), 0, False
+    return SimStats(mean, half, len(responses), len(trace), util,
+                    len(responses) / span if span > 0 else 0.0, max_backlog, n_b,
+                    WARMUP_FRACTION, seed, valid)
+
+
+def _tie_trace(params, law, seed):
+    """Two triggers at the same instant, on which a follow-up lands exactly.
+
+    With no propagation delay, an SR at 0 has the chain to itself, so its
+    first message takes the kernel's first four service draws (FE, SL, SDB,
+    OI; replayed here from the same seed) and its follow-up reaches the FE at
+    `f`, when the two triggers at `f` do. A trigger also reaches the FE when
+    the SR's message leaves the pool, which ties with that pool departure
+    when m > 1. Every tie is broken by seq: the triggers before the
+    follow-up, the pool departure before the trigger. The triggers at `f`
+    are SRs, whose first message has another SL time than the follow-up, so
+    the order shows in the results.
+    """
+    means = (1.0 / params.mu_fe, params.sl_times.t_sr1, 1.0 / params.mu_sdb,
+             1.0 / params.mu_oi_effective)
+    if law == "exponential":
+        rng = np.random.default_rng(seed)
+        means = [rng.exponential(s) for s in means]
+    d_fe, d_sl, d_db, d_oi = means
+    left_pool = 0.0 + d_fe + d_sl
+    f = left_pool + d_db + d_oi + params.t_im
+    times = [0.0, left_pool, f, f, f + 0.5e-3]
+    procs = [PROC_SR, PROC_HR, PROC_SR, PROC_SR, PROC_SRR]  # SR: first message differs
+    return TriggerTrace(np.array(times), np.arange(5, dtype=np.int64),
+                        np.full(5, KIND_UE, dtype=np.uint8),
+                        np.array(procs, dtype=np.uint8), 1.0, 5, 0)
+
+
 class TestQueueSim:
+    @pytest.mark.parametrize("law", ["deterministic", "exponential"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("shape", ["generated", "overloaded", "ties"])
+    def test_matches_reference_kernel(self, cfg, shape, m, law):
+        params = replace(cfg.queue, m=m)
+        if shape == "generated":
+            trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 50, 50, 10.0,
+                                      3000.0, 7, speed_dist=cfg.speed_dist)
+        elif shape == "overloaded":  # about 110 % of two SL servers
+            trace = poisson_triggers(3500.0, 3500.0, 1500.0, 0.5, 17)
+        else:
+            params = replace(params, prop_delay=0.0)
+            trace = _tie_trace(params, law, seed=9)
+        got = run_queue_sim(trace, params, law, seed=9)
+        want = _reference_queue_sim(trace, params, law, seed=9)
+        assert got.n_messages == trace.n_messages
+        if shape == "ties":
+            assert not got.valid  # too few messages for batches: the mean is plain
+        for f in fields(SimStats):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a == b or (a != a and b != b), f.name  # NaN != NaN
+
     def test_empty_trace(self, cfg):
         trace = TriggerTrace(np.empty(0), np.empty(0, dtype=np.int64),
                              np.empty(0, dtype=np.uint8),
@@ -321,23 +502,23 @@ class TestQueueSim:
         assert st.max_backlog == 2
 
     def test_golden_deterministic(self, cfg):
-        # Every field recorded from the four-branch kernel this one replaced;
-        # under the deterministic law the results must stay bit-identical.
-        # The m = 1 trace is generated, so a change to trace generation
-        # changes these figures too (recorded again after UE draws moved to
-        # per-device blocks).
+        # Every field recorded from the four-branch kernel that the
+        # single-heap kernel replaced; under the deterministic law the results
+        # must stay bit-identical. The m = 1 trace is generated, so a change
+        # to trace generation changes these figures too (recorded again after
+        # UE draws moved to per-device blocks, and after the MTCD lead-in
+        # shrank to one timer length).
         small = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 50, 50, 10.0,
                                   3000.0, 7, speed_dist=cfg.speed_dist)
         st = run_queue_sim(small, replace(cfg.queue, m=1), "deterministic", seed=3)
         assert (st.mean_response_s, st.ci_halfwidth_s) == (
-            0.00011785337488459643, 5.0403380577216525e-08)
+            0.00011787044114116871, 4.568107450510442e-08)
         assert (st.n_messages, st.n_triggers, st.max_backlog, st.n_batches) == (
-            16849, 5678, 2, 20)
+            15334, 5173, 2, 20)
         assert st.utilization == {
-            "fe": 4.690420379538938e-05, "sl": 0.0005590636569635469,
-            "db": 5.628504455448174e-05, "oi": 1.125700891089556e-06}
-        assert st.empirical_lam_msgs == 5.628504455447247
-        assert st.per_procedure_counts == {"SR": 2753, "SRR": 2740, "HR": 185}
+            "fe": 4.261293002936677e-05, "sl": 0.0005078783187574996,
+            "db": 5.1135516035248974e-05, "oi": 1.0227103207049448e-06}
+        assert st.empirical_lam_msgs == 5.113551603524478
         assert (st.warmup_fraction, st.seed, st.valid) == (0.1, 3, True)
 
         # m = 3 pool at about 75 % load, where messages queue and overtake
@@ -351,7 +532,6 @@ class TestQueueSim:
             "fe": 0.19011940698560942, "sl": 0.7517182432097299,
             "db": 0.2281432883827241, "oi": 0.004562865767654604}
         assert st.empirical_lam_msgs == 22814.32883827509
-        assert st.per_procedure_counts == {"SR": 1798, "SRR": 1750, "HR": 727}
         assert (st.warmup_fraction, st.seed, st.valid) == (0.1, 5, True)
 
     def test_reproducible(self, cfg, small_trace):
@@ -389,6 +569,15 @@ class TestQueueSim:
     def test_bad_service_law(self, cfg, small_trace):
         with pytest.raises(ParameterError):
             run_queue_sim(small_trace, cfg.queue, "gamma")
+
+    @pytest.mark.parametrize("times", [[2.0, 1.0], [1.0, np.inf]])
+    def test_unsorted_or_infinite_trace(self, cfg, times):
+        # the first messages are read in trace order, never re-sorted
+        trace = TriggerTrace(np.array(times), np.zeros(2, dtype=np.int64),
+                             np.zeros(2, dtype=np.uint8), np.zeros(2, dtype=np.uint8),
+                             10.0, 1, 0)
+        with pytest.raises(ParameterError):
+            run_queue_sim(trace, cfg.queue)
 
 
 class TestStats:
