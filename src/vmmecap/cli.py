@@ -97,11 +97,14 @@ def _meta(cfg: ToolConfig, **extra) -> dict:
     return {"tool_version": __version__, "config_digest": cfg.digest, **extra}
 
 
+def _mtcd_ratio(cfg: ToolConfig, args) -> float:
+    return _flag(args.mtcd_ratio, cfg.scenario["mtcd_per_ue"], "--mtcd-ratio", strict=False)
+
+
 def _scenario_counts(cfg: ToolConfig, args) -> tuple[int, int]:
+    """(n_u, n_d), with n_d = round(MTCDs per UE * n_u) as `capacity` counts them."""
     n_u = _flag(args.users, cfg.scenario["n_u"], "--users", int, strict=False)
-    if args.mtcd_ratio is None:
-        return n_u, int(cfg.scenario["n_d"])
-    return n_u, int(round(_flag(args.mtcd_ratio, None, "--mtcd-ratio", strict=False) * n_u))
+    return n_u, int(round(_mtcd_ratio(cfg, args) * n_u))
 
 
 def cmd_rates(cfg: ToolConfig, args) -> None:
@@ -177,7 +180,7 @@ def cmd_dimension(cfg: ToolConfig, args) -> None:
 def _capacity_points(cfg: ToolConfig, ks: list[int], args):
     ti = _flag(args.ti, cfg.scenario["t_i_s"], "--ti", strict=False)
     t_max = _flag(args.tmax_us, cfg.queue.t_max, "--tmax-us", scale=1e-6)
-    ratio = _flag(args.mtcd_ratio, cfg.scenario["mtcd_per_ue"], "--mtcd-ratio", strict=False)
+    ratio = _mtcd_ratio(cfg, args)
     for k in ks:
         yield capacity(k, cfg.queue, cfg.mix, cfg.geom, cfg.mmpp, ti,
                        mtcd_per_ue=ratio, t_max=t_max)

@@ -2,8 +2,10 @@
 
 Unknown keys are rejected with their full path so typos fail loudly. Lists
 (apps, encoding choices, egress tiers) are replaced wholesale, not merged
-element-wise. `ToolConfig` carries the typed model objects plus a digest of
-the effective configuration for reproducible report headers.
+element-wise; each app spec and its model spec are checked against the
+fields of the class they build. `ToolConfig` carries the typed model
+objects plus a digest of the effective configuration for reproducible
+report headers.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import yaml
 
@@ -65,32 +67,42 @@ def _dist(spec, where: str) -> Dist:
         raise ConfigError(f"{where}: {e}") from e
 
 
+def _check_keys(spec: dict, cls, where: str) -> None:
+    """Reject a key of `spec` that names no field of the dataclass `cls`."""
+    names = {f.name for f in fields(cls)}
+    for key in spec:
+        if key not in names:
+            raise ConfigError(f"unknown configuration key: {where}.{key}")
+
+
 def _app(spec: dict, idx: int) -> AppProfile:
     where = f"traffic.apps[{idx}]"
     try:
+        _check_keys(spec, AppProfile, where)
         mspec = dict(spec["model"])
         mtype = mspec.pop("type")
-        if mtype == "web":
+        model_cls = {"web": WebModel, "video": VideoModel, "call": CallModel}.get(mtype)
+        if model_cls is None:
+            raise ConfigError(f"{where}: unknown model type {mtype!r}")
+        _check_keys(mspec, model_cls, f"{where}.model")
+        if model_cls is WebModel:
             model = WebModel(
                 main_obj_bytes=_dist(mspec["main_obj_bytes"], where),
                 embedded_obj_bytes=_dist(mspec["embedded_obj_bytes"], where),
                 n_embedded=_dist(mspec["n_embedded"], where),
                 parsing_time_s=_dist(mspec["parsing_time_s"], where),
-                parsing_per_object=bool(mspec.get("parsing_per_object", False)),
             )
-        elif mtype == "video":
+        elif model_cls is VideoModel:
             model = VideoModel(
                 duration_s=_dist(mspec["duration_s"], where),
                 encoding_rate_choices=tuple(
                     _dist(d, where) for d in mspec["encoding_rate_choices"]
                 ),
-                burst_media_s=float(mspec.get("burst_media_s", 40.0)),
-                throttle_factor=float(mspec.get("throttle_factor", 1.25)),
+                burst_media_s=float(mspec["burst_media_s"]),
+                throttle_factor=float(mspec["throttle_factor"]),
             )
-        elif mtype == "call":
-            model = CallModel(holding_time_s=_dist(mspec["holding_time_s"], where))
         else:
-            raise ConfigError(f"{where}: unknown model type {mtype!r}")
+            model = CallModel(holding_time_s=_dist(mspec["holding_time_s"], where))
         reading = spec.get("reading_time_s")
         return AppProfile(
             name=str(spec["name"]),
@@ -142,7 +154,6 @@ def build(cfg: dict) -> ToolConfig:
             p=float(mm["p"]), q=float(mm["q"]),
             lambda1=float(mm["lambda1"]), lambda2=float(mm["lambda2"]),
             delta_t=float(mm["delta_t"]),
-            packet_size_bytes=float(mm["packet_size_bytes"]),
         )
         q = cfg["queue"]
         st = q["sl_times_us"]
@@ -150,11 +161,9 @@ def build(cfg: dict) -> ToolConfig:
         queue = QueueParams(
             mu_fe=float(q["mu_fe"]),
             mu_sdb=float(q["mu_sdb"]),
-            mu_oi=None if q["mu_oi"] is None else float(q["mu_oi"]),
+            mu_oi=float(q["mu_oi"]),
             sl_times=sl,
             m=int(q["m"]),
-            o_bw=None if q["o_bw"] is None else float(q["o_bw"]),
-            o_size_bytes=float(q["o_size_bytes"]),
             t_im=float(q["t_im_s"]),
             prop_delay=float(q["prop_delay_s"]),
             t_max=float(q["t_max_s"]),

@@ -1,8 +1,9 @@
 """Built-in default configuration (the validated reference parameter set).
 
 `paper_defaults()` returns a plain nested dict; the config module turns it
-(or a user file deep-merged over it) into typed model objects. Every number
-here is overridable from the configuration file.
+(or a user file deep-merged over it) into typed model objects. This is the
+only copy of the reference values: the model dataclasses have no defaults
+of their own. Every number here is overridable from the configuration file.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ def paper_defaults() -> dict:
                             "shape": 1.1, "lo": _embedded_count_lo(), "hi": 550.0,
                         },
                         "parsing_time_s": {"kind": "exponential", "mean": 0.13},
-                        "parsing_per_object": False,
                     },
                 },
                 {
@@ -98,14 +98,11 @@ def paper_defaults() -> dict:
             "lambda1": 0.0015,
             "lambda2": 0.065,
             "delta_t": 1.0,
-            "packet_size_bytes": 100.0,
         },
         "queue": {
             "mu_fe": 120_000.0,
             "mu_sdb": 100_000.0,
             "mu_oi": 5_000_000.0,
-            "o_bw": None,
-            "o_size_bytes": 200.0,
             "sl_times_us": {
                 "t_sr1": 127.4, "t_sr2": 94.0, "t_sr3": 94.0,
                 "t_srr1": 94.0, "t_srr2": 94.0, "t_srr3": 93.2,
@@ -121,12 +118,12 @@ def paper_defaults() -> dict:
             "ci_storage_gb": 10.0,
             "ci_storage_usd_per_gb_month": 0.10,
             "ci_optimized_access_usd_per_h": 0.025,
-            "egress_tiers_gb_usd": [
-                [1.0, 0.0],
-                [10239.0, 0.090],
-                [40960.0, 0.085],
-                [102400.0, 0.070],
-                [358400.0, 0.050],
+            "egress_tiers_gb_usd": [  # [bracket width in GB, $/GB]
+                [1.0, 0.0],  # first GB each month is free
+                [10239.0, 0.090],  # up to 10 TB cumulative
+                [40960.0, 0.085],  # up to 50 TB
+                [102400.0, 0.070],  # up to 150 TB
+                [358400.0, 0.050],  # up to 500 TB
             ],
             "db_type_usd_per_h": 4.64,
             "db_storage_usd_per_gb_month": 0.1,
@@ -143,7 +140,6 @@ def paper_defaults() -> dict:
         },
         "scenario": {
             "n_u": 20_000,
-            "n_d": 20_000,
             "mtcd_per_ue": 1.0,
             "t_i_s": 10.0,
             "seed": 1,

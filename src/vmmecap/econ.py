@@ -13,35 +13,28 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 
-SECONDS_PER_MONTH = 2_628_000.0
 GB = 1e9  # billing gigabyte (decimal)
 
 
 @dataclass(frozen=True)
 class CostSchedule:
-    """Billing constants; defaults mirror a typical on-demand schedule."""
+    """Billing constants; the reference values are in `defaults.paper_defaults`."""
 
-    ci_type_usd_per_h: float = 0.266  # one SL/FE compute instance
-    ci_storage_gb: float = 10.0
-    ci_storage_usd_per_gb_month: float = 0.10
-    ci_optimized_access_usd_per_h: float = 0.025
-    egress_tiers_gb_usd: tuple[tuple[float, float], ...] = (
-        (1.0, 0.0),  # first GB each month is free
-        (10.0 * 1024 - 1.0, 0.090),  # up to 10 TB cumulative
-        (40.0 * 1024, 0.085),  # up to 50 TB
-        (100.0 * 1024, 0.070),  # up to 150 TB
-        (350.0 * 1024, 0.050),  # up to 500 TB
-    )  # (bracket width in GB, $/GB)
-    db_type_usd_per_h: float = 4.64
-    db_storage_usd_per_gb_month: float = 0.1
-    db_usd_per_million_tx: float = 0.2
-    lb_fee_usd_per_month: float = 0.025
-    lb_usd_per_gb: float = 0.008
-    i_size_bytes: float = 200.0  # mean inbound message
-    o_size_bytes: float = 200.0  # mean outbound message
-    per_user_state_bytes: float = 1024.0
-    seconds_per_month: float = SECONDS_PER_MONTH
-    egress_per_instance: bool = True  # bill egress on each instance's own meter
+    ci_type_usd_per_h: float  # one SL/FE compute instance
+    ci_storage_gb: float
+    ci_storage_usd_per_gb_month: float
+    ci_optimized_access_usd_per_h: float
+    egress_tiers_gb_usd: tuple[tuple[float, float], ...]  # (bracket width in GB, $/GB)
+    db_type_usd_per_h: float
+    db_storage_usd_per_gb_month: float
+    db_usd_per_million_tx: float
+    lb_fee_usd_per_month: float
+    lb_usd_per_gb: float
+    i_size_bytes: float  # mean inbound message
+    o_size_bytes: float  # mean outbound message
+    per_user_state_bytes: float
+    seconds_per_month: float
+    egress_per_instance: bool  # bill egress on each instance's own meter
 
     def __post_init__(self):
         for name, v in self.__dict__.items():
@@ -79,19 +72,18 @@ def cost_per_second(
     m: int,
     lam_msgs: float,
     n_u: float,
-    sched: CostSchedule | None = None,
+    sched: CostSchedule,
 ) -> tuple[float, dict]:
     """Total running cost in $/s and its itemized breakdown.
 
-    Total = balancer + m * per-compute-instance + database. By default
-    (`egress_per_instance=True`) each of the m compute instances has its own
-    egress meter, and each meter is billed on the whole outbound volume
-    (lam_msgs * o_size_bytes), so egress costs m times the tiered cost of
-    that volume. Set `egress_per_instance=False` to bill the volume once, on
-    one pooled meter. The billing schedule does not settle which reading
-    applies; the per-instance one is the larger charge.
+    Total = balancer + m * per-compute-instance + database. With
+    `egress_per_instance` set (the reference schedule sets it) each of the m
+    compute instances has its own egress meter, and each meter is billed on
+    the whole outbound volume (lam_msgs * o_size_bytes), so egress costs m
+    times the tiered cost of that volume. Set `egress_per_instance=False` to
+    bill the volume once, on one pooled meter. The billing schedule does not
+    settle which reading applies; the per-instance one is the larger charge.
     """
-    sched = sched or CostSchedule()
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
     if lam_msgs < 0 or n_u < 0:
@@ -141,7 +133,7 @@ class ScalabilityPoint:
     classification: str
 
 
-def classify(psi: float, gamma: float = 0.8) -> str:
+def classify(psi: float, gamma: float) -> str:
     if psi < 0:
         raise ParameterError(f"psi must be >= 0, got {psi}")
     if psi >= 1.0:
@@ -164,16 +156,15 @@ def productivity(lam_msgs: float, t_mean_s: float, cost_usd_per_s: float,
 
 def scalability_table(
     points: list[tuple[int, int, float, float]],
-    sched: CostSchedule | None = None,
-    t_hat_s: float = 1e-3,
-    gamma: float = 0.8,
+    sched: CostSchedule,
+    t_hat_s: float,
+    gamma: float,
 ) -> list[ScalabilityPoint]:
     """Build the psi(k) table from (k, n_u, lam_msgs, t_mean_s) operating points.
 
     Each point should be the system dimensioned at scale k and loaded to its
     delay-budget capacity; k=1 (or the smallest k given) is the reference.
     """
-    sched = sched or CostSchedule()
     out = []
     f_ref = None
     for k, n_u, lam, t_mean in points:

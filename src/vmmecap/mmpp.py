@@ -25,7 +25,6 @@ class MmppParams:
     lambda1: float  # packets/s in state 1
     lambda2: float  # packets/s in state 2
     delta_t: float = 1.0  # slot length, s
-    packet_size_bytes: float = 100.0
 
     def __post_init__(self):
         if not (0 <= self.p <= 1 and 0 <= self.q <= 1):
@@ -52,28 +51,22 @@ def mmpp_packet_stream(
     params: MmppParams,
     horizon_s: float,
     rng: np.random.Generator,
-    start_state: int | None = None,
 ) -> np.ndarray:
     """Packet arrival times in [0, horizon), strictly increasing, as float64.
 
-    `start_state` is 1 or 2; by default it is drawn from the stationary
-    distribution so the stream starts in steady state.
+    The start state is drawn from the stationary distribution, so the stream
+    starts in steady state.
     """
     if not horizon_s > 0:
         raise ParameterError(f"horizon must be > 0, got {horizon_s}")
     p, q = params.p, params.q
     rates = {1: params.lambda1, 2: params.lambda2}
     switch = {1: p, 2: q}
-    if start_state is None:
-        if p + q == 0:
-            state = 1
-        else:
-            pi1, _, _ = mmpp_stationary(params)
-            state = 1 if rng.random() < pi1 else 2
+    if p + q == 0:
+        state = 1
     else:
-        if start_state not in (1, 2):
-            raise ParameterError(f"start_state must be 1 or 2, got {start_state}")
-        state = start_state
+        pi1, _, _ = mmpp_stationary(params)
+        state = 1 if rng.random() < pi1 else 2
 
     n_slots_total = int(np.ceil(horizon_s / params.delta_t))
     chunks = []

@@ -59,38 +59,22 @@ class SlServiceTimes:
 class QueueParams:
     """Service rates and timing constants of the vMME chain."""
 
-    mu_fe: float = 120_000.0  # front-end, jobs/s
-    mu_sdb: float = 100_000.0  # state database, jobs/s
-    mu_oi: float | None = 5_000_000.0  # output interface, jobs/s; None -> o_bw/o_size
-    sl_times: SlServiceTimes = SlServiceTimes(
-        t_sr1=127.4e-6, t_sr2=94.0e-6, t_sr3=94.0e-6,
-        t_srr1=94.0e-6, t_srr2=94.0e-6, t_srr3=93.2e-6,
-        t_hr1=94.0e-6, t_hr2=94.0e-6,
-    )
-    m: int = 1  # service-logic instances
-    o_bw: float | None = None  # output link, bit/s
-    o_size_bytes: float = 200.0  # mean outbound message size
-    t_im: float = 15e-3  # round trip to the next inbound message, s
-    prop_delay: float = 7.5e-3  # one-way eNB <-> vMME, s
-    t_max: float = 1e-3  # processing-delay budget, s
+    mu_fe: float  # front-end, jobs/s
+    mu_sdb: float  # state database, jobs/s
+    mu_oi: float  # output interface, jobs/s
+    sl_times: SlServiceTimes
+    m: int  # service-logic instances
+    t_im: float  # round trip to the next inbound message, s
+    prop_delay: float  # one-way eNB <-> vMME, s
+    t_max: float  # processing-delay budget, s
 
     def __post_init__(self):
-        if self.mu_fe <= 0 or self.mu_sdb <= 0:
+        if self.mu_fe <= 0 or self.mu_sdb <= 0 or self.mu_oi <= 0:
             raise ParameterError("stage service rates must be > 0")
-        if self.mu_oi is None and (self.o_bw is None or self.o_bw <= 0):
-            raise ParameterError("either mu_oi or a positive o_bw must be given")
-        if self.mu_oi is not None and self.mu_oi <= 0:
-            raise ParameterError(f"mu_oi must be > 0, got {self.mu_oi}")
         if not (isinstance(self.m, int) and self.m >= 1):
             raise ParameterError(f"instance count m must be an integer >= 1, got {self.m}")
         if self.t_im < 0 or self.prop_delay < 0 or self.t_max <= 0:
             raise ParameterError("timing constants out of range")
-
-    @property
-    def mu_oi_effective(self) -> float:
-        if self.mu_oi is not None:
-            return self.mu_oi
-        return self.o_bw / (8.0 * self.o_size_bytes)
 
 
 def mm1_response(lam: float, mu: float, stage: str = "M/M/1") -> float:
@@ -147,11 +131,10 @@ def response_at(lam: float, t_sl: float, params: QueueParams, m: int | None = No
     """(total response s, per-stage breakdown) at message rate `lam` with mean
     SL service time `t_sl` already fixed."""
     m = params.m if m is None else m
-    mu_oi = params.mu_oi_effective
     t_fe = mm1_response(lam, params.mu_fe, "FE")
     t_sl_stage = mmm_response(lam, 1.0 / t_sl, m)
     t_db = mm1_response(lam, params.mu_sdb, "SDB")
-    t_oi = mm1_response(lam, mu_oi, "OI")
+    t_oi = mm1_response(lam, params.mu_oi, "OI")
     total = t_fe + t_sl_stage + t_db + t_oi
     return total, {"fe_s": t_fe, "sl_s": t_sl_stage, "db_s": t_db, "oi_s": t_oi,
                    "t_sl_bar_s": t_sl, "m": m}
@@ -169,7 +152,7 @@ def _min_floor_response(lam: float, t_sl: float, params: QueueParams) -> tuple[f
         "FE": mm1_response(lam, params.mu_fe, "FE"),
         "SL": t_sl,
         "SDB": mm1_response(lam, params.mu_sdb, "SDB"),
-        "OI": mm1_response(lam, params.mu_oi_effective, "OI"),
+        "OI": mm1_response(lam, params.mu_oi, "OI"),
     }
     total = sum(parts.values())
     return total, max(parts, key=parts.get)
@@ -182,7 +165,7 @@ def dimension(rates: ProcedureRates, params: QueueParams, t_max: float | None = 
     if lam == 0:
         return 1
     for mu, stage in ((params.mu_fe, "FE"), (params.mu_sdb, "SDB"),
-                      (params.mu_oi_effective, "OI")):
+                      (params.mu_oi, "OI")):
         if lam >= mu:
             raise InfeasibleError(
                 f"message rate {lam:g}/s saturates the {stage} stage "
@@ -256,7 +239,7 @@ def capacity(
 
     # lo meets the budget (no UEs trivially does); hi does not, or is unstable:
     # two UEs past the first stage's saturation rate
-    lam_max = min(params.mu_fe, params.mu_sdb, params.mu_oi_effective, m / t_sl)
+    lam_max = min(params.mu_fe, params.mu_sdb, params.mu_oi, m / t_sl)
     lo, hi = 0, int(lam_max / msgs_per_ue) + 2
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -75,7 +75,7 @@ def run_queue_sim(
     if not np.all(np.isfinite(trace.time_s)) or np.any(np.diff(trace.time_s) < 0):
         raise ParameterError("trigger times must be finite and sorted")
     st = params.sl_times
-    t_fe, t_db, t_oi = 1.0 / params.mu_fe, 1.0 / params.mu_sdb, 1.0 / params.mu_oi_effective
+    t_fe, t_db, t_oi = 1.0 / params.mu_fe, 1.0 / params.mu_sdb, 1.0 / params.mu_oi
     # per procedure, each message's mean service time at each of the four stages
     means = {proc: [(t_fe, t_sl, t_db, t_oi) for t_sl in sl]
              for proc, sl in ((PROC_SR, (st.t_sr1, st.t_sr2, st.t_sr3)),

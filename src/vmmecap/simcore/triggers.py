@@ -30,6 +30,7 @@ from ..dists import Dist
 from ..errors import ParameterError
 from ..mmpp import MmppParams, mmpp_packet_stream
 from ..workload import (
+    MSGS_PER_PROC,
     AppProfile,
     CallModel,
     CellGeometry,
@@ -72,8 +73,7 @@ class TriggerTrace:
 
     @property
     def n_messages(self) -> int:
-        per_proc = np.array([3, 3, 2])
-        return int(per_proc[self.procedure].sum())
+        return int(np.array(MSGS_PER_PROC)[self.procedure].sum())
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -130,10 +130,7 @@ def sample_aap_duration(model, link_rate_bps: float, draw) -> float:
     if isinstance(model, WebModel):
         k = int(round(draw(model.n_embedded)))
         total = draw(model.main_obj_bytes) + draw(model.embedded_obj_bytes, k)
-        parse = draw(model.parsing_time_s)
-        if model.parsing_per_object:
-            parse *= 1 + k
-        return total * 8.0 / link_rate_bps + parse
+        return total * 8.0 / link_rate_bps + draw(model.parsing_time_s)
     if isinstance(model, VideoModel):
         choices = model.encoding_rate_choices
         enc = draw(choices[int(draw(_UNIT) * len(choices))])

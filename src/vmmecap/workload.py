@@ -19,6 +19,8 @@ from .dists import Dist
 from .errors import InfeasibleError, ParameterError
 from .mmpp import MmppParams, mmpp_packet_stream, mmpp_stationary
 
+MSGS_PER_PROC = (3, 3, 2)  # messages of one SR, SRR and HR procedure, in that order
+
 
 # ---------------------------------------------------------------------------
 # traffic-mix types
@@ -26,17 +28,13 @@ from .mmpp import MmppParams, mmpp_packet_stream, mmpp_stationary
 
 @dataclass(frozen=True)
 class WebModel:
-    """Page download: main object, then embedded objects, sequentially at link rate.
-
-    Parsing is charged once per page by default; set `parsing_per_object`
-    to charge it once per object (main + each embedded) instead.
-    """
+    """Page download: main object, then embedded objects, sequentially at link
+    rate, then one parsing time per page."""
 
     main_obj_bytes: Dist
     embedded_obj_bytes: Dist
     n_embedded: Dist
     parsing_time_s: Dist
-    parsing_per_object: bool = False
 
 
 @dataclass(frozen=True)
@@ -45,8 +43,8 @@ class VideoModel:
 
     duration_s: Dist
     encoding_rate_choices: tuple[Dist, ...]  # bit/s, picked uniformly per AAP
-    burst_media_s: float = 40.0
-    throttle_factor: float = 1.25
+    burst_media_s: float
+    throttle_factor: float
 
     def __post_init__(self):
         if not self.encoding_rate_choices:
@@ -167,9 +165,7 @@ def mean_aap_duration(model, link_rate_bps: float) -> float:
     if isinstance(model, WebModel):
         n_emb = dists.mean(model.n_embedded)
         xfer_bytes = dists.mean(model.main_obj_bytes) + n_emb * dists.mean(model.embedded_obj_bytes)
-        parse = dists.mean(model.parsing_time_s)
-        n_parse = (1.0 + n_emb) if model.parsing_per_object else 1.0
-        return xfer_bytes * 8.0 / link_rate_bps + parse * n_parse
+        return xfer_bytes * 8.0 / link_rate_bps + dists.mean(model.parsing_time_s)
     if isinstance(model, VideoModel):
         enc = mean_encoding_rate(model)
         dur = dists.mean(model.duration_s)
@@ -312,6 +308,7 @@ def aggregate_rates(
     lam_sr = n_u * lam_u_sr + n_d * lam_s_sr
     lam_srr = n_u * lam_u_srr + n_d * lam_s_srr
     lam_hr = n_u * lam_u_hr
+    n_sr, n_srr, n_hr = MSGS_PER_PROC
     return ProcedureRates(
         lam_u_sr=lam_u_sr,
         lam_u_srr=lam_u_srr,
@@ -321,7 +318,7 @@ def aggregate_rates(
         lam_sr=lam_sr,
         lam_srr=lam_srr,
         lam_hr=lam_hr,
-        lam_total_msgs=3.0 * lam_sr + 3.0 * lam_srr + 2.0 * lam_hr,
+        lam_total_msgs=n_sr * lam_sr + n_srr * lam_srr + n_hr * lam_hr,
         n_u=n_u,
         n_d=n_d,
     )

@@ -169,7 +169,7 @@ def _per_pair(cfg, geom):
 def _unlimited_sl_parts(lam, t_sl, q):
     """Per-stage mean delays with m -> inf: the SL stage is its service time alone."""
     return {"fe_s": mm1_response(lam, q.mu_fe), "sl_s": t_sl,
-            "db_s": mm1_response(lam, q.mu_sdb), "oi_s": mm1_response(lam, q.mu_oi_effective)}
+            "db_s": mm1_response(lam, q.mu_sdb), "oi_s": mm1_response(lam, q.mu_oi)}
 
 
 def _budget_rate(t_sl, q, m=None):
@@ -180,7 +180,7 @@ def _budget_rate(t_sl, q, m=None):
             return sum(_unlimited_sl_parts(lam, t_sl, q).values())
         return response_at(lam, t_sl, q, m)[0]
 
-    lo, hi = 0.0, min(q.mu_fe, q.mu_sdb, q.mu_oi_effective, (m or math.inf) / t_sl)
+    lo, hi = 0.0, min(q.mu_fe, q.mu_sdb, q.mu_oi, (m or math.inf) / t_sl)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if total(mid) <= q.t_max:

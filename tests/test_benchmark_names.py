@@ -43,3 +43,8 @@ def test_config_laws_cover_every_kind(perfbench):
     assert sorted(laws) == sorted(KINDS)
     for kind, law in laws.items():
         assert isinstance(law, dists.Dist) and law.kind == kind
+
+
+def test_scenario_holds_the_keys_perfbench_reads():
+    # perfbench/probes.py reads mtcd_per_ue in code no other test runs
+    assert {"t_i_s", "service_law", "mtcd_per_ue"} <= set(load_config().scenario)

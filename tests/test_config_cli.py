@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+import yaml
 
 from vmmecap.cli import main
 from vmmecap.config import config_digest, deep_merge, load_config
@@ -59,6 +60,17 @@ class TestConfig:
         assert cfg.geom.mean_speed_mps == pytest.approx(3.0)
 
 
+def _apps(edit) -> dict:
+    """A `traffic.apps` overlay: the default apps after `edit` changed them in place."""
+    apps = paper_defaults()["traffic"]["apps"]
+    edit(apps)
+    return {"traffic": {"apps": apps}}
+
+
+def _rename(spec: dict, old: str, new: str) -> None:
+    spec[new] = spec.pop(old)
+
+
 def run_cli(args, tmp_path, fmt="csv"):
     out = tmp_path / "out.txt"
     code = main(args + ["--out", str(out), "--format", fmt])
@@ -93,6 +105,7 @@ class TestCli:
         assert code == 0
         row = json.loads(text)["rows"][0]
         assert row["m_min"] == 1
+        assert row["n_d"] == 20000
         assert row["t_mean_us"] < 1000.0
 
     def test_capacity_row(self, tmp_path):
@@ -119,10 +132,37 @@ class TestCli:
         code = main(["rates", "--config", "/no/such/file.yaml"])
         assert code == 2
 
-    def test_unknown_key_exit_code(self, tmp_path):
+    def test_simulate_counts_mtcds_per_ue(self, tmp_path):
+        # n_d = round(scenario.mtcd_per_ue * n_u), the rule `capacity` uses
+        code, text = run_cli(["simulate", "--users", "50", "--duration-s", "200"],
+                             tmp_path, fmt="json")
+        assert code == 0
+        assert json.loads(text)["rows"][0]["n_d"] == 50
+
+    @pytest.mark.parametrize("overlay, path", [
+        ({"nonsense": 1}, "nonsense"),
+        ({"mmpp": {"packet_size_bytes": 100.0}}, "mmpp.packet_size_bytes"),
+        ({"queue": {"o_bw": 1e9}}, "queue.o_bw"),
+        ({"queue": {"o_size_bytes": 200.0}}, "queue.o_size_bytes"),
+        ({"scenario": {"n_d": 100}}, "scenario.n_d"),
+        (_apps(lambda a: a[0]["model"].update(parsing_per_object=True)),
+         "traffic.apps[0].model.parsing_per_object"),
+        (_apps(lambda a: _rename(a[2]["model"], "holding_time_s", "holdnig_time_s")),
+         "traffic.apps[2].model.holdnig_time_s"),
+        (_apps(lambda a: _rename(a[0], "reading_time_s", "reding_time_s")),
+         "traffic.apps[0].reding_time_s"),
+        ({"queue": {"mu_oi": None}}, None),  # no longer means "derive from o_bw"
+    ], ids=["nonsense", "mmpp.packet_size_bytes", "queue.o_bw", "queue.o_size_bytes",
+            "scenario.n_d", "parsing_per_object", "misspelt-model-key",
+            "misspelt-app-key", "queue.mu_oi-null"])
+    def test_unknown_key_exit_code(self, overlay, path, tmp_path, capsys):
         p = tmp_path / "bad.yaml"
-        p.write_text("nonsense: 1\n")
+        p.write_text(yaml.safe_dump(overlay))
         assert main(["rates", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        if path is not None:
+            assert f"unknown configuration key: {path}" in err
 
     @pytest.mark.parametrize("argv", [
         ["dimension", "--ti", "1:30"],  # a grid where a scalar is needed

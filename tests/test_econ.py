@@ -1,9 +1,11 @@
 """Billing arithmetic, productivity, and the scalability index."""
 
+from dataclasses import replace
+
 import pytest
 
+from vmmecap.config import load_config
 from vmmecap.econ import (
-    CostSchedule,
     classify,
     cost_per_second,
     productivity,
@@ -12,7 +14,8 @@ from vmmecap.econ import (
 )
 from vmmecap.errors import ParameterError
 
-SCHED = CostSchedule()
+CFG = load_config()
+SCHED = CFG.cost
 SPM = 2_628_000.0
 
 
@@ -41,7 +44,7 @@ class TestEgress:
 
 class TestCost:
     def test_fixed_charges_only(self):
-        total, parts = cost_per_second(1, 0.0, 0.0)
+        total, parts = cost_per_second(1, 0.0, 0.0, SCHED)
         expected = (
             0.025 / SPM  # balancer fee
             + (0.266 + 0.025) / 3600.0 + 10 * 0.10 / SPM  # one instance
@@ -51,18 +54,18 @@ class TestCost:
         assert sum(parts.values()) == pytest.approx(total, rel=1e-12)
 
     def test_breakdown_sums(self):
-        total, parts = cost_per_second(7, 50000.0, 5e5)
+        total, parts = cost_per_second(7, 50000.0, 5e5, SCHED)
         assert sum(parts.values()) == pytest.approx(total, rel=1e-12)
 
     def test_increasing_in_m(self):
-        costs = [cost_per_second(m, 10000.0, 1e5)[0] for m in range(1, 8)]
+        costs = [cost_per_second(m, 10000.0, 1e5, SCHED)[0] for m in range(1, 8)]
         assert all(b > a for a, b in zip(costs, costs[1:]))
 
     def test_linear_in_lambda_within_tier(self):
         # pick rates whose monthly egress stays inside one bracket
         # second differences cancel the fixed charges and the free-GB offset,
         # so equal rate steps within one bracket cost exactly the same
-        sched = CostSchedule(egress_per_instance=False)
+        sched = replace(SCHED, egress_per_instance=False)
         c1, c2, c3 = (cost_per_second(1, lam, 0.0, sched)[0]
                       for lam in (200.0, 400.0, 600.0))
         assert (c3 - c2) == pytest.approx(c2 - c1, rel=1e-9)
@@ -74,15 +77,15 @@ class TestScalability:
         assert f == pytest.approx(0.5)
 
     def test_classify(self):
-        assert classify(1.0) == "positive"
-        assert classify(0.85) == "sub-perfect"
-        assert classify(0.79) == "not-scalable"
+        assert classify(1.0, 0.8) == "positive"
+        assert classify(0.85, 0.8) == "sub-perfect"
+        assert classify(0.79, 0.8) == "not-scalable"
         with pytest.raises(ParameterError):
-            classify(-0.1)
+            classify(-0.1, 0.8)
 
     def test_reference_scale_is_one(self):
         pts = [(1, 90283, 9052.0, 1e-3), (2, 190450, 19095.0, 1e-3)]
-        table = scalability_table(pts)
+        table = scalability_table(pts, SCHED, CFG.t_hat_s, CFG.gamma)
         assert table[0].psi == 1.0
         assert table[0].classification == "positive"
 
@@ -94,7 +97,7 @@ class TestScalability:
                 7: 69387, 8: 79429, 9: 89422, 10: 98060}
         n_us = {k: v / lams[1] * 90283 for k, v in lams.items()}
         pts = [(k, int(n_us[k]), float(lams[k]), 1e-3) for k in sorted(lams)]
-        table = scalability_table(pts)
+        table = scalability_table(pts, SCHED, CFG.t_hat_s, CFG.gamma)
         expected = {2: 1.1829, 3: 1.2076, 8: 1.0192, 9: 0.9784, 10: 0.9396}
         got = {p.k: p.psi for p in table}
         for k, v in expected.items():
@@ -102,8 +105,8 @@ class TestScalability:
 
     def test_gamma_flag_changes_classification_only(self):
         pts = [(1, 90283, 9052.0, 1e-3), (9, 891868, 89422.0, 1e-3)]
-        loose = scalability_table(pts, gamma=0.8)
-        strict = scalability_table(pts, gamma=0.99)
+        loose = scalability_table(pts, SCHED, CFG.t_hat_s, 0.8)
+        strict = scalability_table(pts, SCHED, CFG.t_hat_s, 0.99)
         assert [p.psi for p in loose] == [p.psi for p in strict]
         assert loose[1].classification == "sub-perfect"
         assert strict[1].classification == "not-scalable"

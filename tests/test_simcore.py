@@ -339,7 +339,7 @@ def _reference_queue_sim(trace, params, service_law, seed):
     `SimStats` field for field.
     """
     st = params.sl_times
-    t_fe, t_db, t_oi = 1.0 / params.mu_fe, 1.0 / params.mu_sdb, 1.0 / params.mu_oi_effective
+    t_fe, t_db, t_oi = 1.0 / params.mu_fe, 1.0 / params.mu_sdb, 1.0 / params.mu_oi
     means = {proc: [(t_fe, t_sl, t_db, t_oi) for t_sl in sl]
              for proc, sl in ((PROC_SR, (st.t_sr1, st.t_sr2, st.t_sr3)),
                               (PROC_SRR, (st.t_srr1, st.t_srr2, st.t_srr3)),
@@ -417,7 +417,7 @@ def _tie_trace(params, law, seed):
     the order shows in the results.
     """
     means = (1.0 / params.mu_fe, params.sl_times.t_sr1, 1.0 / params.mu_sdb,
-             1.0 / params.mu_oi_effective)
+             1.0 / params.mu_oi)
     if law == "exponential":
         rng = np.random.default_rng(seed)
         means = [rng.exponential(s) for s in means]
@@ -470,7 +470,7 @@ class TestQueueSim:
         st = run_queue_sim(trace, params, "deterministic")
         assert st.n_messages == 3
         q, t = params, params.sl_times
-        base = 1 / q.mu_fe + 1 / q.mu_sdb + 1 / q.mu_oi_effective
+        base = 1 / q.mu_fe + 1 / q.mu_sdb + 1 / q.mu_oi
         # an isolated job never waits: response = sum of the four services
         expected = sorted([base + t.t_sr1, base + t.t_sr2, base + t.t_sr3])
         # recover per-message responses from the batch-less path
@@ -489,7 +489,7 @@ class TestQueueSim:
         st = run_queue_sim(trace, params, "deterministic")
         q, t = params, params.sl_times
         t_fe = 1 / q.mu_fe
-        base = t_fe + 1 / q.mu_sdb + 1 / q.mu_oi_effective
+        base = t_fe + 1 / q.mu_sdb + 1 / q.mu_oi
         expected = [
             base + t.t_sr1,  # SR message 1: no wait anywhere
             (t_fe - 1e-6) + base + t.t_hr1,  # HR message 1: waits for the FE only
