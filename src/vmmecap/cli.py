@@ -13,8 +13,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
+
+import numpy as np
 
 from . import __version__
 from .config import ToolConfig, load_config
@@ -27,12 +30,13 @@ from .errors import (
     VmmeCapError,
 )
 from .queueing import capacity, dimension, system_response
-from .simcore import generate_triggers, measured_rates, run_queue_sim
+from .simcore import compare, generate_triggers, measured_rates, run_queue_sim
 from .workload import aggregate_rates, htc_rates, mtc_rates
 
 
-def _parse_grid(text: str) -> list[float]:
-    """'1:30' -> 1..30 step 1; '1:30:5' -> step 5; '1,5,10' -> the list; '10' -> [10]."""
+def _parse_grid(text: str, flag: str, whole: bool = False) -> list:
+    """'1:30' -> 1..30 step 1; '1:30:5' -> step 5; '1,5,10' -> the list; '10' -> [10].
+    Every value must be >= 0, or with `whole` a whole number >= 1."""
     try:
         parts = [float(p) for p in text.split(":" if ":" in text else ",")]
     except ValueError:
@@ -44,33 +48,38 @@ def _parse_grid(text: str) -> list[float]:
             lo, hi, step = parts
         else:
             raise ConfigError(f"bad grid spec {text!r}")
-        if step <= 0 or hi < lo:
+        if not (step > 0 and lo <= hi < math.inf):
             raise ConfigError(f"bad grid spec {text!r}")
-        out = []
+        parts = []
         v = lo
         while v <= hi + 1e-9:
-            out.append(round(v, 9))
+            parts.append(round(v, 9))
             v += step
-        return out
-    return parts
+    rule = "whole numbers >= 1" if whole else ">= 0"
+    if not all(v >= 1 and v.is_integer() if whole else v >= 0 for v in parts):
+        raise ConfigError(f"{flag} values must be {rule}, got {text!r}")
+    return [int(v) for v in parts] if whole else parts
 
 
-def _flag(value, default, name: str, kind=float, strict: bool = True, scale: float = 1):
-    """A flag's value times `scale`, or the config default if the flag is absent.
+def _number(text: str, scale: float = 1):
+    """A numeric flag's value, an int or a float, times `scale`. Other text is
+    passed on unchanged, for the typed config merge to reject under its key."""
+    for kind in (int, float):
+        try:
+            return kind(text) * scale
+        except ValueError:
+            pass
+    return text
 
-    A flag given as zero is a value, not an absent flag. The value must be a
-    `kind` (float or int) and > 0, or >= 0 when not `strict`; anything else
-    raises ConfigError.
-    """
-    v = default if value is None else value
-    try:
-        ok = kind(v) == float(v) and (float(v) > 0 if strict else float(v) >= 0)
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {what} {'>' if strict else '>='} 0, got {v!r}")
-    return kind(v) * (1 if value is None else scale)
+
+def _overlay(args) -> dict:
+    """The scalar flags given, as a config overlay: each one's dest is its key."""
+    overlay: dict = {}
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, key = dest.split(".")
+            overlay.setdefault(section, {})[key] = value
+    return overlay
 
 
 def _emit(rows: list[dict], meta: dict, args) -> None:
@@ -97,30 +106,21 @@ def _meta(cfg: ToolConfig, **extra) -> dict:
     return {"tool_version": __version__, "config_digest": cfg.digest, **extra}
 
 
-def _mtcd_ratio(cfg: ToolConfig, args) -> float:
-    return _flag(args.mtcd_ratio, cfg.scenario["mtcd_per_ue"], "--mtcd-ratio", strict=False)
-
-
-def _scenario_counts(cfg: ToolConfig, args) -> tuple[int, int]:
+def _scenario_counts(cfg: ToolConfig) -> tuple[int, int]:
     """(n_u, n_d), with n_d = round(MTCDs per UE * n_u) as `capacity` counts them."""
-    n_u = _flag(args.users, cfg.scenario["n_u"], "--users", int, strict=False)
-    return n_u, int(round(_mtcd_ratio(cfg, args) * n_u))
+    n_u = cfg.scenario["n_u"]
+    return n_u, int(round(cfg.scenario["mtcd_per_ue"] * n_u))
 
 
 def cmd_rates(cfg: ToolConfig, args) -> None:
-    if args.ti is None:
-        tis = [cfg.scenario["t_i_s"]]
-    else:
-        tis = [_flag(v, None, "--ti", strict=False) for v in _parse_grid(args.ti)]
-    n_u, n_d = _scenario_counts(cfg, args)
-    if args.simulate:
-        horizon = _flag(args.duration_s, cfg.scenario["horizon_s"], "--duration-s")
+    tis = [cfg.scenario["t_i_s"]] if args.ti is None else _parse_grid(args.ti, "--ti")
+    n_u, n_d = _scenario_counts(cfg)
+    horizon, seed = cfg.scenario["horizon_s"], cfg.scenario["seed"]
     rows = []
-    sim_cols = {"lam_u_sr": [], "lam_s_sr": []}
-    theory_cols = {"lam_u_sr": [], "lam_s_sr": []}
     for ti in tis:
         u_sr, u_srr, u_hr = htc_rates(cfg.mix, cfg.geom, ti)
-        s_sr, _ = mtc_rates(cfg.mmpp, ti, method=args.mtc_method)
+        s_sr, _ = mtc_rates(cfg.mmpp, ti, method=args.mtc_method,
+                            rng=np.random.default_rng(seed))
         row = {
             "t_i_s": ti,
             "lam_u_sr_per_s": u_sr,
@@ -129,37 +129,27 @@ def cmd_rates(cfg: ToolConfig, args) -> None:
         }
         if args.simulate:
             trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, n_u, n_d, ti, horizon,
-                                      args.seed, speed_dist=cfg.speed_dist)
+                                      seed, speed_dist=cfg.speed_dist)
             emp = measured_rates(trace, n_u, n_d, horizon)
             row["sim_lam_u_sr_per_s"] = emp.lam_u_sr
             row["sim_lam_u_hr_per_s"] = emp.lam_u_hr
             row["sim_lam_s_sr_per_s"] = emp.lam_s_sr
-            theory_cols["lam_u_sr"].append(u_sr)
-            theory_cols["lam_s_sr"].append(s_sr)
-            sim_cols["lam_u_sr"].append(emp.lam_u_sr)
-            sim_cols["lam_s_sr"].append(emp.lam_s_sr)
         rows.append(row)
-    meta = _meta(cfg, seed=args.seed)
+    meta = _meta(cfg, seed=seed)
     if args.simulate:
-        from .simcore import compare
-
-        meta.update({f"rmse_{k}": v for k, v in
-                     compare(theory_cols, sim_cols).items()})
+        cols = ("lam_u_sr", "lam_s_sr")
+        theory = {c: [r[f"{c}_per_s"] for r in rows] for c in cols}
+        sim = {c: [r[f"sim_{c}_per_s"] for r in rows] for c in cols}
+        meta.update({f"rmse_{k}": v for k, v in compare(theory, sim).items()})
     _emit(rows, meta, args)
 
 
-def _analytic_rates(cfg: ToolConfig, n_u: int, n_d: int, ti: float):
-    per_ue = htc_rates(cfg.mix, cfg.geom, ti)
-    per_mtcd = mtc_rates(cfg.mmpp, ti) if n_d > 0 else (0.0, 0.0)
-    return aggregate_rates(per_ue, per_mtcd, n_u, n_d)
-
-
 def cmd_dimension(cfg: ToolConfig, args) -> None:
-    ti = _flag(args.ti, cfg.scenario["t_i_s"], "--ti", strict=False)
-    t_max = _flag(args.tmax_us, cfg.queue.t_max, "--tmax-us", scale=1e-6)
-    n_u, n_d = _scenario_counts(cfg, args)
-    rates = _analytic_rates(cfg, n_u, n_d, ti)
-    m = dimension(rates, cfg.queue, t_max)
+    ti = cfg.scenario["t_i_s"]
+    n_u, n_d = _scenario_counts(cfg)
+    per_mtcd = mtc_rates(cfg.mmpp, ti) if n_d > 0 else (0.0, 0.0)
+    rates = aggregate_rates(htc_rates(cfg.mix, cfg.geom, ti), per_mtcd, n_u, n_d)
+    m = dimension(rates, cfg.queue)
     total, breakdown = system_response(rates, replace(cfg.queue, m=m))
     rows = [{
         "n_u": n_u,
@@ -172,24 +162,20 @@ def cmd_dimension(cfg: ToolConfig, args) -> None:
         "t_sl_us": breakdown["sl_s"] * 1e6,
         "t_db_us": breakdown["db_s"] * 1e6,
         "t_oi_us": breakdown["oi_s"] * 1e6,
-        "t_max_us": t_max * 1e6,
+        "t_max_us": cfg.queue.t_max * 1e6,
     }]
     _emit(rows, _meta(cfg), args)
 
 
-def _capacity_points(cfg: ToolConfig, ks: list[int], args):
-    ti = _flag(args.ti, cfg.scenario["t_i_s"], "--ti", strict=False)
-    t_max = _flag(args.tmax_us, cfg.queue.t_max, "--tmax-us", scale=1e-6)
-    ratio = _mtcd_ratio(cfg, args)
+def _capacity_points(cfg: ToolConfig, ks: list[int]):
     for k in ks:
-        yield capacity(k, cfg.queue, cfg.mix, cfg.geom, cfg.mmpp, ti,
-                       mtcd_per_ue=ratio, t_max=t_max)
+        yield capacity(k, cfg.queue, cfg.mix, cfg.geom, cfg.mmpp, cfg.scenario["t_i_s"],
+                       mtcd_per_ue=cfg.scenario["mtcd_per_ue"])
 
 
 def cmd_capacity(cfg: ToolConfig, args) -> None:
-    ks = [_flag(v, None, "--m", int) for v in _parse_grid("1:10" if args.m is None else args.m)]
     rows = []
-    for res in _capacity_points(cfg, ks, args):
+    for res in _capacity_points(cfg, _parse_grid(args.m, "--m", whole=True)):
         rows.append({
             "m": res.m,
             "n_u_max": res.n_u_max,
@@ -202,12 +188,12 @@ def cmd_capacity(cfg: ToolConfig, args) -> None:
 
 
 def cmd_scalability(cfg: ToolConfig, args) -> None:
-    ks = list(range(1, _flag(args.kmax, None, "--kmax", int) + 1))
+    if args.kmax < 1:
+        raise ConfigError(f"--kmax must be >= 1, got {args.kmax}")
     points = []
-    for res in _capacity_points(cfg, ks, args):
+    for res in _capacity_points(cfg, list(range(1, args.kmax + 1))):
         points.append((res.m, res.n_u_max, res.lam_msgs, res.t_mean_s))
-    gamma = _flag(args.gamma, cfg.gamma, "--gamma", strict=False)
-    table = scalability_table(points, cfg.cost, cfg.t_hat_s, gamma)
+    table = scalability_table(points, cfg.cost, cfg.t_hat_s, cfg.gamma)
     rows = [{
         "k": p.k,
         "n_u": p.n_u,
@@ -219,29 +205,27 @@ def cmd_scalability(cfg: ToolConfig, args) -> None:
         "psi": p.psi,
         "class": p.classification,
     } for p in table]
-    _emit(rows, _meta(cfg, gamma=gamma), args)
+    _emit(rows, _meta(cfg, gamma=cfg.gamma), args)
 
 
 def cmd_simulate(cfg: ToolConfig, args) -> None:
-    ti = _flag(args.ti, cfg.scenario["t_i_s"], "--ti", strict=False)
-    horizon = _flag(args.duration_s, cfg.scenario["horizon_s"], "--duration-s")
-    m = _flag(args.m_instances, cfg.queue.m, "--m", int)
-    n_u, n_d = _scenario_counts(cfg, args)
+    ti, horizon, seed = (cfg.scenario[k] for k in ("t_i_s", "horizon_s", "seed"))
+    n_u, n_d = _scenario_counts(cfg)
     if n_u + n_d == 0:
         raise ConfigError("simulate needs at least one device, got 0 UEs and 0 MTCDs")
     trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, n_u, n_d, ti,
-                              horizon, args.seed, speed_dist=cfg.speed_dist)
+                              horizon, seed, speed_dist=cfg.speed_dist)
     if args.trace_out:
         trace.to_csv(args.trace_out)
-    law = args.service_law or cfg.scenario["service_law"]
-    stats = run_queue_sim(trace, replace(cfg.queue, m=m), service_law=law, seed=args.seed)
+    law = cfg.scenario["service_law"]
+    stats = run_queue_sim(trace, cfg.queue, service_law=law, seed=seed)
     emp = measured_rates(trace, n_u, n_d, horizon)
     rows = [{
         "n_u": n_u,
         "n_d": n_d,
         "t_i_s": ti,
         "horizon_s": horizon,
-        "m": m,
+        "m": cfg.queue.m,
         "n_triggers": stats.n_triggers,
         "n_messages": stats.n_messages,
         "mean_response_us": stats.mean_response_s * 1e6,
@@ -257,7 +241,12 @@ def cmd_simulate(cfg: ToolConfig, args) -> None:
         "max_backlog": stats.max_backlog,
         "stats_valid": stats.valid,
     }]
-    _emit(rows, _meta(cfg, seed=args.seed, service_law=law), args)
+    _emit(rows, _meta(cfg, seed=seed, service_law=law), args)
+
+
+def _key_flag(parser, flag: str, key: str, text: str, kind=_number) -> None:
+    """A flag that sets the config key `key`, shown as its metavar in --help."""
+    parser.add_argument(flag, dest=key, metavar=key, type=kind, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,47 +259,51 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="YAML config overlaying the defaults")
-    common.add_argument("--seed", type=int, default=None, help="master random seed")
     common.add_argument("--out", metavar="PATH", help="output file (default stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--ti", help="inactivity timer seconds; grids as lo:hi[:step] or a,b,c")
-    common.add_argument("--users", type=int, help="number of UEs")
-    common.add_argument("--mtcd-ratio", type=float, dest="mtcd_ratio",
-                        help="MTCDs per UE")
-    common.add_argument("--tmax-us", type=float, dest="tmax_us",
-                        help="processing-delay budget, microseconds")
-    common.add_argument("--duration-s", type=float, dest="duration_s",
-                        help="simulated horizon, seconds")
+    _key_flag(common, "--seed", "scenario.seed", "master random seed")
+    _key_flag(common, "--users", "scenario.n_u", "number of UEs")
+    _key_flag(common, "--mtcd-ratio", "scenario.mtcd_per_ue", "MTCDs per UE")
+    _key_flag(common, "--tmax-us", "queue.t_max_s", "processing-delay budget, microseconds",
+              lambda text: _number(text, 1e-6))  # the config holds seconds
+    _key_flag(common, "--duration-s", "scenario.horizon_s", "simulated horizon, seconds")
+    timer = argparse.ArgumentParser(add_help=False)
+    _key_flag(timer, "--ti", "scenario.t_i_s", "inactivity timer, seconds")
 
     sub = ap.add_subparsers(dest="command", required=True)
     p = sub.add_parser("rates", parents=[common],
                        help="analytic procedure rates vs the inactivity timer")
+    p.add_argument("--ti", metavar="GRID",
+                   help="inactivity timers, seconds, as lo:hi[:step] or a,b,c "
+                        "(default scenario.t_i_s)")
     p.add_argument("--simulate", action="store_true",
                    help="append simulated rates and an RMSE footer")
     p.add_argument("--mtc-method", choices=("approx", "monte_carlo"),
                    default="approx")
     p.set_defaults(func=cmd_rates)
 
-    p = sub.add_parser("dimension", parents=[common],
+    p = sub.add_parser("dimension", parents=[common, timer],
                        help="minimum SL instance count for a device population")
     p.set_defaults(func=cmd_dimension)
 
-    p = sub.add_parser("capacity", parents=[common],
+    p = sub.add_parser("capacity", parents=[common, timer],
                        help="maximum supported UEs per instance count")
-    p.add_argument("--m", help="instance-count grid, e.g. 1:10")
+    p.add_argument("--m", metavar="GRID", default="1:10",
+                   help="instance-count grid (default 1:10)")
     p.set_defaults(func=cmd_capacity)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[common, timer],
                        help="generate a trigger trace and run the queue simulator")
-    p.add_argument("--m", type=int, dest="m_instances", help="SL instance count")
-    p.add_argument("--service-law", choices=("deterministic", "exponential"))
+    _key_flag(p, "--m", "queue.m", "SL instance count")
+    _key_flag(p, "--service-law", "scenario.service_law", "deterministic or exponential",
+              str)
     p.add_argument("--trace-out", metavar="PATH", help="also dump the trigger trace CSV")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("scalability", parents=[common],
+    p = sub.add_parser("scalability", parents=[common, timer],
                        help="cost, productivity and the scalability index psi(k)")
     p.add_argument("--kmax", type=int, default=10)
-    p.add_argument("--gamma", type=float, help="not-scalable threshold")
+    _key_flag(p, "--gamma", "cost.gamma", "not-scalable threshold")
     p.set_defaults(func=cmd_scalability)
     return ap
 
@@ -319,20 +312,14 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is None:
-            args.seed = int(cfg.scenario["seed"])
-        args.func(cfg, args)
+        args.func(load_config(args.config, _overlay(args)), args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (InstabilityError, InfeasibleError, DegenerateChainError) as e:
         print(f"infeasible model: {e}", file=sys.stderr)
         return 3
-    except VmmeCapError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except OSError as e:
+    except (VmmeCapError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
     return 0

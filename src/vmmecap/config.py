@@ -1,11 +1,12 @@
-"""Configuration ingestion: YAML file deep-merged over the built-in defaults.
+"""Configuration ingestion: YAML file and CLI flags deep-merged over the defaults.
 
-Unknown keys are rejected with their full path so typos fail loudly. Lists
-(apps, encoding choices, egress tiers) are replaced wholesale, not merged
-element-wise; each app spec and its model spec are checked against the
-fields of the class they build. `ToolConfig` carries the typed model
-objects plus a digest of the effective configuration for reproducible
-report headers.
+The defaults tree is the schema. A key absent from it is rejected with its
+full path so typos fail loudly, and every value must have the type of the
+default at the same path. Lists (apps, encoding choices, egress tiers) are
+replaced wholesale, not merged element-wise; each app spec and its model
+spec are checked against the fields of the class they build. `ToolConfig`
+carries the typed model objects plus a digest of the effective configuration
+for reproducible report headers.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 
 import yaml
@@ -20,7 +22,7 @@ import yaml
 from .defaults import paper_defaults
 from .dists import Dist
 from .econ import CostSchedule
-from .errors import ConfigError, ParameterError, VmmeCapError
+from .errors import ConfigError, ParameterError
 from .mmpp import MmppParams
 from .queueing import QueueParams, SlServiceTimes
 from .workload import (
@@ -34,22 +36,49 @@ from .workload import (
 from . import dists
 
 
+def _require(ok: bool, where: str, rule: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"{where} must be {rule}, got {value!r}")
+
+
+def _typed(value, default, where: str):
+    """`value` checked against the type of `default` and returned as that type.
+
+    A float takes an int or a float, never a bool or NaN, and is stored as a
+    float; an int takes an integer or an integral float. A bool, str, mapping
+    or list takes only its own type.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, bool):
+        ok = isinstance(value, bool)
+    elif isinstance(default, int):
+        ok = number and (isinstance(value, int) or value.is_integer())
+        value = int(value) if ok else value
+    elif isinstance(default, float):
+        ok = number and value == value
+        value = float(value) if ok else value
+    else:
+        ok = isinstance(value, type(default))
+    _require(ok, where, f"of type {type(default).__name__}", value)
+    return copy.deepcopy(value)
+
+
 def deep_merge(base: dict, override: dict, path: str = "") -> dict:
-    """Merge `override` into a copy of `base`, rejecting keys absent from base."""
+    """Merge `override` into a copy of `base`, rejecting keys absent from base
+    and values whose type differs from base's value at the same path."""
     out = copy.deepcopy(base)
     for key, val in override.items():
         here = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown configuration key: {here}")
-        if isinstance(base[key], dict) and isinstance(val, dict):
-            # distribution specs are replaced wholesale: their parameter
-            # names depend on the kind, so field-wise merging is meaningless
-            if "kind" in base[key] or "kind" in val:
-                out[key] = copy.deepcopy(val)
-                continue
+        if isinstance(base[key], dict) and "kind" in base[key]:
+            # distribution specs are replaced wholesale and checked by
+            # Dist.from_dict: their parameter names depend on the kind
+            out[key] = copy.deepcopy(val)
+        elif isinstance(base[key], dict) and isinstance(val, dict):
             out[key] = deep_merge(base[key], val, here)
         else:
-            out[key] = copy.deepcopy(val)
+            out[key] = _typed(val, base[key], here)
     return out
 
 
@@ -59,8 +88,6 @@ def config_digest(cfg: dict) -> str:
 
 
 def _dist(spec, where: str) -> Dist:
-    if spec is None:
-        raise ConfigError(f"{where}: missing distribution spec")
     try:
         return Dist.from_dict(spec)
     except (ParameterError, TypeError) as e:
@@ -75,40 +102,35 @@ def _check_keys(spec: dict, cls, where: str) -> None:
             raise ConfigError(f"unknown configuration key: {where}.{key}")
 
 
-def _app(spec: dict, idx: int) -> AppProfile:
-    where = f"traffic.apps[{idx}]"
+def _model_field(value, ftype: str, where: str):
+    """A traffic-model field from its config value, by the field's annotated type."""
+    if ftype == "float":
+        return _typed(value, 0.0, where)
+    if ftype.startswith("tuple"):  # distributions to choose from
+        return tuple(_dist(d, f"{where}[{i}]") for i, d in enumerate(_typed(value, [], where)))
+    return _dist(value, where)
+
+
+def _app(spec, where: str) -> AppProfile:
+    _typed(spec, {}, where)
+    _check_keys(spec, AppProfile, where)
     try:
-        _check_keys(spec, AppProfile, where)
-        mspec = dict(spec["model"])
-        mtype = mspec.pop("type")
+        where_m = f"{where}.model"
+        mspec = dict(_typed(spec["model"], {}, where_m))
+        mtype = _typed(mspec.pop("type"), "", f"{where_m}.type")
         model_cls = {"web": WebModel, "video": VideoModel, "call": CallModel}.get(mtype)
         if model_cls is None:
-            raise ConfigError(f"{where}: unknown model type {mtype!r}")
-        _check_keys(mspec, model_cls, f"{where}.model")
-        if model_cls is WebModel:
-            model = WebModel(
-                main_obj_bytes=_dist(mspec["main_obj_bytes"], where),
-                embedded_obj_bytes=_dist(mspec["embedded_obj_bytes"], where),
-                n_embedded=_dist(mspec["n_embedded"], where),
-                parsing_time_s=_dist(mspec["parsing_time_s"], where),
-            )
-        elif model_cls is VideoModel:
-            model = VideoModel(
-                duration_s=_dist(mspec["duration_s"], where),
-                encoding_rate_choices=tuple(
-                    _dist(d, where) for d in mspec["encoding_rate_choices"]
-                ),
-                burst_media_s=float(mspec["burst_media_s"]),
-                throttle_factor=float(mspec["throttle_factor"]),
-            )
-        else:
-            model = CallModel(holding_time_s=_dist(mspec["holding_time_s"], where))
+            raise ConfigError(f"{where_m}.type: unknown model type {mtype!r}")
+        _check_keys(mspec, model_cls, where_m)
+        model = model_cls(**{f.name: _model_field(mspec[f.name], f.type, f"{where_m}.{f.name}")
+                             for f in fields(model_cls)})
         reading = spec.get("reading_time_s")
         return AppProfile(
-            name=str(spec["name"]),
-            p_app=float(spec["p_app"]),
-            n_aap=_dist(spec["n_aap"], where),
-            reading_time_s=_dist(reading, where) if reading is not None else None,
+            name=_typed(spec["name"], "", f"{where}.name"),
+            p_app=_typed(spec["p_app"], 0.0, f"{where}.p_app"),
+            n_aap=_dist(spec["n_aap"], f"{where}.n_aap"),
+            reading_time_s=(None if reading is None
+                            else _dist(reading, f"{where}.reading_time_s")),
             model=model,
         )
     except KeyError as e:
@@ -126,76 +148,61 @@ class ToolConfig:
     t_hat_s: float
     gamma: float
     scenario: dict
-    raw: dict
     digest: str
 
 
 def build(cfg: dict) -> ToolConfig:
-    """Turn a merged configuration dict into typed model objects."""
+    """Turn a merged, typed configuration dict into model objects, first
+    checking under its path each value that no model class checks."""
+    s = cfg["scenario"]
+    for key in ("n_u", "mtcd_per_ue", "t_i_s", "seed"):
+        _require(s[key] >= 0, f"scenario.{key}", ">= 0", s[key])
+    _require(0 < s["horizon_s"] < math.inf, "scenario.horizon_s", "finite and > 0",
+             s["horizon_s"])
+    _require(s["service_law"] in ("deterministic", "exponential"), "scenario.service_law",
+             "deterministic or exponential", s["service_law"])
+    c = dict(cfg["cost"])
+    t_hat, gamma = c.pop("t_hat_s"), c.pop("gamma")
+    _require(t_hat > 0, "cost.t_hat_s", "> 0", t_hat)
+    _require(gamma >= 0, "cost.gamma", ">= 0", gamma)
+    tiers = []
+    for i, row in enumerate(c["egress_tiers_gb_usd"]):
+        where = f"cost.egress_tiers_gb_usd[{i}]"
+        _require(isinstance(row, list) and len(row) == 2, where, "a [width GB, $/GB] pair", row)
+        tiers.append(tuple(_typed(v, 0.0, f"{where}[{j}]") for j, v in enumerate(row)))
+    c["egress_tiers_gb_usd"] = tuple(tiers)
+    g = dict(cfg["geometry"])
+    speed_dist = _dist(g.pop("speed_dist"), "geometry.speed_dist")
+    q = cfg["queue"]
     try:
         t = cfg["traffic"]
-        apps = tuple(_app(a, i) for i, a in enumerate(t["apps"]))
         mix = TrafficMix(
-            apps=apps,
-            mean_iast_s=float(t["mean_iast_s"]),
-            link_rate_bps=float(t["link_rate_bps"]),
+            apps=tuple(_app(a, f"traffic.apps[{i}]") for i, a in enumerate(t["apps"])),
+            mean_iast_s=t["mean_iast_s"],
+            link_rate_bps=t["link_rate_bps"],
         )
-        g = cfg["geometry"]
-        speed_dist = _dist(g["speed_dist"], "geometry.speed_dist")
-        geom = CellGeometry(
-            cell_width_m=float(g["cell_width_m"]),
-            cell_height_m=float(g["cell_height_m"]),
-            grid_cols=int(g["grid_cols"]),
-            grid_rows=int(g["grid_rows"]),
-            mean_speed_mps=dists.mean(speed_dist),
-        )
-        mm = cfg["mmpp"]
-        mmpp = MmppParams(
-            p=float(mm["p"]), q=float(mm["q"]),
-            lambda1=float(mm["lambda1"]), lambda2=float(mm["lambda2"]),
-            delta_t=float(mm["delta_t"]),
-        )
-        q = cfg["queue"]
-        st = q["sl_times_us"]
-        sl = SlServiceTimes(**{k: float(v) * 1e-6 for k, v in st.items()})
+        geom = CellGeometry(**g, mean_speed_mps=dists.mean(speed_dist))
         queue = QueueParams(
-            mu_fe=float(q["mu_fe"]),
-            mu_sdb=float(q["mu_sdb"]),
-            mu_oi=float(q["mu_oi"]),
-            sl_times=sl,
-            m=int(q["m"]),
-            t_im=float(q["t_im_s"]),
-            prop_delay=float(q["prop_delay_s"]),
-            t_max=float(q["t_max_s"]),
+            mu_fe=q["mu_fe"],
+            mu_sdb=q["mu_sdb"],
+            mu_oi=q["mu_oi"],
+            sl_times=SlServiceTimes(**{k: v * 1e-6 for k, v in q["sl_times_us"].items()}),
+            m=q["m"],
+            t_im=q["t_im_s"],
+            prop_delay=q["prop_delay_s"],
+            t_max=q["t_max_s"],
         )
-        c = dict(cfg["cost"])
-        t_hat = float(c.pop("t_hat_s"))
-        gamma = float(c.pop("gamma"))
-        c["egress_tiers_gb_usd"] = tuple(
-            (float(w), float(r)) for w, r in c["egress_tiers_gb_usd"]
+        return ToolConfig(
+            mix=mix, geom=geom, speed_dist=speed_dist, mmpp=MmppParams(**cfg["mmpp"]),
+            queue=queue, cost=CostSchedule(**c), t_hat_s=t_hat, gamma=gamma,
+            scenario=dict(s), digest=config_digest(cfg),
         )
-        cost = CostSchedule(**c)
-        scenario = dict(cfg["scenario"])
-        if scenario["service_law"] not in ("deterministic", "exponential"):
-            raise ConfigError(
-                f"scenario.service_law must be deterministic or exponential, "
-                f"got {scenario['service_law']!r}"
-            )
-    except ConfigError:
-        raise
-    except KeyError as e:
-        raise ConfigError(f"missing configuration key {e}") from e
-    except (TypeError, ValueError, VmmeCapError) as e:
+    except ParameterError as e:
         raise ConfigError(str(e)) from e
-    return ToolConfig(
-        mix=mix, geom=geom, speed_dist=speed_dist, mmpp=mmpp, queue=queue,
-        cost=cost, t_hat_s=t_hat, gamma=gamma, scenario=scenario,
-        raw=cfg, digest=config_digest(cfg),
-    )
 
 
-def load_config(path: str | None = None) -> ToolConfig:
-    """Defaults, optionally overlaid with a YAML file."""
+def load_config(path: str | None = None, overlay: dict | None = None) -> ToolConfig:
+    """Defaults, overlaid with a YAML file and then with `overlay` (the CLI flags)."""
     cfg = paper_defaults()
     if path is not None:
         try:
@@ -208,4 +215,6 @@ def load_config(path: str | None = None) -> ToolConfig:
         if not isinstance(user, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
         cfg = deep_merge(cfg, user)
+    if overlay:
+        cfg = deep_merge(cfg, overlay)
     return build(cfg)

@@ -41,7 +41,10 @@ class CostSchedule:
             if name in ("egress_tiers_gb_usd", "egress_per_instance"):
                 continue
             if v < 0:
-                raise ParameterError(f"cost field {name} must be >= 0, got {v}")
+                raise ParameterError(f"cost.{name} must be >= 0, got {v}")
+        if not self.seconds_per_month > 0:  # every monthly charge divides by it
+            raise ParameterError(
+                f"cost.seconds_per_month must be > 0, got {self.seconds_per_month}")
         widths = [w for w, _ in self.egress_tiers_gb_usd]
         if any(w <= 0 for w in widths):
             raise ParameterError("egress bracket widths must be positive")

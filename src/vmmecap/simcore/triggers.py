@@ -338,8 +338,8 @@ def generate_triggers(
     settle_s: float = 3000.0,
 ) -> TriggerTrace:
     """Generate the full scenario trace, sorted by time."""
-    if horizon_s <= 0:
-        raise ParameterError(f"horizon must be > 0, got {horizon_s}")
+    if not 0 < horizon_s < math.inf:
+        raise ParameterError(f"horizon must be finite and > 0, got {horizon_s}")
     if n_u < 0 or n_d < 0:
         raise ParameterError("device counts must be >= 0")
     if not t_i >= 0:
@@ -395,8 +395,8 @@ def poisson_triggers(
     Used for queueing-chain validation where the analytic model's Poisson
     arrival assumption should hold by construction.
     """
-    if horizon_s <= 0:
-        raise ParameterError(f"horizon must be > 0, got {horizon_s}")
+    if not 0 < horizon_s < math.inf:
+        raise ParameterError(f"horizon must be finite and > 0, got {horizon_s}")
     rng = np.random.default_rng(seed)
     parts, procs = [], []
     for lam, code in ((lam_sr, PROC_SR), (lam_srr, PROC_SRR), (lam_hr, PROC_HR)):

@@ -262,21 +262,20 @@ def mtc_rates(
     A packet triggers an SR iff the preceding inter-packet gap exceeded the
     inactivity timer. `approx` uses the packet-share-weighted mixture of
     per-state exponential tails (valid when dwell times are much longer than
-    t_i); `monte_carlo` measures the gap tail on a generated stream.
+    t_i); `monte_carlo` measures the gap tail on a stream drawn from `rng`.
     """
     if t_i < 0:
         raise ParameterError(f"inactivity timer must be >= 0, got {t_i}")
-    _, _, mean_rate = mmpp_stationary(params)
+    pi1, pi2, mean_rate = mmpp_stationary(params)
     if mean_rate == 0:
         return 0.0, 0.0
     if method == "approx":
-        pi1, pi2, _ = mmpp_stationary(params)
         w1 = params.lambda1 * pi1 / mean_rate
         w2 = params.lambda2 * pi2 / mean_rate
         p_gap = w1 * math.exp(-params.lambda1 * t_i) + w2 * math.exp(-params.lambda2 * t_i)
     elif method == "monte_carlo":
         if rng is None:
-            rng = np.random.default_rng(0)
+            raise ParameterError("the monte_carlo method needs a random generator")
         times = mmpp_packet_stream(params, horizon_s, rng)
         if len(times) < 2:
             raise InfeasibleError(

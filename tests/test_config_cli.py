@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,20 @@ from vmmecap.cli import main
 from vmmecap.config import config_digest, deep_merge, load_config
 from vmmecap.defaults import paper_defaults
 from vmmecap.errors import ConfigError
+
+
+def _scalar_leaves(tree: dict, path: str = ""):
+    """(dotted path, default) of every scalar the typed merge checks."""
+    for key, val in tree.items():
+        here = f"{path}.{key}" if path else key
+        if isinstance(val, dict) and "kind" not in val:
+            yield from _scalar_leaves(val, here)
+        elif isinstance(val, (bool, int, float, str)):
+            yield here, val
+
+
+# a value of the wrong type for a key whose default has the given type
+_WRONG_TYPE = {bool: "maybe", int: 2.5, float: "1e3", str: 1.0}
 
 
 class TestConfig:
@@ -52,6 +67,17 @@ class TestConfig:
         p.write_text("mmpp:\n  p: 1.5\n")
         with pytest.raises(ConfigError):
             load_config(str(p))
+
+    @pytest.mark.parametrize("path, bad", [
+        (path, bad) for path, default in _scalar_leaves(paper_defaults())
+        for bad in (None, _WRONG_TYPE[type(default)])
+    ], ids=str)
+    def test_every_scalar_leaf_is_typed(self, path, bad):
+        overlay = bad
+        for key in reversed(path.split(".")):
+            overlay = {key: overlay}
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)} must be "):
+            load_config(None, overlay)
 
     def test_distribution_override(self, tmp_path):
         p = tmp_path / "ok.yaml"
@@ -174,6 +200,8 @@ class TestCli:
         ["simulate", "--users", "0", "--mtcd-ratio", "0"],  # no devices to simulate
         ["scalability", "--kmax", "0"],
         ["rates", "--ti", "abc"],
+        ["simulate", "--duration-s", "inf"],
+        ["simulate", "--seed", "-1"],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_flag_exit_code(self, argv, tmp_path, capsys):
         # rejected before any trace is generated or any output written
@@ -181,6 +209,52 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv, overlay, key", [
+        (["dimension"], {"scenario": {"seed": "abc"}}, "scenario.seed"),
+        (["simulate", "--seed", "-1"], None, "scenario.seed"),
+        (["scalability"], {"cost": {"seconds_per_month": 0}}, "cost.seconds_per_month"),
+        (["simulate", "--duration-s", "inf"], None, "scenario.horizon_s"),
+        (["dimension"], {"queue": {"m": 1.5}}, "queue.m"),
+        (["dimension"], {"geometry": {"grid_cols": 2.5}}, "geometry.grid_cols"),
+        (["dimension"], {"scenario": {"seed": 1.7}}, "scenario.seed"),
+        (["scalability"], {"cost": {"egress_per_instance": "maybe"}},
+         "cost.egress_per_instance"),
+        (["scalability"], {"cost": {"t_hat_s": 0}}, "cost.t_hat_s"),
+        (["rates"], {"scenario": {"t_i_s": -1}}, "scenario.t_i_s"),
+        (["dimension"], {"queue": {"mu_fe": None}}, "queue.mu_fe"),
+        (["dimension"], {"traffic": {"apps": [1]}}, "traffic.apps[0]"),
+        (["scalability"], {"cost": {"egress_tiers_gb_usd": [[1.0]]}},
+         "cost.egress_tiers_gb_usd[0]"),
+        (["dimension"], {"scenario": {"mtcd_per_ue": -1}}, "scenario.mtcd_per_ue"),
+        (["dimension", "--users", "-5"], None, "scenario.n_u"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_bad_value_exit_code(self, argv, overlay, key, tmp_path, capsys):
+        if overlay is not None:
+            p = tmp_path / "bad.yaml"
+            p.write_text(yaml.safe_dump(overlay))
+            argv = argv + ["--config", str(p)]
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} ") and err.count("\n") == 1
+
+    def test_flags_match_config_keys(self, tmp_path):
+        # a flag is an overlay of its config key, so the digest agrees too
+        _, by_flags = run_cli(["simulate", "--users", "50", "--duration-s", "200",
+                               "--seed", "3"], tmp_path, fmt="json")
+        p = tmp_path / "scenario.yaml"
+        p.write_text("scenario: {n_u: 50, horizon_s: 200.0, seed: 3}\n")
+        _, by_file = run_cli(["simulate", "--config", str(p)], tmp_path, fmt="json")
+        assert by_flags == by_file
+
+    def test_monte_carlo_rates_follow_the_seed(self, tmp_path):
+        def row(seed):
+            _, text = run_cli(["rates", "--ti", "10", "--mtc-method", "monte_carlo",
+                               "--seed", seed], tmp_path, fmt="json")
+            return json.loads(text)["rows"]
+
+        assert row("5") != row("7")
+        assert row("5") == row("5")
 
     @pytest.mark.parametrize("spec", [
         "{kind: uniform, lo: 0.0, hi: 4.2, hgih: 9.0}",  # misspelt parameter

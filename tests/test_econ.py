@@ -61,6 +61,12 @@ class TestCost:
         costs = [cost_per_second(m, 10000.0, 1e5, SCHED)[0] for m in range(1, 8)]
         assert all(b > a for a, b in zip(costs, costs[1:]))
 
+    @pytest.mark.parametrize("spm", [0.0, -1.0])
+    def test_seconds_per_month_must_be_positive(self, spm):
+        # every monthly charge is divided by it
+        with pytest.raises(ParameterError, match="seconds_per_month"):
+            replace(SCHED, seconds_per_month=spm)
+
     def test_linear_in_lambda_within_tier(self):
         # pick rates whose monthly egress stays inside one bracket
         # second differences cancel the fixed charges and the free-GB offset,

@@ -108,6 +108,14 @@ class TestTraceInvariants:
                                   10000.0, 124, speed_dist=cfg.speed_dist)
         assert not np.array_equal(small_trace.time_s, other.time_s)
 
+    @pytest.mark.parametrize("horizon", [0.0, math.inf, math.nan])
+    def test_horizon_must_be_finite_and_positive(self, cfg, horizon):
+        with pytest.raises(ParameterError, match="horizon"):
+            generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 1, 1, 10.0, horizon, 1,
+                              speed_dist=cfg.speed_dist)
+        with pytest.raises(ParameterError, match="horizon"):
+            poisson_triggers(1.0, 1.0, 1.0, horizon, 1)
+
     def test_csv_columns(self, small_trace, tmp_path):
         # the file `simulate --trace-out` writes
         path = tmp_path / "trace.csv"

@@ -144,6 +144,10 @@ class TestMtcRates:
         with pytest.raises(ParameterError):
             mtc_rates(self.TABLE, 1.0, "guess")
 
+    def test_monte_carlo_needs_a_generator(self):
+        with pytest.raises(ParameterError):
+            mtc_rates(self.TABLE, 1.0, "monte_carlo")
+
 
 class TestAggregate:
     def test_reference_arithmetic(self):
