@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -213,13 +214,21 @@ def cmd_simulate(cfg: ToolConfig, args) -> None:
     n_u, n_d = _scenario_counts(cfg)
     if n_u + n_d == 0:
         raise ConfigError("simulate needs at least one device, got 0 UEs and 0 MTCDs")
-    trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, n_u, n_d, ti,
-                              horizon, seed, speed_dist=cfg.speed_dist)
+    walls = {}  # wall seconds of each phase, for the output's meta
+
+    def timed(phase, fn, *fn_args, **kw):
+        t0 = time.perf_counter()
+        out = fn(*fn_args, **kw)
+        walls[phase] = time.perf_counter() - t0
+        return out
+
+    trace = timed("generate_s", generate_triggers, cfg.mix, cfg.geom, cfg.mmpp, n_u, n_d,
+                  ti, horizon, seed, speed_dist=cfg.speed_dist)
     if args.trace_out:
         trace.to_csv(args.trace_out)
     law = cfg.scenario["service_law"]
-    stats = run_queue_sim(trace, cfg.queue, service_law=law, seed=seed)
-    emp = measured_rates(trace, n_u, n_d, horizon)
+    stats = timed("queue_s", run_queue_sim, trace, cfg.queue, service_law=law, seed=seed)
+    emp = timed("stats_s", measured_rates, trace, n_u, n_d, horizon)
     rows = [{
         "n_u": n_u,
         "n_d": n_d,
@@ -241,7 +250,7 @@ def cmd_simulate(cfg: ToolConfig, args) -> None:
         "max_backlog": stats.max_backlog,
         "stats_valid": stats.valid,
     }]
-    _emit(rows, _meta(cfg, seed=seed, service_law=law), args)
+    _emit(rows, _meta(cfg, seed=seed, service_law=law, **walls), args)
 
 
 def _key_flag(parser, flag: str, key: str, text: str, kind=_number) -> None:

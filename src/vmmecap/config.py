@@ -15,6 +15,7 @@ import copy
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import yaml
@@ -22,7 +23,7 @@ import yaml
 from .defaults import paper_defaults
 from .dists import Dist
 from .econ import CostSchedule
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, FieldError, ParameterError
 from .mmpp import MmppParams
 from .queueing import QueueParams, SlServiceTimes
 from .workload import (
@@ -87,11 +88,23 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _dist(spec, where: str) -> Dist:
+@contextmanager
+def _under(where: str, keys: dict | None = None):
+    """Report a model class's ParameterError as a ConfigError under `where`: a
+    field error under its field's config key (`keys` maps the field names that
+    differ from their keys), any other with `where` as a prefix."""
     try:
-        return Dist.from_dict(spec)
-    except (ParameterError, TypeError) as e:
+        yield
+    except FieldError as e:
+        key = (keys or {}).get(e.field, e.field)
+        raise ConfigError(f"{where}.{key} must be {e.rule}, got {e.value!r}") from e
+    except ParameterError as e:
         raise ConfigError(f"{where}: {e}") from e
+
+
+def _dist(spec, where: str) -> Dist:
+    with _under(where):
+        return Dist.from_dict(spec)
 
 
 def _check_keys(spec: dict, cls, where: str) -> None:
@@ -122,17 +135,20 @@ def _app(spec, where: str) -> AppProfile:
         if model_cls is None:
             raise ConfigError(f"{where_m}.type: unknown model type {mtype!r}")
         _check_keys(mspec, model_cls, where_m)
-        model = model_cls(**{f.name: _model_field(mspec[f.name], f.type, f"{where_m}.{f.name}")
-                             for f in fields(model_cls)})
+        with _under(where_m):  # the config errors of the fields pass through
+            model = model_cls(**{f.name: _model_field(mspec[f.name], f.type,
+                                                      f"{where_m}.{f.name}")
+                                 for f in fields(model_cls)})
         reading = spec.get("reading_time_s")
-        return AppProfile(
-            name=_typed(spec["name"], "", f"{where}.name"),
-            p_app=_typed(spec["p_app"], 0.0, f"{where}.p_app"),
-            n_aap=_dist(spec["n_aap"], f"{where}.n_aap"),
-            reading_time_s=(None if reading is None
-                            else _dist(reading, f"{where}.reading_time_s")),
-            model=model,
-        )
+        with _under(where):
+            return AppProfile(
+                name=_typed(spec["name"], "", f"{where}.name"),
+                p_app=_typed(spec["p_app"], 0.0, f"{where}.p_app"),
+                n_aap=_dist(spec["n_aap"], f"{where}.n_aap"),
+                reading_time_s=(None if reading is None
+                                else _dist(reading, f"{where}.reading_time_s")),
+                model=model,
+            )
     except KeyError as e:
         raise ConfigError(f"{where}: missing field {e}") from e
 
@@ -174,31 +190,27 @@ def build(cfg: dict) -> ToolConfig:
     g = dict(cfg["geometry"])
     speed_dist = _dist(g.pop("speed_dist"), "geometry.speed_dist")
     q = cfg["queue"]
-    try:
-        t = cfg["traffic"]
-        mix = TrafficMix(
-            apps=tuple(_app(a, f"traffic.apps[{i}]") for i, a in enumerate(t["apps"])),
-            mean_iast_s=t["mean_iast_s"],
-            link_rate_bps=t["link_rate_bps"],
-        )
+    t = cfg["traffic"]
+    apps = tuple(_app(a, f"traffic.apps[{i}]") for i, a in enumerate(t["apps"]))
+    with _under("traffic"):
+        mix = TrafficMix(apps=apps, mean_iast_s=t["mean_iast_s"],
+                         link_rate_bps=t["link_rate_bps"])
+    with _under("geometry"):
         geom = CellGeometry(**g, mean_speed_mps=dists.mean(speed_dist))
-        queue = QueueParams(
-            mu_fe=q["mu_fe"],
-            mu_sdb=q["mu_sdb"],
-            mu_oi=q["mu_oi"],
-            sl_times=SlServiceTimes(**{k: v * 1e-6 for k, v in q["sl_times_us"].items()}),
-            m=q["m"],
-            t_im=q["t_im_s"],
-            prop_delay=q["prop_delay_s"],
-            t_max=q["t_max_s"],
-        )
-        return ToolConfig(
-            mix=mix, geom=geom, speed_dist=speed_dist, mmpp=MmppParams(**cfg["mmpp"]),
-            queue=queue, cost=CostSchedule(**c), t_hat_s=t_hat, gamma=gamma,
-            scenario=dict(s), digest=config_digest(cfg),
-        )
-    except ParameterError as e:
-        raise ConfigError(str(e)) from e
+    with _under("queue.sl_times_us"):
+        sl_times = SlServiceTimes(**{k: v * 1e-6 for k, v in q["sl_times_us"].items()})
+    with _under("queue", {"t_im": "t_im_s", "prop_delay": "prop_delay_s", "t_max": "t_max_s"}):
+        queue = QueueParams(mu_fe=q["mu_fe"], mu_sdb=q["mu_sdb"], mu_oi=q["mu_oi"],
+                            sl_times=sl_times, m=q["m"], t_im=q["t_im_s"],
+                            prop_delay=q["prop_delay_s"], t_max=q["t_max_s"])
+    with _under("mmpp"):
+        mmpp = MmppParams(**cfg["mmpp"])
+    with _under("cost"):
+        cost = CostSchedule(**c)
+    return ToolConfig(
+        mix=mix, geom=geom, speed_dist=speed_dist, mmpp=mmpp, queue=queue, cost=cost,
+        t_hat_s=t_hat, gamma=gamma, scenario=dict(s), digest=config_digest(cfg),
+    )
 
 
 def load_config(path: str | None = None, overlay: dict | None = None) -> ToolConfig:

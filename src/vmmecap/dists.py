@@ -12,13 +12,14 @@ built. `tail_prob` and `expected_truncated` are closed-form for all kinds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import ClassVar, Mapping
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import ParameterError
+from .errors import FieldError, ParameterError
 
 
 class Dist:
@@ -40,8 +41,13 @@ class Dist:
             raise ParameterError(f"distribution spec missing 'kind': {d!r}")
         if kind not in _BY_KIND:
             raise ParameterError(f"unknown distribution kind {kind!r}")
+        cls = _BY_KIND[kind]
+        for f in fields(cls):  # each parameter given is a number; a missing one fails below
+            v = d.get(f.name, 0.0)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise FieldError(f.name, "a number", v)
         try:
-            return _BY_KIND[kind](**d)
+            return cls(**d)
         except TypeError as e:  # an unknown or missing parameter name
             raise ParameterError(f"{kind} spec: {e}") from None
 

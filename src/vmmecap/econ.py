@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import FieldError, ParameterError
 
 GB = 1e9  # billing gigabyte (decimal)
 
@@ -41,13 +41,12 @@ class CostSchedule:
             if name in ("egress_tiers_gb_usd", "egress_per_instance"):
                 continue
             if v < 0:
-                raise ParameterError(f"cost.{name} must be >= 0, got {v}")
+                raise FieldError(name, ">= 0", v)
         if not self.seconds_per_month > 0:  # every monthly charge divides by it
-            raise ParameterError(
-                f"cost.seconds_per_month must be > 0, got {self.seconds_per_month}")
-        widths = [w for w, _ in self.egress_tiers_gb_usd]
-        if any(w <= 0 for w in widths):
-            raise ParameterError("egress bracket widths must be positive")
+            raise FieldError("seconds_per_month", "> 0", self.seconds_per_month)
+        if any(w <= 0 for w, _ in self.egress_tiers_gb_usd):
+            raise FieldError("egress_tiers_gb_usd", "brackets of width > 0",
+                             self.egress_tiers_gb_usd)
 
 
 def tiered_egress_cost(monthly_gb: float, sched: CostSchedule) -> float:

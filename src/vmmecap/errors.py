@@ -40,3 +40,12 @@ class InfeasibleError(VmmeCapError):
 
 class DegenerateChainError(VmmeCapError):
     """Markov chain has no unique stationary distribution."""
+
+
+class FieldError(ParameterError):
+    """A model field outside its range. `field` names it, so the config layer
+    can report the error under the field's own key."""
+
+    def __init__(self, field: str, rule: str, value):
+        self.field, self.rule, self.value = field, rule, value
+        super().__init__(f"{field} must be {rule}, got {value!r}")

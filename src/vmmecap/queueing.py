@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InfeasibleError, InstabilityError, ParameterError
+from .errors import FieldError, InfeasibleError, InstabilityError, ParameterError
 from .mmpp import MmppParams
 from .workload import (
     CellGeometry,
@@ -69,12 +69,14 @@ class QueueParams:
     t_max: float  # processing-delay budget, s
 
     def __post_init__(self):
-        if self.mu_fe <= 0 or self.mu_sdb <= 0 or self.mu_oi <= 0:
-            raise ParameterError("stage service rates must be > 0")
+        for name in ("mu_fe", "mu_sdb", "mu_oi", "t_max"):
+            if not getattr(self, name) > 0:
+                raise FieldError(name, "> 0", getattr(self, name))
+        for name in ("t_im", "prop_delay"):
+            if not getattr(self, name) >= 0:
+                raise FieldError(name, ">= 0", getattr(self, name))
         if not (isinstance(self.m, int) and self.m >= 1):
-            raise ParameterError(f"instance count m must be an integer >= 1, got {self.m}")
-        if self.t_im < 0 or self.prop_delay < 0 or self.t_max <= 0:
-            raise ParameterError("timing constants out of range")
+            raise FieldError("m", "an integer >= 1", self.m)
 
 
 def mm1_response(lam: float, mu: float, stage: str = "M/M/1") -> float:

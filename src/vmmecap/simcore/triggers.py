@@ -3,11 +3,16 @@
 UEs run the session/AAP state machine (service request on activity start
 while idle, release when the inactivity timer fires, handover at every cell
 crossing while holding signaling state); MTCDs replay their MMPP packet
-stream against the same timer logic, without mobility. Each device owns an
-independent random stream derived from the master seed, so traces are
-reproducible and insensitive to device ordering. A UE takes its draws from
-that stream in blocks of BLOCK per law (`device_draws`), one vectorised call
-per block instead of one call per draw.
+stream against the same timer logic, without mobility. Each UE owns an
+independent random stream derived from the master seed (`device_rng`), so
+UE traces are reproducible and insensitive to device ordering and to the
+population. A UE takes its draws from that stream in blocks of BLOCK per law
+(`device_draws`), one vectorised call per block instead of one call per draw.
+The MTCDs of a trace share one stream (`mtcd_rng`), separate from every
+UE's: one vectorised MMPP pass draws the whole population's packets, a chunk
+of devices at a time, each state segment's arrivals placed in order by
+exponential spacings (`mmpp.mmpp_stream_chunks`), and device-boundary masks
+over the sorted packets give the SR and SRR triggers (`_mtcd_triggers`).
 
 Devices are warmed up over a lead-in interval before time zero: `settle_s`
 for a UE, one timer length for an MTCD (`_mtcd_lead_in`). Triggers from the
@@ -28,7 +33,7 @@ import numpy as np
 from .. import dists
 from ..dists import Dist
 from ..errors import ParameterError
-from ..mmpp import MmppParams, mmpp_packet_stream
+from ..mmpp import MmppParams, mmpp_stream_chunks
 from ..workload import (
     MSGS_PER_PROC,
     AppProfile,
@@ -293,22 +298,43 @@ def _mtcd_lead_in(mmpp: MmppParams, t_i: float, settle_s: float) -> float:
     return min(settle_s, n * mmpp.delta_t)
 
 
-def _mtcd_events(rng, mmpp: MmppParams, t_i: float, horizon_s: float, lead_s: float):
-    pk = mmpp_packet_stream(mmpp, lead_s + horizon_s, rng) - lead_s
+def mtcd_rng(seed: int) -> np.random.Generator:
+    """The one random stream all MTCDs of a trace draw from.
+
+    Its seed sequence carries a spawn key, so it is never a UE's
+    `device_rng(seed, dev)` and does not depend on the number of UEs.
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(KIND_MTCD,)))
+
+
+def _mtcd_triggers(pk, stream, t_i: float, horizon_s: float):
+    """(times, streams, procs) of the MTCD triggers from packets sorted by stream, then time.
+
+    A packet is an SR when it is its device's first or comes more than `t_i`
+    after the one before; the timer runs out `t_i` after the packet before
+    each SR and after a device's last packet (SRR). Triggers outside
+    [0, horizon) are dropped, as is an SRR before its device's first kept SR.
+    All SRs come before all SRRs, so a stable sort by device and time puts an
+    SR first at a tie, as `_clip_device` orders one device's triggers.
+    """
     if len(pk) == 0:
-        return np.empty(0), np.empty(0, dtype=np.uint8)
-    gaps = np.diff(pk)
-    sr_mask = np.concatenate(([True], gaps > t_i))  # first packet finds it idle
-    sr_times = pk[sr_mask]
-    srr_after = np.concatenate((gaps > t_i, [True]))  # timer runs out after these
-    srr_times = pk[srr_after] + t_i
-    srr_times = srr_times[srr_times < horizon_s]
-    times = np.concatenate((sr_times, srr_times))
-    procs = np.concatenate((
-        np.zeros(len(sr_times), dtype=np.uint8),
-        np.full(len(srr_times), PROC_SRR, dtype=np.uint8),
-    ))
-    return times, procs
+        return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
+    sr = np.ones(len(pk), dtype=bool)
+    sr[1:] = (stream[1:] != stream[:-1]) | (np.diff(pk) > t_i)
+    srr = np.append(sr[1:], True)  # the next packet opens a session, or there is none
+    sr_t, sr_d = pk[sr], stream[sr]
+    keep = (sr_t >= 0.0) & (sr_t < horizon_s)
+    sr_t, sr_d = sr_t[keep], sr_d[keep]
+    srr_t, srr_d = pk[srr] + t_i, stream[srr]
+    # each SRR's device's first kept SR, or inf if it has none (the appended
+    # device -1 stands past the last SR)
+    at = np.searchsorted(sr_d, srr_d)
+    first_sr = np.where(np.append(sr_d, -1)[at] == srr_d, np.append(sr_t, np.inf)[at], np.inf)
+    keep = (srr_t >= first_sr) & (srr_t < horizon_s)
+    srr_t, srr_d = srr_t[keep], srr_d[keep]
+    return (np.concatenate((sr_t, srr_t)), np.concatenate((sr_d, srr_d)),
+            np.concatenate((np.full(len(sr_t), PROC_SR, dtype=np.uint8),
+                            np.full(len(srr_t), PROC_SRR, dtype=np.uint8))))
 
 
 def _clip_device(times, procs, horizon_s):
@@ -348,7 +374,6 @@ def generate_triggers(
         raise ParameterError("MTCDs requested but no MMPP parameters given")
 
     plan = _UePlan.build(mix, geom, speed_dist) if n_u else None
-    lead_s = _mtcd_lead_in(mmpp, t_i, settle_s) if n_d else settle_s
     all_t, all_p, all_d, all_k = [], [], [], []
     for dev in range(n_u):
         rng = device_rng(seed, dev)
@@ -358,15 +383,14 @@ def generate_triggers(
         all_p.append(p)
         all_d.append(np.full(len(t), dev, dtype=np.int64))
         all_k.append(np.zeros(len(t), dtype=np.uint8))
-    for i in range(n_d):
-        dev = n_u + i
-        rng = device_rng(seed, dev)
-        t, p = _mtcd_events(rng, mmpp, t_i, horizon_s, lead_s)
-        t, p = _clip_device(t, p, horizon_s)
-        all_t.append(t)
-        all_p.append(p)
-        all_d.append(np.full(len(t), dev, dtype=np.int64))
-        all_k.append(np.full(len(t), KIND_MTCD, dtype=np.uint8))
+    if n_d:
+        lead_s = _mtcd_lead_in(mmpp, t_i, settle_s)
+        for pk, stream in mmpp_stream_chunks(mmpp, lead_s + horizon_s, n_d, mtcd_rng(seed)):
+            t, d, p = _mtcd_triggers(pk - lead_s, stream, t_i, horizon_s)
+            all_t.append(t)
+            all_p.append(p)
+            all_d.append(d + n_u)
+            all_k.append(np.full(len(t), KIND_MTCD, dtype=np.uint8))
 
     if all_t:
         time_s = np.concatenate(all_t)

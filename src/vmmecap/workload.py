@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dists
 from .dists import Dist
-from .errors import InfeasibleError, ParameterError
+from .errors import FieldError, InfeasibleError, ParameterError
 from .mmpp import MmppParams, mmpp_packet_stream, mmpp_stationary
 
 MSGS_PER_PROC = (3, 3, 2)  # messages of one SR, SRR and HR procedure, in that order
@@ -50,9 +50,9 @@ class VideoModel:
         if not self.encoding_rate_choices:
             raise ParameterError("video model needs at least one encoding-rate choice")
         if not self.burst_media_s >= 0:
-            raise ParameterError(f"burst_media_s must be >= 0, got {self.burst_media_s}")
+            raise FieldError("burst_media_s", ">= 0", self.burst_media_s)
         if not self.throttle_factor > 0:
-            raise ParameterError(f"throttle_factor must be > 0, got {self.throttle_factor}")
+            raise FieldError("throttle_factor", "> 0", self.throttle_factor)
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class AppProfile:
 
     def __post_init__(self):
         if not (0 <= self.p_app <= 1):
-            raise ParameterError(f"p_app must be in [0,1], got {self.p_app} for {self.name!r}")
+            raise FieldError("p_app", "in [0, 1]", self.p_app)
         if self.reading_time_s is None and dists.mean(self.n_aap) > 1 + 1e-9:
             raise ParameterError(
                 f"app {self.name!r} has mean n_aap > 1 but no reading-time distribution"
@@ -91,10 +91,9 @@ class TrafficMix:
         total = sum(a.p_app for a in self.apps)
         if abs(total - 1.0) > 1e-9:
             raise ParameterError(f"app probabilities must sum to 1, got {total}")
-        if not self.mean_iast_s > 0:
-            raise ParameterError(f"mean IAST must be > 0, got {self.mean_iast_s}")
-        if not self.link_rate_bps > 0:
-            raise ParameterError(f"link rate must be > 0, got {self.link_rate_bps}")
+        for name in ("mean_iast_s", "link_rate_bps"):
+            if not getattr(self, name) > 0:
+                raise FieldError(name, "> 0", getattr(self, name))
 
     @property
     def session_rate(self) -> float:
@@ -111,12 +110,14 @@ class CellGeometry:
     mean_speed_mps: float = 0.0
 
     def __post_init__(self):
-        if self.cell_width_m <= 0 or self.cell_height_m <= 0:
-            raise ParameterError("cell dimensions must be positive")
-        if self.grid_cols < 1 or self.grid_rows < 1:
-            raise ParameterError("grid dimensions must be >= 1")
-        if self.mean_speed_mps < 0:
-            raise ParameterError("mean speed must be >= 0")
+        for name in ("cell_width_m", "cell_height_m"):
+            if not getattr(self, name) > 0:
+                raise FieldError(name, "> 0", getattr(self, name))
+        for name in ("grid_cols", "grid_rows"):
+            if not getattr(self, name) >= 1:
+                raise FieldError(name, ">= 1", getattr(self, name))
+        if not self.mean_speed_mps >= 0:
+            raise FieldError("mean_speed_mps", ">= 0", self.mean_speed_mps)
 
     @property
     def perimeter_m(self) -> float:

@@ -97,6 +97,17 @@ def _rename(spec: dict, old: str, new: str) -> None:
     spec[new] = spec.pop(old)
 
 
+WALLS = ("generate_s", "queue_s", "stats_s")  # phase wall times in `simulate`'s meta
+
+
+def _without_walls(text: str) -> dict:
+    """A JSON output without the phase wall times, the one part that varies by run."""
+    out = json.loads(text)
+    for k in WALLS:
+        del out["meta"][k]
+    return out
+
+
 def run_cli(args, tmp_path, fmt="csv"):
     out = tmp_path / "out.txt"
     code = main(args + ["--out", str(out), "--format", fmt])
@@ -152,7 +163,16 @@ class TestCli:
                 "--duration-s", "1500", "--seed", "9"]
         _, a = run_cli(args, tmp_path, fmt="json")
         _, b = run_cli(args, tmp_path, fmt="json")
-        assert a == b
+        assert _without_walls(a) == _without_walls(b)
+
+    def test_simulate_phase_walls(self, tmp_path):
+        _, text = run_cli(["simulate", "--users", "20", "--duration-s", "200"], tmp_path,
+                          fmt="json")
+        meta = json.loads(text)["meta"]
+        assert all(meta[k] >= 0.0 for k in WALLS)
+        _, text = run_cli(["simulate", "--users", "20", "--duration-s", "200"], tmp_path)
+        assert [r[0] for r in csv.reader(text.splitlines()) if r[0].startswith("#")][-3:] \
+            == [f"# {k}" for k in WALLS]
 
     def test_config_error_exit_code(self, tmp_path):
         code = main(["rates", "--config", "/no/such/file.yaml"])
@@ -228,6 +248,21 @@ class TestCli:
          "cost.egress_tiers_gb_usd[0]"),
         (["dimension"], {"scenario": {"mtcd_per_ue": -1}}, "scenario.mtcd_per_ue"),
         (["dimension", "--users", "-5"], None, "scenario.n_u"),
+        # checked by the model classes, reported under the key they check
+        (["simulate", "--m", "0"], None, "queue.m"),
+        (["dimension", "--tmax-us", "0"], None, "queue.t_max_s"),
+        (["dimension"], {"queue": {"t_im_s": -1.0}}, "queue.t_im_s"),
+        (["dimension"], {"mmpp": {"p": 1.5}}, "mmpp.p"),
+        (["scalability"], {"cost": {"egress_tiers_gb_usd": [[0, 1.0]]}},
+         "cost.egress_tiers_gb_usd"),
+        (["dimension"], {"geometry": {"grid_rows": 0}}, "geometry.grid_rows"),
+        (["dimension"], {"traffic": {"link_rate_bps": 0.0}}, "traffic.link_rate_bps"),
+        (["dimension"], _apps(lambda a: a[1]["model"].update(throttle_factor=0.0)),
+         "traffic.apps[1].model.throttle_factor"),
+        (["dimension"], {"geometry": {"speed_dist": {"kind": "constant", "value": True}}},
+         "geometry.speed_dist.value"),
+        (["dimension"], {"geometry": {"speed_dist": {"kind": "uniform", "lo": 0, "hi": "x"}}},
+         "geometry.speed_dist.hi"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_bad_value_exit_code(self, argv, overlay, key, tmp_path, capsys):
         if overlay is not None:
@@ -245,7 +280,7 @@ class TestCli:
         p = tmp_path / "scenario.yaml"
         p.write_text("scenario: {n_u: 50, horizon_s: 200.0, seed: 3}\n")
         _, by_file = run_cli(["simulate", "--config", str(p)], tmp_path, fmt="json")
-        assert by_flags == by_file
+        assert _without_walls(by_flags) == _without_walls(by_file)
 
     def test_monte_carlo_rates_follow_the_seed(self, tmp_path):
         def row(seed):

@@ -244,6 +244,8 @@ class TestValidation:
         d = Dist.from_dict({"kind": "uniform", "lo": 1.0, "hi": 2.0})
         assert (d.kind, d.lo, d.hi) == ("uniform", 1.0, 2.0)
         assert d == dists.uniform(1.0, 2.0)
+        # an int is a number: YAML reads `lo: 0` as one
+        assert Dist.from_dict({"kind": "uniform", "lo": 0, "hi": 4}) == dists.uniform(0.0, 4.0)
         with pytest.raises(ParameterError):
             Dist.from_dict({"lo": 1.0, "hi": 2.0})
 
@@ -252,6 +254,17 @@ class TestValidation:
             Dist.from_dict({"kind": "uniform", "lo": 1.0})  # missing
         with pytest.raises(ParameterError, match="location"):
             Dist.from_dict({"kind": "gpd", "shape": 0.1, "scale": 2.0, "location": 1.0})
+
+    @pytest.mark.parametrize("spec, name", [
+        ({"kind": "constant", "value": True}, "value"),
+        ({"kind": "uniform", "lo": 0, "hi": "x"}, "hi"),
+        ({"kind": "gpd", "shape": 0.1, "scale": 2.0, "loc": None}, "loc"),
+        ({"kind": "exponential", "mean": [1.0]}, "mean"),
+    ])
+    def test_from_dict_parameters_are_numbers(self, spec, name):
+        with pytest.raises(ParameterError, match=rf"^{name} must be a number, got ") as e:
+            Dist.from_dict(spec)
+        assert e.value.field == name
 
     def test_truncation_without_mass_rejected(self):
         # F(lo) = F(hi) = 0 in double precision: e^8 lies 160 sigmas above hi

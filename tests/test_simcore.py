@@ -9,9 +9,10 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from vmmecap import dists
+from vmmecap import dists, mmpp
 from vmmecap.config import load_config
 from vmmecap.errors import ParameterError
+from vmmecap.mmpp import MmppParams, mmpp_packet_streams, mmpp_stream_chunks
 from vmmecap.queueing import response_at, weighted_sl_service_time
 from vmmecap.simcore import (
     TriggerTrace,
@@ -36,12 +37,13 @@ from vmmecap.simcore.triggers import (
     _clip_device,
     _crossing_times,
     _grid_lines,
-    _mtcd_events,
     _mtcd_lead_in,
+    _mtcd_triggers,
     _ue_events,
     _UePlan,
     device_draws,
     device_rng,
+    mtcd_rng,
 )
 from vmmecap.workload import CellGeometry, aggregate_rates, htc_rates, mtc_rates
 
@@ -273,13 +275,11 @@ class TestMtcdLeadIn:
         trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 0, 40, t_i, 500.0, 5,
                                   speed_dist=cfg.speed_dist, settle_s=50.0)
         assert len(trace) > 0
-        for dev in range(40):
-            t, p = _clip_device(*_mtcd_events(device_rng(5, dev), cfg.mmpp, t_i, 500.0,
-                                              50.0), 500.0)
-            sel = trace.device_id == dev
-            assert np.array_equal(trace.time_s[sel], t)
-            assert np.array_equal(trace.procedure[sel], p)
-            assert np.all(trace.device_kind[sel] == KIND_MTCD)
+        # 40 MTCDs fit in one chunk, so the trace's packets are these
+        pk, dev = mmpp_packet_streams(cfg.mmpp, 550.0, 40, mtcd_rng(5))
+        want = _reference_population(pk - 50.0, dev, 40, t_i, 500.0)
+        _assert_same(_by_device(trace), want)
+        assert np.all(trace.device_kind == KIND_MTCD)
 
     def test_short_lead_in_keeps_the_trigger_law(self, cfg):
         # Only the triggers in [0, t_i) can see the lead-in. Clipping drops
@@ -288,12 +288,15 @@ class TestMtcdLeadIn:
         t_i, horizon, n = 7.5, 15.0, 20_000
 
         def per_device(seed, lead_s):
-            n_sr, n_srr = np.empty(n), np.empty(n)
-            for dev in range(n):
-                t, p = _mtcd_events(device_rng(seed, dev), cfg.mmpp, t_i, horizon, lead_s)
-                n_srr[dev] = np.sum((p == PROC_SRR) & (t >= 0.0) & (t < t_i))
-                t, p = _clip_device(t, p, horizon)
-                n_sr[dev] = np.sum((p == PROC_SR) & (t < t_i))
+            n_sr, n_srr = np.zeros(n), np.zeros(n)
+            for pk, dev in mmpp_stream_chunks(cfg.mmpp, lead_s + horizon, n, mtcd_rng(seed)):
+                pk = pk - lead_s
+                # an SRR follows a device's last packet and each one before a gap > t_i
+                srr = np.append((dev[1:] != dev[:-1]) | (np.diff(pk) > t_i), True)
+                t = pk[srr] + t_i
+                n_srr += np.bincount(dev[srr][(t >= 0.0) & (t < t_i)], minlength=n)
+                t, d, p = _mtcd_triggers(pk, dev, t_i, horizon)
+                n_sr += np.bincount(d[(p == PROC_SR) & (t < t_i)], minlength=n)
             return n_sr, n_srr
 
         lead_s = _mtcd_lead_in(cfg.mmpp, t_i, 3000.0)
@@ -302,6 +305,161 @@ class TestMtcdLeadIn:
             se = math.hypot(long.std(ddof=1), short.std(ddof=1)) / math.sqrt(n)
             assert long.mean() > 0.05
             assert abs(long.mean() - short.mean()) <= 4 * se
+
+
+def _reference_mtcd_triggers(pk, t_i, horizon_s):
+    """Reference: one MTCD's (times, procs) from its own packets, device by
+    device, as the per-device generator derived and clipped them."""
+    if len(pk) == 0:
+        return np.empty(0), np.empty(0, dtype=np.uint8)
+    gaps = np.diff(pk)
+    sr_times = pk[np.concatenate(([True], gaps > t_i))]  # first packet finds it idle
+    srr_times = pk[np.concatenate((gaps > t_i, [True]))] + t_i  # timer runs out after these
+    srr_times = srr_times[srr_times < horizon_s]
+    times = np.concatenate((sr_times, srr_times))
+    procs = np.concatenate((np.zeros(len(sr_times), dtype=np.uint8),
+                            np.full(len(srr_times), PROC_SRR, dtype=np.uint8)))
+    # drop lead-in triggers and any SRR preceding the first kept SR
+    order = np.argsort(times, kind="stable")
+    times, procs = times[order], procs[order]
+    keep = (times >= 0.0) & (times < horizon_s)
+    times, procs = times[keep], procs[keep]
+    sr_pos = np.flatnonzero(procs == PROC_SR)
+    if len(sr_pos) == 0:
+        return times[:0], procs[:0]
+    return times[sr_pos[0]:], procs[sr_pos[0]:]
+
+
+def _reference_population(pk, dev, n, t_i, horizon_s):
+    """(times, devices, procs) of `_reference_mtcd_triggers` over devices 0..n-1."""
+    times, devs, procs = [], [], []
+    for d in range(n):
+        t, p = _reference_mtcd_triggers(pk[dev == d], t_i, horizon_s)
+        times.append(t)
+        devs.append(np.full(len(t), d))
+        procs.append(p)
+    return np.concatenate(times), np.concatenate(devs), np.concatenate(procs)
+
+
+def _assert_same(got, want):
+    for name, a, b in zip(("times", "devices", "procs"), got, want):
+        assert np.array_equal(a, b), name
+
+
+def _by_device(trace, kind=KIND_MTCD, shift=0):
+    """(times, devices, procs) of one kind's triggers, device by device in time
+    order; the sort is stable, so ties keep the trace's own order."""
+    sel = trace.device_kind == kind
+    t, d, p = trace.time_s[sel], trace.device_id[sel] - shift, trace.procedure[sel]
+    order = np.lexsort((t, d))
+    return t[order], d[order], p[order]
+
+
+def _random_packets(rng, n, lead_s, horizon_s):
+    """Sorted packet times of n devices over [-lead, horizon): bursts of short
+    gaps between long ones, some devices empty, some only in the lead-in."""
+    pk, dev = [], []
+    for d in range(n):
+        t0 = -lead_s + rng.uniform(0.0, lead_s + horizon_s) * rng.choice([0.01, 0.2, 1.0])
+        k = rng.poisson(6.0)
+        gaps = np.where(rng.random(k) < 0.6, rng.exponential(2.0, k), rng.exponential(40.0, k))
+        t = t0 + np.cumsum(gaps)
+        t = t[t < horizon_s]
+        pk.append(t)
+        dev.append(np.full(len(t), d))
+    return np.concatenate(pk), np.concatenate(dev)
+
+
+class TestMtcdTriggers:
+    """The population's masks against the per-device reference, on the same packets."""
+
+    def check(self, pk, dev, n, t_i, horizon_s):
+        t, d, p = _mtcd_triggers(pk, dev, t_i, horizon_s)
+        order = np.lexsort((t, d))  # stable: an SR stays ahead of an SRR at its time
+        got = (t[order], d[order], p[order])
+        _assert_same(got, _reference_population(pk, dev, n, t_i, horizon_s))
+        return got
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("t_i", [0.0, 2.5, 10.0, np.inf])
+    def test_random_arrays(self, seed, t_i):
+        rng = np.random.default_rng(seed)
+        pk, dev = _random_packets(rng, 80, 10.0, 100.0)
+        got = self.check(pk, dev, 80, t_i, 100.0)
+        assert len(got[0]) > 0
+
+    HAND = {  # device -> packet times, lead-in 10 s, horizon 100 s
+        1: [-9.0, -5.0],  # only lead-in packets; its SRR at 5 precedes any SR
+        2: [-5.0, 3.0, 20.0, 95.0],  # the SRR at 13 closes a lead-in session
+        3: [0.0, 90.0],  # an SR at 0; the SRR at 100 is past the horizon
+        5: [-10.0],  # an SRR exactly at 0, still without an SR
+        6: [-2.0, 8.0, 90.0 - 1e-9],  # the last SRR just inside the horizon
+    }  # devices 0 and 4 send nothing
+
+    def hand_built(self):
+        pk = np.concatenate([self.HAND[d] for d in sorted(self.HAND)])
+        dev = np.concatenate([np.full(len(self.HAND[d]), d) for d in sorted(self.HAND)])
+        return pk, dev
+
+    def test_hand_built(self):
+        t, d, p = self.check(*self.hand_built(), 7, 10.0, 100.0)
+        assert d.tolist() == [2, 2, 2, 3, 3, 3, 6, 6]
+        assert t.tolist() == [20.0, 30.0, 95.0, 0.0, 10.0, 90.0, 90.0 - 1e-9, 100.0 - 1e-9]
+        assert p.tolist() == [PROC_SR, PROC_SRR, PROC_SR, PROC_SR, PROC_SRR, PROC_SR,
+                              PROC_SR, PROC_SRR]
+
+    def test_hand_built_timer_zero_and_infinite(self):
+        # t_i = 0: every packet opens and closes its own session at one instant
+        t, d, p = self.check(*self.hand_built(), 7, 0.0, 100.0)
+        assert p.tolist() == [PROC_SR, PROC_SRR] * 7
+        assert np.array_equal(t[::2], t[1::2])
+        # t_i = inf: a device's first packet opens its only session, so only a
+        # device whose first packet is in the horizon has a trigger, an SR
+        t, d, p = self.check(*self.hand_built(), 7, np.inf, 100.0)
+        assert (d.tolist(), t.tolist(), p.tolist()) == ([3], [0.0], [PROC_SR])
+
+    def test_no_packets(self):
+        got = self.check(np.empty(0), np.empty(0, dtype=np.int64), 3, 10.0, 100.0)
+        assert all(len(a) == 0 for a in got)
+
+    def test_trace_over_several_chunks(self, cfg, monkeypatch):
+        monkeypatch.setattr(mmpp, "CHUNK", 64)
+        n, t_i, horizon = 300, 10.0, 2000.0
+        trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 0, n, t_i, horizon, 3,
+                                  speed_dist=cfg.speed_dist)
+        chunks = list(mmpp_stream_chunks(cfg.mmpp, 10.0 + horizon, n, mtcd_rng(3)))
+        assert len(chunks) > 3
+        pk, dev = (np.concatenate(c) for c in zip(*chunks))
+        want = _reference_population(pk - 10.0, dev, n, t_i, horizon)
+        got = _by_device(trace)
+        assert len(got[0]) > 0
+        _assert_same(got, want)
+
+    def test_mtcds_independent_of_ues(self, cfg):
+        args = (cfg.mix, cfg.geom, cfg.mmpp)
+        alone = generate_triggers(*args, 0, 30, 10.0, 1000.0, 8, speed_dist=cfg.speed_dist)
+        mixed = generate_triggers(*args, 3, 30, 10.0, 1000.0, 8, speed_dist=cfg.speed_dist)
+        assert len(alone) > 0 and np.any(mixed.device_kind == KIND_UE)
+        _assert_same(_by_device(mixed, shift=3), _by_device(alone))
+        # the MTCD stream is none of the UE streams
+        first = mtcd_rng(8).random(4)
+        assert not any(np.array_equal(first, device_rng(8, dev).random(4)) for dev in range(33))
+
+    @pytest.mark.parametrize("p, q, lambda1, lambda2", [
+        (0.0, 0.01, 0.05, 0.5),  # never leaves state 1
+        (0.01, 0.0, 0.05, 0.5),  # never leaves state 2
+        (0.0, 0.0, 0.05, 0.5),  # never moves: starts in state 1
+        (0.01, 0.02, 0.0, 0.5),  # a silent state
+        (0.01, 0.02, 0.0, 0.0),  # no packets at all
+    ])
+    def test_degenerate_chains(self, cfg, p, q, lambda1, lambda2):
+        params = MmppParams(p, q, lambda1, lambda2)
+        trace = generate_triggers(cfg.mix, cfg.geom, params, 0, 50, 10.0, 500.0, 2,
+                                  speed_dist=cfg.speed_dist)
+        pk, dev = mmpp_packet_streams(params, 510.0, 50, mtcd_rng(2))
+        want = _reference_population(pk - 10.0, dev, 50, 10.0, 500.0)
+        _assert_same(_by_device(trace), want)
+        assert (len(trace) > 0) == (lambda1 + lambda2 > 0)
 
 
 class TestMeasuredRates:
@@ -514,19 +672,19 @@ class TestQueueSim:
         # single-heap kernel replaced; under the deterministic law the results
         # must stay bit-identical. The m = 1 trace is generated, so a change
         # to trace generation changes these figures too (recorded again after
-        # UE draws moved to per-device blocks, and after the MTCD lead-in
-        # shrank to one timer length).
+        # UE draws moved to per-device blocks, after the MTCD lead-in shrank
+        # to one timer length, and after MTCDs moved to one population stream).
         small = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 50, 50, 10.0,
                                   3000.0, 7, speed_dist=cfg.speed_dist)
         st = run_queue_sim(small, replace(cfg.queue, m=1), "deterministic", seed=3)
         assert (st.mean_response_s, st.ci_halfwidth_s) == (
-            0.00011787044114116871, 4.568107450510442e-08)
+            0.00011781027384126603, 4.652068457390193e-08)
         assert (st.n_messages, st.n_triggers, st.max_backlog, st.n_batches) == (
-            15334, 5173, 2, 20)
+            12526, 4237, 2, 20)
         assert st.utilization == {
-            "fe": 4.261293002936677e-05, "sl": 0.0005078783187574996,
-            "db": 5.1135516035248974e-05, "oi": 1.0227103207049448e-06}
-        assert st.empirical_lam_msgs == 5.113551603524478
+            "fe": 3.481356459062977e-05, "sl": 0.00041479341093377095,
+            "db": 4.177627750875418e-05, "oi": 8.3552555017513e-07}
+        assert st.empirical_lam_msgs == 4.177627750875935
         assert (st.warmup_fraction, st.seed, st.valid) == (0.1, 3, True)
 
         # m = 3 pool at about 75 % load, where messages queue and overtake

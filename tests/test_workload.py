@@ -130,10 +130,13 @@ class TestMtcRates:
         assert sr == pytest.approx(0.01 * math.exp(-0.25), rel=1e-12)
 
     def test_approx_vs_monte_carlo(self):
+        # The estimate spreads with the slow modulation (a state-2 visit lasts
+        # 6800 s on average): over 1e8 s its sd at ti = 30 s is about 0.4 %,
+        # and `approx` sits 0.6 % below the exact rate there.
         rng = np.random.default_rng(5)
         for ti in (1.0, 10.0, 30.0):
             a, _ = mtc_rates(self.TABLE, ti, "approx")
-            m, _ = mtc_rates(self.TABLE, ti, "monte_carlo", rng=rng, horizon_s=4e6)
+            m, _ = mtc_rates(self.TABLE, ti, "monte_carlo", rng=rng, horizon_s=1e8)
             assert m == pytest.approx(a, rel=0.02)
 
     def test_monotone_in_ti(self):
