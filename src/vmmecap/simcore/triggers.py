@@ -1,18 +1,20 @@
 """Scenario generator: per-device procedure triggers over a finite horizon.
 
-UEs run the session/AAP state machine (service request on activity start
-while idle, release when the inactivity timer fires, handover at every cell
-crossing while holding signaling state); MTCDs replay their MMPP packet
-stream against the same timer logic, without mobility. Each UE owns an
-independent random stream derived from the master seed (`device_rng`), so
-UE traces are reproducible and insensitive to device ordering and to the
-population. A UE takes its draws from that stream in blocks of BLOCK per law
-(`device_draws`), one vectorised call per block instead of one call per draw.
-The MTCDs of a trace share one stream (`mtcd_rng`), separate from every
-UE's: one vectorised MMPP pass draws the whole population's packets, a chunk
-of devices at a time, each state segment's arrivals placed in order by
-exponential spacings (`mmpp.mmpp_stream_chunks`), and device-boundary masks
-over the sorted packets give the SR and SRR triggers (`_mtcd_triggers`).
+A device is a sorted list of activity intervals, and one rule turns
+intervals into triggers (`_sessions`, `_interval_triggers`): an interval
+opens a session with a service request (SR) when it is its device's first
+or follows a gap longer than the inactivity timer; the timer releases the
+session (SRR) that long after the interval before such a gap and after the
+device's last one. A UE's intervals are its application activity periods
+(AAPs), and every cell crossing while a session is open is a handover (HR);
+an MTCD's are its MMPP packets, of zero length, and it does not move.
+
+All UEs of a trace draw from one random stream and all MTCDs from another
+(`population_rng`), a chunk of devices at a time, so the memory in use does
+not grow with the population. UEs are drawn in rounds over the devices whose
+timeline has not yet reached the horizon: a block of sessions each, with one
+vectorised call per law across all of them (`_ue_intervals`). MTCD packets
+come from one MMPP pass (`mmpp.mmpp_stream_chunks`).
 
 Devices are warmed up over a lead-in interval before time zero: `settle_s`
 for a UE, one timer length for an MTCD (`_mtcd_lead_in`). Triggers from the
@@ -23,7 +25,6 @@ causally consistent (SRR/HR only after a matching SR).
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -36,7 +37,6 @@ from ..errors import ParameterError
 from ..mmpp import MmppParams, mmpp_stream_chunks
 from ..workload import (
     MSGS_PER_PROC,
-    AppProfile,
     CallModel,
     CellGeometry,
     TrafficMix,
@@ -50,6 +50,8 @@ PROC_SR, PROC_SRR, PROC_HR = 0, 1, 2
 KIND_UE, KIND_MTCD = 0, 1
 PROC_NAMES = ("SR", "SRR", "HR")
 KIND_NAMES = ("UE", "MTCD")
+
+CHUNK = 1 << 13  # expected UE activity periods (AAPs) in the sessions one round draws
 
 
 @dataclass(frozen=True)
@@ -69,12 +71,10 @@ class TriggerTrace:
 
     def counts(self) -> dict:
         """Per (device kind, procedure) trigger counts."""
-        out = {}
-        for kind, kname in enumerate(KIND_NAMES):
-            sel = self.device_kind == kind
-            for proc, pname in enumerate(PROC_NAMES):
-                out[f"{kname}_{pname}"] = int(np.sum(sel & (self.procedure == proc)))
-        return out
+        c = np.bincount(self.device_kind * 3 + self.procedure, minlength=6)
+        return {f"{kname}_{pname}": int(c[3 * kind + proc])
+                for kind, kname in enumerate(KIND_NAMES)
+                for proc, pname in enumerate(PROC_NAMES)}
 
     @property
     def n_messages(self) -> int:
@@ -89,62 +89,144 @@ class TriggerTrace:
                 w.writerow([f"{t:.9f}", int(d), KIND_NAMES[k], PROC_NAMES[p]])
 
 
-def device_rng(seed: int, device_index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, device_index])
+def population_rng(seed: int, kind: int) -> np.random.Generator:
+    """The one random stream all devices of `kind` in a trace draw from.
 
-
-BLOCK = 64  # draws of one law taken from a device's stream at a time
-_UNIT = dists.uniform(0.0, 1.0)  # picks an app or an encoding rate
-
-
-def device_draws(rng: np.random.Generator):
-    """One device's draw function, taking draws from `rng` in blocks of BLOCK per law.
-
-    ``draw(law)`` returns the law's next draw and ``draw(law, k)`` the sum of
-    its next ``k``; a law's block is refilled from the stream when used up.
-    A law is known by identity, so it must stay alive while draws are taken.
+    Its seed sequence carries the kind as spawn key, so the UE and MTCD
+    streams differ, and neither depends on the other population's size.
     """
-    blocks = {}  # id(law) -> [block as a list, position of the next draw]
-
-    def draw(law: Dist, k: int = 1) -> float:
-        st = blocks.get(id(law))
-        if st is not None:
-            pos = st[1]
-            end = pos + k
-            if end <= BLOCK:
-                st[1] = end
-                return st[0][pos] if k == 1 else sum(st[0][pos:end])
-        st = blocks.setdefault(id(law), [[], BLOCK])  # a new law starts with its block used up
-        taken = st[0][st[1]:]
-        while len(taken) < k:
-            block = dists.sample(law, rng, size=BLOCK).tolist()
-            used = min(k - len(taken), BLOCK)
-            taken += block[:used]
-            st[0], st[1] = block, used
-        return sum(taken)
-
-    return draw
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(kind,)))
 
 
 # ---------------------------------------------------------------------------
-# per-AAP duration sampling (simulation-side counterpart of the analytic means)
+# UE activity: sessions of AAPs, drawn for a population at once
 # ---------------------------------------------------------------------------
 
-def sample_aap_duration(model, link_rate_bps: float, draw) -> float:
-    """One AAP's duration, its draws taken with `draw` (see `device_draws`)."""
+def _aap_durations(model, link_rate_bps: float, n: int, rng) -> np.ndarray:
+    """Durations of `n` AAPs of one app (simulation-side counterpart of the analytic means)."""
     if isinstance(model, WebModel):
-        k = int(round(draw(model.n_embedded)))
-        total = draw(model.main_obj_bytes) + draw(model.embedded_obj_bytes, k)
-        return total * 8.0 / link_rate_bps + draw(model.parsing_time_s)
+        k = np.rint(dists.sample(model.n_embedded, rng, n)).astype(np.int64)
+        total = dists.sample(model.main_obj_bytes, rng, n)
+        # each AAP's sum of k embedded objects, by cumsum differences (k may be 0)
+        emb = np.zeros(k.sum() + 1)
+        np.cumsum(dists.sample(model.embedded_obj_bytes, rng, k.sum()), out=emb[1:])
+        last = np.cumsum(k)
+        total += emb[last] - emb[last - k]
+        return total * 8.0 / link_rate_bps + dists.sample(model.parsing_time_s, rng, n)
     if isinstance(model, VideoModel):
         choices = model.encoding_rate_choices
-        enc = draw(choices[int(draw(_UNIT) * len(choices))])
-        dur = draw(model.duration_s)
-        burst = min(dur, model.burst_media_s)
-        return burst * enc / link_rate_bps + max(dur - model.burst_media_s, 0.0) / model.throttle_factor
+        pick = (rng.random(n) * len(choices)).astype(np.int64)
+        enc = np.stack([dists.sample(law, rng, n) for law in choices])[pick, np.arange(n)]
+        dur = dists.sample(model.duration_s, rng, n)
+        burst = np.minimum(dur, model.burst_media_s)
+        return (burst * enc / link_rate_bps
+                + np.maximum(dur - model.burst_media_s, 0.0) / model.throttle_factor)
     if isinstance(model, CallModel):
-        return draw(model.holding_time_s)
+        return dists.sample(model.holding_time_s, rng, n)
     raise ParameterError(f"unknown AAP model {type(model).__name__}")
+
+
+@dataclass(frozen=True)
+class _UePlan:
+    """What every UE of a trace shares, worked out once per trace."""
+
+    mix: TrafficMix
+    cum_p: np.ndarray  # cumulative app probabilities
+    standby: tuple[Dist, ...]  # per app: the gap between sessions
+    aaps_per_session: float  # expected, over the mix
+    speed: Dist
+    lines: tuple  # `_grid_lines` of the geometry
+
+    @staticmethod
+    def build(mix: TrafficMix, geom: CellGeometry, speed_dist: Dist) -> "_UePlan":
+        moments = [app_session_moments(app, mix.link_rate_bps) for app in mix.apps]
+        return _UePlan(mix, np.cumsum([a.p_app for a in mix.apps]),
+                       tuple(standby_dist(mix, a, m) for a, m in zip(mix.apps, moments)),
+                       sum(a.p_app * max(1.0, m.mean_n) for a, m in zip(mix.apps, moments)),
+                       speed_dist, _grid_lines(geom))
+
+
+def _ue_intervals(plan: _UePlan, n: int, horizon_s: float, settle_s: float,
+                  per_round: int, rng):
+    """(start, end, device) of the AAPs of `n` UEs that start before the horizon.
+
+    Sorted by device, then time. Each UE starts idle at -settle_s. A round
+    draws a block of `per_round` sessions for every UE whose timeline has not
+    reached the horizon, one call per law across all of them; AAPs are drawn
+    only for the sessions whose standby gaps alone leave them short of it.
+    """
+    t_end = np.full(n, -settle_s)  # where each UE's timeline has reached
+    active = np.arange(n)
+    apps = plan.mix.apps
+    rounds = []
+    while active.size:
+        na = active.size
+        k = max(1, min(per_round, int(CHUNK // (na * plan.aaps_per_session))))
+        app = np.minimum(np.searchsorted(plan.cum_p, rng.random((na, k)), side="right"),
+                         len(apps) - 1)
+        standby, n_aap = np.empty((na, k)), np.empty((na, k))
+        for a, spec in enumerate(apps):
+            sel = app == a
+            standby[sel] = dists.sample(plan.standby[a], rng, np.count_nonzero(sel))
+            n_aap[sel] = dists.sample(spec.n_aap, rng, np.count_nonzero(sel))
+        live = t_end[active, None] + np.cumsum(standby, axis=1) < horizon_s
+        row = np.broadcast_to(np.arange(na)[:, None], live.shape)[live]
+        app, standby = app[live], standby[live]
+        n_aap = np.maximum(np.rint(n_aap[live]), 1).astype(np.int64)
+
+        # AAPs: a duration each, and the gap before it (a session's first
+        # takes the standby gap, the others a reading gap)
+        aap_app = np.repeat(app, n_aap)
+        dur = np.empty(aap_app.size)
+        gap = np.zeros(aap_app.size)
+        for a, spec in enumerate(apps):
+            sel = np.flatnonzero(aap_app == a)
+            dur[sel] = _aap_durations(spec.model, plan.mix.link_rate_bps, sel.size, rng)
+            if spec.reading_time_s is not None:
+                gap[sel] = dists.sample(spec.reading_time_s, rng, sel.size)
+        gap[np.cumsum(n_aap) - n_aap] = standby
+
+        # AAP starts: one cumsum over the round, less its value before each
+        # UE's first AAP, plus where the UE's timeline had reached
+        aap_row = np.repeat(row, n_aap)
+        per_ue = np.bincount(aap_row, minlength=na)
+        has = per_ue > 0
+        head = (np.cumsum(per_ue) - per_ue)[has]  # each UE's first AAP
+        off = t_end[active]
+        off[has] += gap[head]
+        gap[1:] += dur[:-1]  # from here on, the step from one AAP's start to the next
+        start = np.cumsum(gap)
+        off[has] -= start[head]
+        start += off[aap_row]
+        end = start + dur
+        t_end[active[has]] = end[head + per_ue[has] - 1]
+        keep = start < horizon_s
+        rounds.append((active[aap_row[keep]], start[keep], end[keep]))
+        # a UE is done once a session starts past the horizon or an AAP ends there
+        active = active[live[:, -1] & (t_end[active] < horizon_s)]
+    dev, start, end = (np.concatenate(c) for c in zip(*rounds))
+    order = np.argsort(dev, kind="stable")  # later rounds continue UEs of earlier ones
+    return start[order], end[order], dev[order]
+
+
+def _ue_chunks(plan: _UePlan, n: int, horizon_s: float, settle_s: float, rng):
+    """Yield (first device, (start, end, device), motion) for `n` UEs, a chunk at a time.
+
+    A chunk's first round draws its UEs' sessions for about CHUNK expected
+    AAPs; its devices are numbered from 0. `motion` is each device's start
+    position and velocity, and the grid lines.
+    """
+    sessions = (settle_s + horizon_s) / plan.mix.mean_iast_s  # expected, per UE
+    per_round = math.ceil(sessions + 3.0 * math.sqrt(sessions))
+    size = max(1, int(CHUNK // (per_round * plan.aaps_per_session)))
+    (span_x, _), (span_y, _) = plan.lines
+    for lo in range(0, n, size):
+        m = min(size, n - lo)
+        x0, y0 = rng.uniform(0.0, span_x, m), rng.uniform(0.0, span_y, m)
+        heading = rng.uniform(0.0, 2.0 * math.pi, m)
+        speed = dists.sample(plan.speed, rng, m)
+        motion = (x0, y0, speed * np.cos(heading), speed * np.sin(heading), plan.lines)
+        yield lo, _ue_intervals(plan, m, horizon_s, settle_s, per_round, rng), motion
 
 
 # ---------------------------------------------------------------------------
@@ -163,116 +245,88 @@ def _grid_lines(geom: CellGeometry):
              np.arange(1, geom.grid_rows) * geom.cell_height_m))
 
 
-def _crossing_times(windows, x0, y0, vx, vy, lines) -> np.ndarray:
-    """Sorted times in the active windows (t_a, t_b] at which a grid line is hit.
+def _crossing_times(t_a, t_b, x0, y0, vx, vy, lines):
+    """(times, windows) of the grid-line hits in the windows (t_a, t_b], unsorted.
 
+    Window i's device starts at (x0[i], y0[i]) and moves at (vx[i], vy[i]).
     Reflection in [0, span] unfolds to straight motion with period 2*span:
     the device is at line g whenever x0 + v*t = +-g (mod 2*span). Each axis
     solves every (window, target) pair at once; `lines` is `_grid_lines`.
     """
-    out = []
-    t_a = np.array([w[0] for w in windows], dtype=float)[:, None]
-    t_b = np.array([w[1] for w in windows], dtype=float)[:, None]
+    times, wins = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     for x, v, (span, g) in ((x0, vx, lines[0]), (y0, vy, lines[1])):
-        if v == 0.0 or not len(g):
+        moving = np.flatnonzero(v != 0.0)
+        if not len(g) or not moving.size:
             continue
+        x, v, a, b = (c[moving, None] for c in (x, v, t_a, t_b))
         period = 2.0 * span
         target = np.concatenate((g, -g))
         # x + v t = target + period*k  <=>  k = (x + v t - target)/period
-        k1 = (x + v * t_a - target) / period
-        k2 = (x + v * t_b - target) / period
+        k1 = (x + v * a - target) / period
+        k2 = (x + v * b - target) / period
         k_lo = np.ceil(np.minimum(k1, k2) - 1e-12).ravel()
-        n_k = np.floor(np.maximum(k1, k2) + 1e-12).ravel() - k_lo + 1
-        n_k = np.maximum(n_k, 0).astype(np.int64)
+        n_k = np.maximum(np.floor(np.maximum(k1, k2) + 1e-12).ravel() - k_lo + 1, 0)
+        n_k = n_k.astype(np.int64)
         pair = np.repeat(np.arange(n_k.size), n_k)
         k = k_lo[pair] + (np.arange(pair.size) - np.repeat(np.cumsum(n_k) - n_k, n_k))
-        t = (np.broadcast_to(target, k1.shape).ravel()[pair] + period * k - x) / v
         row = pair // len(target)
-        out.append(t[(t_a[row, 0] < t) & (t <= t_b[row, 0])])
-    return np.sort(np.concatenate(out)) if out else np.empty(0)
+        t = (target[pair % len(target)] + period * k - x[row, 0]) / v[row, 0]
+        hit = (a[row, 0] < t) & (t <= b[row, 0])
+        times.append(t[hit])
+        wins.append(moving[row[hit]])
+    return np.concatenate(times), np.concatenate(wins)
 
 
 # ---------------------------------------------------------------------------
-# per-device generators
+# triggers from activity intervals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _UePlan:
-    """What every UE of a trace shares, worked out once per trace."""
+def _sessions(start, end, dev, t_i: float):
+    """(open, close, device) of the sessions of intervals sorted by device, then start.
 
-    apps: tuple[AppProfile, ...]
-    cum_p: list[float]  # cumulative app probabilities
-    standby: tuple[Dist, ...]  # per app: the gap between sessions
-    link_rate_bps: float
-    speed: Dist
-    lines: tuple  # `_grid_lines` of the geometry
-
-    @staticmethod
-    def build(mix: TrafficMix, geom: CellGeometry, speed_dist: Dist) -> "_UePlan":
-        standby = tuple(standby_dist(mix, app, app_session_moments(app, mix.link_rate_bps))
-                        for app in mix.apps)
-        cum_p = np.cumsum([a.p_app for a in mix.apps]).tolist()
-        return _UePlan(mix.apps, cum_p, standby, mix.link_rate_bps, speed_dist,
-                       _grid_lines(geom))
+    An interval opens a session when it is its device's first or comes more
+    than `t_i` after the one before; the session closes `t_i` after the
+    interval before the next such gap, or after the device's last one.
+    """
+    sr = np.ones(len(start), dtype=bool)
+    sr[1:] = (dev[1:] != dev[:-1]) | (start[1:] - end[:-1] > t_i)
+    srr = np.roll(sr, -1)  # the next interval opens a session (the last wraps to the first)
+    return start[sr], end[srr] + t_i, dev[sr]
 
 
-def _ue_events(rng, plan: _UePlan, t_i: float, horizon_s: float, settle_s: float):
-    """(times, procs) for one UE, lead-in included and later clipped."""
-    (span_x, _), (span_y, _) = plan.lines
-    x0 = rng.uniform(0.0, span_x)
-    y0 = rng.uniform(0.0, span_y)
-    heading = rng.uniform(0.0, 2.0 * math.pi)
-    draw = device_draws(rng)
-    speed = draw(plan.speed)
-    vx, vy = speed * math.cos(heading), speed * math.sin(heading)
+def _interval_triggers(start, end, dev, t_i: float, horizon_s: float, motion=None):
+    """(times, devices, procs) of the triggers of intervals sorted by device, then start.
 
-    times, procs = [], []
-    windows = []  # connected intervals, for handover generation
-    t_end = -settle_s  # a session "just ended"; device starts disconnected
-    connected = False
-    win_start = None
-
-    def close_window(at):
-        nonlocal connected, win_start
-        times.append(at)
-        procs.append(PROC_SRR)
-        windows.append((win_start, at))
-        connected = False
-        win_start = None
-
-    last_app = len(plan.apps) - 1
-    while t_end < horizon_s:
-        ai = min(bisect.bisect_right(plan.cum_p, draw(_UNIT)), last_app)
-        app: AppProfile = plan.apps[ai]
-        t_sst = draw(plan.standby[ai])
-        if connected and t_sst > t_i:
-            close_window(t_end + t_i)
-        t_start = t_end + t_sst
-        if t_start >= horizon_s:
-            break
-        n = max(1, int(round(draw(app.n_aap))))
-        t_cur = t_start
-        for j in range(n):
-            if not connected:
-                times.append(t_cur)
-                procs.append(PROC_SR)
-                connected = True
-                win_start = t_cur
-            t_cur += sample_aap_duration(app.model, plan.link_rate_bps, draw)
-            if j < n - 1:
-                d = draw(app.reading_time_s)
-                if d > t_i:
-                    close_window(t_cur + t_i)
-                t_cur += d
-        t_end = t_cur
-    if connected:
-        # timer pending past the horizon: the window runs to the horizon
-        windows.append((win_start, min(t_end + t_i, horizon_s)))
-
-    hr = _crossing_times(windows, x0, y0, vx, vy, plan.lines)
-    return (np.concatenate((times, hr)),
-            np.concatenate((np.asarray(procs, dtype=np.uint8),
-                            np.full(len(hr), PROC_HR, dtype=np.uint8))))
+    Each session (`_sessions`) is an SR at its open and an SRR at its close;
+    with `motion` (`_ue_chunks`), every grid-line hit while it is open is an
+    HR. Triggers outside [0, horizon) are dropped, as is an SRR or HR before
+    its device's first kept SR. The SRs come first, then the SRRs, then the
+    HRs, so a stable sort by device and time puts an SR first at a tie: a
+    session of zero length opens before it closes.
+    """
+    sr_t, srr_t, sess_d = _sessions(start, end, dev, t_i)
+    keep = (sr_t >= 0.0) & (sr_t < horizon_s)
+    kept_d, kept_t = sess_d[keep], sr_t[keep]
+    # each session's device's first kept SR, or inf if it has none (the
+    # appended device -1 stands past the last SR)
+    at = np.searchsorted(kept_d, sess_d)
+    first_sr = np.where(np.append(kept_d, -1)[at] == sess_d, np.append(kept_t, np.inf)[at],
+                        np.inf)
+    late = srr_t >= first_sr
+    rel = late & (srr_t < horizon_s)
+    times, devs = [kept_t, srr_t[rel]], [kept_d, sess_d[rel]]
+    if motion is not None:
+        x0, y0, vx, vy, lines = motion
+        w = np.flatnonzero(late & (sr_t < horizon_s))  # the sessions an HR can come from
+        d = sess_d[w]
+        hr, win = _crossing_times(sr_t[w], np.minimum(srr_t[w], horizon_s),
+                                  x0[d], y0[d], vx[d], vy[d], lines)
+        ok = (hr >= first_sr[w][win]) & (hr < horizon_s)
+        times.append(hr[ok])
+        devs.append(d[win[ok]])
+    return (np.concatenate(times), np.concatenate(devs),
+            np.repeat(np.array([PROC_SR, PROC_SRR, PROC_HR], dtype=np.uint8)[:len(times)],
+                      [len(t) for t in times]))
 
 
 def _mtcd_lead_in(mmpp: MmppParams, t_i: float, settle_s: float) -> float:
@@ -298,59 +352,6 @@ def _mtcd_lead_in(mmpp: MmppParams, t_i: float, settle_s: float) -> float:
     return min(settle_s, n * mmpp.delta_t)
 
 
-def mtcd_rng(seed: int) -> np.random.Generator:
-    """The one random stream all MTCDs of a trace draw from.
-
-    Its seed sequence carries a spawn key, so it is never a UE's
-    `device_rng(seed, dev)` and does not depend on the number of UEs.
-    """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(KIND_MTCD,)))
-
-
-def _mtcd_triggers(pk, stream, t_i: float, horizon_s: float):
-    """(times, streams, procs) of the MTCD triggers from packets sorted by stream, then time.
-
-    A packet is an SR when it is its device's first or comes more than `t_i`
-    after the one before; the timer runs out `t_i` after the packet before
-    each SR and after a device's last packet (SRR). Triggers outside
-    [0, horizon) are dropped, as is an SRR before its device's first kept SR.
-    All SRs come before all SRRs, so a stable sort by device and time puts an
-    SR first at a tie, as `_clip_device` orders one device's triggers.
-    """
-    if len(pk) == 0:
-        return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
-    sr = np.ones(len(pk), dtype=bool)
-    sr[1:] = (stream[1:] != stream[:-1]) | (np.diff(pk) > t_i)
-    srr = np.append(sr[1:], True)  # the next packet opens a session, or there is none
-    sr_t, sr_d = pk[sr], stream[sr]
-    keep = (sr_t >= 0.0) & (sr_t < horizon_s)
-    sr_t, sr_d = sr_t[keep], sr_d[keep]
-    srr_t, srr_d = pk[srr] + t_i, stream[srr]
-    # each SRR's device's first kept SR, or inf if it has none (the appended
-    # device -1 stands past the last SR)
-    at = np.searchsorted(sr_d, srr_d)
-    first_sr = np.where(np.append(sr_d, -1)[at] == srr_d, np.append(sr_t, np.inf)[at], np.inf)
-    keep = (srr_t >= first_sr) & (srr_t < horizon_s)
-    srr_t, srr_d = srr_t[keep], srr_d[keep]
-    return (np.concatenate((sr_t, srr_t)), np.concatenate((sr_d, srr_d)),
-            np.concatenate((np.full(len(sr_t), PROC_SR, dtype=np.uint8),
-                            np.full(len(srr_t), PROC_SRR, dtype=np.uint8))))
-
-
-def _clip_device(times, procs, horizon_s):
-    """Drop lead-in triggers and any SRR/HR preceding the first kept SR."""
-    if len(times) == 0:
-        return times, procs
-    order = np.argsort(times, kind="stable")
-    times, procs = times[order], procs[order]
-    keep = (times >= 0.0) & (times < horizon_s)
-    times, procs = times[keep], procs[keep]
-    sr_pos = np.flatnonzero(procs == PROC_SR)
-    if len(sr_pos) == 0:
-        return times[:0], procs[:0]
-    return times[sr_pos[0]:], procs[sr_pos[0]:]
-
-
 def generate_triggers(
     mix: TrafficMix,
     geom: CellGeometry,
@@ -366,6 +367,8 @@ def generate_triggers(
     """Generate the full scenario trace, sorted by time."""
     if not 0 < horizon_s < math.inf:
         raise ParameterError(f"horizon must be finite and > 0, got {horizon_s}")
+    if not 0 <= settle_s < math.inf:
+        raise ParameterError(f"settle_s must be finite and >= 0, got {settle_s}")
     if n_u < 0 or n_d < 0:
         raise ParameterError("device counts must be >= 0")
     if not t_i >= 0:
@@ -373,37 +376,33 @@ def generate_triggers(
     if n_d > 0 and mmpp is None:
         raise ParameterError("MTCDs requested but no MMPP parameters given")
 
-    plan = _UePlan.build(mix, geom, speed_dist) if n_u else None
-    all_t, all_p, all_d, all_k = [], [], [], []
-    for dev in range(n_u):
-        rng = device_rng(seed, dev)
-        t, p = _ue_events(rng, plan, t_i, horizon_s, settle_s)
-        t, p = _clip_device(t, p, horizon_s)
-        all_t.append(t)
-        all_p.append(p)
-        all_d.append(np.full(len(t), dev, dtype=np.int64))
-        all_k.append(np.zeros(len(t), dtype=np.uint8))
+    # the (times, devices, procs) of each chunk of devices
+    parts = [(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8))]
+    if n_u:
+        plan = _UePlan.build(mix, geom, speed_dist)
+        rng = population_rng(seed, KIND_UE)
+        for lo, (start, end, dev), motion in _ue_chunks(plan, n_u, horizon_s, settle_s, rng):
+            t, d, p = _interval_triggers(start, end, dev, t_i, horizon_s, motion)
+            parts.append((t, d + lo, p))
     if n_d:
         lead_s = _mtcd_lead_in(mmpp, t_i, settle_s)
-        for pk, stream in mmpp_stream_chunks(mmpp, lead_s + horizon_s, n_d, mtcd_rng(seed)):
-            t, d, p = _mtcd_triggers(pk - lead_s, stream, t_i, horizon_s)
-            all_t.append(t)
-            all_p.append(p)
-            all_d.append(d + n_u)
-            all_k.append(np.full(len(t), KIND_MTCD, dtype=np.uint8))
+        rng = population_rng(seed, KIND_MTCD)
+        for pk, stream in mmpp_stream_chunks(mmpp, lead_s + horizon_s, n_d, rng):
+            pk -= lead_s
+            parts.append(_interval_triggers(pk, pk, stream + n_u, t_i, horizon_s))
 
-    if all_t:
-        time_s = np.concatenate(all_t)
-        proc = np.concatenate(all_p)
-        dev_id = np.concatenate(all_d)
-        kind = np.concatenate(all_k)
-    else:
-        time_s = np.empty(0)
-        proc = np.empty(0, dtype=np.uint8)
-        dev_id = np.empty(0, dtype=np.int64)
-        kind = np.empty(0, dtype=np.uint8)
+    # each column's parts are dropped once joined, so few full-size copies coexist
+    all_t, all_d, all_p = (list(c) for c in zip(*parts))
+    del parts
+    time_s = np.concatenate(all_t)
+    del all_t
+    dev_id = np.concatenate(all_d)
+    del all_d
     order = np.lexsort((dev_id, time_s))
-    return TriggerTrace(time_s[order], dev_id[order], kind[order], proc[order],
+    time_s = time_s[order]
+    dev_id = dev_id[order]
+    proc = np.concatenate(all_p)[order]
+    return TriggerTrace(time_s, dev_id, (dev_id >= n_u).astype(np.uint8), proc,
                         horizon_s, n_u, n_d)
 
 

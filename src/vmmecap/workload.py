@@ -67,16 +67,16 @@ class AppProfile:
     name: str
     p_app: float
     n_aap: Dist  # AAPs per session (count >= 1)
-    reading_time_s: Dist | None  # gap between consecutive AAPs; None iff mean n_aap == 1
+    reading_time_s: Dist | None  # gap between consecutive AAPs; None only if n_aap is 1
     model: WebModel | VideoModel | CallModel
 
     def __post_init__(self):
         if not (0 <= self.p_app <= 1):
             raise FieldError("p_app", "in [0, 1]", self.p_app)
-        if self.reading_time_s is None and dists.mean(self.n_aap) > 1 + 1e-9:
-            raise ParameterError(
-                f"app {self.name!r} has mean n_aap > 1 but no reading-time distribution"
-            )
+        # without a reading time a session is one AAP: max(1, round(n_aap)) is 1
+        if self.reading_time_s is None and (dists.mean(self.n_aap) > 1 + 1e-9
+                                            or dists.tail_prob(self.n_aap, 1.5) > 0):
+            raise FieldError("reading_time_s", "given when n_aap can exceed 1", None)
 
 
 @dataclass(frozen=True)

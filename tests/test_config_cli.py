@@ -263,6 +263,10 @@ class TestCli:
          "geometry.speed_dist.value"),
         (["dimension"], {"geometry": {"speed_dist": {"kind": "uniform", "lo": 0, "hi": "x"}}},
          "geometry.speed_dist.hi"),
+        # mean 1, but it rounds to 2 AAPs at times, and calls have no reading time
+        (["dimension"], _apps(lambda a: a[2].update(n_aap={"kind": "uniform", "lo": 0.2,
+                                                           "hi": 1.8})),
+         "traffic.apps[2].reading_time_s"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_bad_value_exit_code(self, argv, overlay, key, tmp_path, capsys):
         if overlay is not None:

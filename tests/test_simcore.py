@@ -1,6 +1,7 @@
 """Simulator invariants: determinism, conservation, causality, and agreement
 with the analytic model at small scale."""
 
+import bisect
 import csv
 import heapq
 import math
@@ -24,9 +25,9 @@ from vmmecap.simcore import (
     rmse,
     run_queue_sim,
 )
+from vmmecap.simcore import triggers
 from vmmecap.simcore.queuesim import MIN_BATCHES, WARMUP_FRACTION, SimStats
 from vmmecap.simcore.triggers import (
-    BLOCK,
     KIND_MTCD,
     KIND_NAMES,
     KIND_UE,
@@ -34,18 +35,24 @@ from vmmecap.simcore.triggers import (
     PROC_NAMES,
     PROC_SR,
     PROC_SRR,
-    _clip_device,
     _crossing_times,
     _grid_lines,
+    _interval_triggers,
     _mtcd_lead_in,
-    _mtcd_triggers,
-    _ue_events,
+    _sessions,
+    _ue_chunks,
+    _ue_intervals,
     _UePlan,
-    device_draws,
-    device_rng,
-    mtcd_rng,
+    population_rng,
 )
-from vmmecap.workload import CellGeometry, aggregate_rates, htc_rates, mtc_rates
+from vmmecap.workload import (
+    CellGeometry,
+    VideoModel,
+    WebModel,
+    aggregate_rates,
+    htc_rates,
+    mtc_rates,
+)
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +125,23 @@ class TestTraceInvariants:
         with pytest.raises(ParameterError, match="horizon"):
             poisson_triggers(1.0, 1.0, 1.0, horizon, 1)
 
+    @pytest.mark.parametrize("settle", [-1.0, math.nan, math.inf])
+    def test_settle_must_be_finite_and_non_negative(self, cfg, monkeypatch, settle):
+        # rejected before any draw: an infinite lead-in would never finish
+        def no_draws(*args):
+            raise AssertionError("generation started")
+
+        monkeypatch.setattr(triggers, "population_rng", no_draws)
+        with pytest.raises(ParameterError, match="settle_s"):
+            generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 1, 1, 10.0, 100.0, 1,
+                              speed_dist=cfg.speed_dist, settle_s=settle)
+
+    def test_no_lead_in(self, cfg):
+        trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 20, 20, 10.0, 2000.0, 1,
+                                  speed_dist=cfg.speed_dist, settle_s=0.0)
+        c = trace.counts()
+        assert c["UE_SR"] > 0 and c["MTCD_SR"] > 0
+
     def test_csv_columns(self, small_trace, tmp_path):
         # the file `simulate --trace-out` writes
         path = tmp_path / "trace.csv"
@@ -170,9 +194,13 @@ class TestCrossingTimes:
     GEOM = CellGeometry(138.0, 129.0, 4, 3)
 
     def check(self, windows, x0, y0, vx, vy, geom=GEOM):
-        got = _crossing_times(windows, x0, y0, vx, vy, _grid_lines(geom))
+        """One device's motion in every window; the hits must be the reference's."""
+        w = np.array(windows, dtype=float).reshape(-1, 2)
+        motion = (np.full(len(w), c) for c in (x0, y0, vx, vy))
+        got, win = _crossing_times(w[:, 0], w[:, 1], *motion, _grid_lines(geom))
         want = _reference_crossing_times(windows, x0, y0, vx, vy, geom)
-        assert got.tolist() == want
+        assert np.sort(got).tolist() == want
+        assert np.all((w[win, 0] < got) & (got <= w[win, 1]))
         return want
 
     def test_random_windows_and_headings(self):
@@ -186,6 +214,24 @@ class TestCrossingTimes:
             total += len(self.check(windows, rng.uniform(0.0, 552.0), rng.uniform(0.0, 387.0),
                                     speed * math.cos(heading), speed * math.sin(heading)))
         assert total > 1000
+
+    def test_each_window_its_own_motion(self):
+        rng = np.random.default_rng(6)
+        n = 400
+        t_a = rng.uniform(-3000.0, 20000.0, n)
+        t_b = t_a + rng.exponential(300.0, n)
+        x0, y0 = rng.uniform(0.0, 552.0, n), rng.uniform(0.0, 387.0, n)
+        speed, heading = rng.uniform(0.0, 8.4, n), rng.uniform(0.0, 2 * math.pi, n)
+        speed[::7] = 0.0  # some devices stand still
+        vx, vy = speed * np.cos(heading), speed * np.sin(heading)
+        got, win = _crossing_times(t_a, t_b, x0, y0, vx, vy, _grid_lines(self.GEOM))
+        assert len(got) > 1000
+        order = np.lexsort((got, win))
+        got, win = got[order], win[order]
+        for i in range(n):
+            want = _reference_crossing_times([(t_a[i], t_b[i])], x0[i], y0[i], vx[i], vy[i],
+                                             self.GEOM)
+            assert got[win == i].tolist() == want
 
     def test_still_on_one_axis(self):
         windows = [(-500.0, 10.0), (40.0, 900.0)]
@@ -212,44 +258,286 @@ class TestCrossingTimes:
         assert self.check([], 10.0, 10.0, 1.0, 1.0) == []
 
 
-class TestDeviceDraws:
-    LAW = dists.trunc_lognormal(6.17, 2.36, 50.0, 2e6)
+_UNIT = dists.uniform(0.0, 1.0)  # picks an app or an encoding rate
 
-    def test_successive_draws_match_sample(self):
-        for law in (self.LAW, dists.exponential(30.0), dists.geometric_count(0.893)):
-            draw = device_draws(np.random.default_rng(3))
-            assert draw(law, 0) == 0  # an empty sum takes no draw
-            got = [draw(law) for _ in range(3 * BLOCK + 5)]
-            assert got == dists.sample(law, np.random.default_rng(3),
-                                       size=3 * BLOCK + 5).tolist()
 
-    def test_k_sums_match_sum_of_next_draws(self):
-        for seed in range(4, 10):
-            ref = dists.sample(self.LAW, np.random.default_rng(seed), size=4 * BLOCK).tolist()
-            draw = device_draws(np.random.default_rng(seed))
-            assert [draw(self.LAW) for _ in range(BLOCK - 33)] == ref[:BLOCK - 33]
-            assert draw(self.LAW, 30) == sum(ref[BLOCK - 33:BLOCK - 3])  # within a block
-            assert draw(self.LAW, 10) == sum(ref[BLOCK - 3:BLOCK + 7])  # across one boundary
-            assert draw(self.LAW, 2 * BLOCK) == sum(ref[BLOCK + 7:3 * BLOCK + 7])
-            assert draw(self.LAW, 0) == 0
-            assert draw(self.LAW) == ref[3 * BLOCK + 7]
+def _block_draws(rng, block=64):
+    """Reference draws of one device: ``draw(law)`` is the law's next draw from
+    `rng` and ``draw(law, k)`` the sum of its next k, taken a block at a time."""
+    buffers = {}
 
-    def test_ue_trace_independent_of_population(self, cfg):
-        args = (cfg.mix, cfg.geom, None)
-        few = generate_triggers(*args, 5, 0, 10.0, 5000.0, 11, speed_dist=cfg.speed_dist)
-        many = generate_triggers(*args, 12, 0, 10.0, 5000.0, 11, speed_dist=cfg.speed_dist)
-        sel = many.device_id < 5
-        assert len(few) > 0 and len(few) < len(many)
-        assert np.array_equal(few.time_s, many.time_s[sel])
-        assert np.array_equal(few.device_id, many.device_id[sel])
-        assert np.array_equal(few.procedure, many.procedure[sel])
-        # the last device's events come from its own stream alone
+    def draw(law, k=1):
+        buf = buffers.setdefault(id(law), [])
+        while len(buf) < k:
+            buf.extend(dists.sample(law, rng, size=block).tolist())
+        taken = buf[:k]
+        del buf[:k]
+        return taken[0] if k == 1 else sum(taken)
+
+    return draw
+
+
+def _reference_aap_duration(model, link_rate_bps, draw):
+    """Reference: one AAP's duration, one draw at a time."""
+    if isinstance(model, WebModel):
+        k = int(round(draw(model.n_embedded)))
+        total = draw(model.main_obj_bytes) + draw(model.embedded_obj_bytes, k)
+        return total * 8.0 / link_rate_bps + draw(model.parsing_time_s)
+    if isinstance(model, VideoModel):
+        choices = model.encoding_rate_choices
+        enc = draw(choices[int(draw(_UNIT) * len(choices))])
+        dur = draw(model.duration_s)
+        burst = min(dur, model.burst_media_s)
+        return (burst * enc / link_rate_bps
+                + max(dur - model.burst_media_s, 0.0) / model.throttle_factor)
+    return draw(model.holding_time_s)
+
+
+def _reference_ue_timeline(rng, plan, horizon_s, settle_s):
+    """Reference: one UE's AAPs (starts, ends) and motion from its own stream,
+    drawn session by session and AAP by AAP as the per-device generator did."""
+    (span_x, _), (span_y, _) = plan.lines
+    x0, y0 = rng.uniform(0.0, span_x), rng.uniform(0.0, span_y)
+    heading = rng.uniform(0.0, 2.0 * math.pi)
+    draw = _block_draws(rng)
+    speed = draw(plan.speed)
+    apps, starts, ends = plan.mix.apps, [], []
+    t_end = -settle_s  # a session "just ended"; the device starts idle
+    while t_end < horizon_s:
+        ai = min(bisect.bisect_right(plan.cum_p.tolist(), draw(_UNIT)), len(apps) - 1)
+        t_cur = t_end + draw(plan.standby[ai])
+        if t_cur >= horizon_s:
+            break
+        for j in range(max(1, int(round(draw(apps[ai].n_aap))))):
+            if j:
+                t_cur += draw(apps[ai].reading_time_s)
+            starts.append(t_cur)
+            t_cur += _reference_aap_duration(apps[ai].model, plan.mix.link_rate_bps, draw)
+            ends.append(t_cur)
+        t_end = t_cur
+    return starts, ends, (x0, y0, speed * math.cos(heading), speed * math.sin(heading))
+
+
+def _reference_ue_triggers(starts, ends, motion, t_i, horizon_s, geom):
+    """Reference: one UE's (times, procs) and its sessions' (open, close) windows.
+
+    The per-UE state machine of the per-device generator, walked over the
+    UE's activity intervals: an SR when an interval starts while idle, an SRR
+    when the timer runs out after a gap longer than `t_i` or after the last
+    interval, an HR at each grid-line crossing while connected. Lead-in
+    triggers are then dropped, and any SRR/HR before the first kept SR.
+    """
+    times, procs, windows = [], [], []
+    connected, win_start, t_end = False, None, None
+
+    def close_window(at):
+        nonlocal connected, win_start
+        times.append(at)
+        procs.append(PROC_SRR)
+        windows.append((win_start, at))
+        connected, win_start = False, None
+
+    for s, e in zip(starts, ends):
+        if connected and s - t_end > t_i:
+            close_window(t_end + t_i)
+        if not connected:
+            times.append(s)
+            procs.append(PROC_SR)
+            connected, win_start = True, s
+        t_end = e
+    if connected:
+        close_window(t_end + t_i)
+    hr = _reference_crossing_times([(a, min(b, horizon_s)) for a, b in windows], *motion, geom)
+    times = np.array(times + hr)
+    procs = np.array(procs + [PROC_HR] * len(hr), dtype=np.uint8)
+    order = np.argsort(times, kind="stable")
+    times, procs = times[order], procs[order]
+    keep = (times >= 0.0) & (times < horizon_s)
+    times, procs = times[keep], procs[keep]
+    sr_pos = np.flatnonzero(procs == PROC_SR)
+    first = sr_pos[0] if len(sr_pos) else len(times)
+    return times[first:], procs[first:], windows
+
+
+def _reference_ue_population(start, end, dev, motion, n, t_i, horizon_s, geom):
+    """(times, devices, procs) and (open, close, device) of `_reference_ue_triggers`
+    over devices 0..n-1, each device's share of the intervals and motion."""
+    times, devs, procs, wins = [], [], [], []
+    for d in range(n):
+        sel = dev == d
+        t, p, w = _reference_ue_triggers(start[sel], end[sel], [m[d] for m in motion[:4]],
+                                         t_i, horizon_s, geom)
+        times.append(t)
+        devs.append(np.full(len(t), d))
+        procs.append(p)
+        wins += [(a, b, d) for a, b in w]
+    wins = np.array(wins, dtype=float).reshape(-1, 3)
+    return ((np.concatenate(times), np.concatenate(devs), np.concatenate(procs)),
+            (wins[:, 0], wins[:, 1], wins[:, 2].astype(np.int64)))
+
+
+def _random_motion(rng, n, geom):
+    """Start positions and velocities of n devices, every fifth standing still."""
+    (span_x, _), (span_y, _) = lines = _grid_lines(geom)
+    speed, heading = rng.uniform(0.0, 8.4, n), rng.uniform(0.0, 2 * math.pi, n)
+    speed[::5] = 0.0
+    return (rng.uniform(0.0, span_x, n), rng.uniform(0.0, span_y, n),
+            speed * np.cos(heading), speed * np.sin(heading), lines)
+
+
+def _random_timelines(rng, n, lead_s, horizon_s):
+    """Sorted activity intervals of n UEs over [-lead, horizon + 50): short and
+    long gaps, zero-length intervals, some UEs empty, some only in the lead-in."""
+    start, end, dev = [], [], []
+    for d in range(n):
+        t = -lead_s + rng.uniform(0.0, lead_s + horizon_s) * rng.choice([0.01, 0.2, 1.0])
+        for _ in range(rng.poisson(8.0)):
+            t += rng.choice([rng.exponential(2.0), rng.exponential(30.0), rng.exponential(200.0)])
+            if t >= horizon_s + 50.0:
+                break
+            start.append(t)
+            t += rng.exponential(20.0) * (rng.random() < 0.8)
+            end.append(t)
+            dev.append(d)
+    return np.array(start), np.array(end), np.array(dev, dtype=np.int64)
+
+
+class TestUeTriggers:
+    """The interval-based builder against the per-UE state machine, on the same timelines."""
+
+    GEOM = CellGeometry(138.0, 129.0, 4, 3)
+
+    def check(self, start, end, dev, motion, n, t_i, horizon_s):
+        t, d, p = _interval_triggers(start, end, dev, t_i, horizon_s, motion)
+        order = np.lexsort((t, d))  # stable: SR, then SRR, then HR at one instant
+        got = (t[order], d[order], p[order])
+        want, want_windows = _reference_ue_population(start, end, dev, motion, n, t_i,
+                                                      horizon_s, self.GEOM)
+        _assert_same(got, want)
+        _assert_same(_sessions(start, end, dev, t_i), want_windows)
+        return got
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("t_i", [0.0, 2.5, 10.0, np.inf])
+    def test_random_timelines(self, seed, t_i):
+        rng = np.random.default_rng(seed)
+        start, end, dev = _random_timelines(rng, 60, 300.0, 1000.0)
+        t, d, p = self.check(start, end, dev, _random_motion(rng, 60, self.GEOM), 60, t_i,
+                             1000.0)
+        assert np.count_nonzero(p == PROC_SR) > 0
+        assert np.count_nonzero(p == PROC_HR) > 0
+
+    HAND = {  # device -> activity intervals, horizon 100 s, timer 10 s
+        0: [(-5.0, 3.0)],  # a session over 0 that opens before it: no trigger at all
+        1: [(-50.0, -45.0)],  # only in the lead-in
+        2: [(0.0, 5.0), (15.0, 20.0), (30.5, 31.0)],  # gaps of exactly 10 s, then 10.5 s
+        3: [(-8.0, 2.0), (20.0, 20.0), (95.0, 130.0)],  # zero length; the last over the horizon
+        4: [(90.0, 100.0)],  # its SRR at 110 is past the horizon
+    }
+
+    def hand_built(self):
+        cells = sorted((d, a, b) for d, ivs in self.HAND.items() for a, b in ivs)
+        d, a, b = (np.array(c) for c in zip(*cells))
+        motion = tuple(np.full(5, v) for v in (130.0, 60.0, 2.0, 0.0)) + (_grid_lines(self.GEOM),)
+        return a, b, d.astype(np.int64), motion
+
+    def test_hand_built(self):
+        start, end, dev, motion = self.hand_built()
+        t, d, p = self.check(start, end, dev, motion, 5, 10.0, 100.0)
+        # x = 130 + 2 t reaches the line at 138 m at 4 s and the next, at 276 m, at 73 s
+        assert list(zip(d.tolist(), t.tolist(), p.tolist())) == [
+            (2, 0.0, PROC_SR), (2, 4.0, PROC_HR), (2, 30.0, PROC_SRR), (2, 30.5, PROC_SR),
+            (2, 41.0, PROC_SRR),
+            (3, 20.0, PROC_SR), (3, 30.0, PROC_SRR), (3, 95.0, PROC_SR),
+            (4, 90.0, PROC_SR)]
+
+    def test_hand_built_timer_zero_and_infinite(self):
+        start, end, dev, motion = self.hand_built()
+        t, d, p = self.check(start, end, dev, motion, 5, 0.0, 100.0)
+        assert p.tolist().count(PROC_SR) == 6  # every interval starting in [0, 100) opens one
+        # t_i = inf: a device's first interval opens its only session, so
+        # devices 0, 1 and 3, which open theirs before 0, have no trigger
+        t, d, p = self.check(start, end, dev, motion, 5, np.inf, 100.0)
+        assert list(zip(d.tolist(), t.tolist(), p.tolist())) == [
+            (2, 0.0, PROC_SR), (2, 4.0, PROC_HR), (2, 73.0, PROC_HR), (4, 90.0, PROC_SR)]
+
+    def test_no_intervals(self):
+        empty = np.empty(0)
+        got = self.check(empty, empty, np.empty(0, dtype=np.int64),
+                         _random_motion(np.random.default_rng(0), 3, self.GEOM), 3, 10.0, 100.0)
+        assert all(len(a) == 0 for a in got)
+
+    def test_trace_over_several_chunks(self, cfg, monkeypatch):
+        monkeypatch.setattr(triggers, "CHUNK", 256)  # three UEs a chunk
+        n, t_i, horizon, settle = 40, 10.0, 3000.0, 1000.0
+        trace = generate_triggers(cfg.mix, cfg.geom, None, n, 0, t_i, horizon, 3,
+                                  speed_dist=cfg.speed_dist, settle_s=settle)
         plan = _UePlan.build(cfg.mix, cfg.geom, cfg.speed_dist)
-        t, p = _clip_device(*_ue_events(device_rng(11, 11), plan, 10.0, 5000.0, 3000.0), 5000.0)
-        last = many.device_id == 11
-        assert len(t) > 0
-        assert np.array_equal(t, many.time_s[last])
-        assert np.array_equal(p, many.procedure[last])
+        chunks = list(_ue_chunks(plan, n, horizon, settle, population_rng(3, KIND_UE)))
+        assert len(chunks) > 3
+        want = []
+        for lo, (start, end, dev), motion in chunks:
+            m = len(motion[0])
+            assert np.all(start < horizon) and np.all(end >= start)
+            assert np.all(np.diff(dev) >= 0) and set(dev.tolist()) <= set(range(m))
+            assert np.all(np.diff(start)[dev[1:] == dev[:-1]] >= 0)
+            (t, d, p), _ = _reference_ue_population(start, end, dev, motion, m, t_i, horizon,
+                                                    cfg.geom)
+            want.append((t, d + lo, p))
+        got = _by_device(trace, KIND_UE)
+        assert len(got[0]) > 0
+        _assert_same(got, [np.concatenate(c) for c in zip(*want)])
+
+
+class TestUeLaw:
+    def test_rounds_continue_each_timeline(self, cfg):
+        # at two sessions a round every UE takes many rounds; its AAPs must
+        # still come device by device, in order, with the law of one round
+        plan = _UePlan.build(cfg.mix, cfg.geom, cfg.speed_dist)
+        n, horizon = 300, 4000.0
+        counts = []
+        for per_round in (2, 40):
+            start, end, dev = _ue_intervals(plan, n, horizon, 1000.0, per_round,
+                                            np.random.default_rng(per_round))
+            same = dev[1:] == dev[:-1]
+            assert np.all(np.diff(dev) >= 0)
+            assert np.all(start[1:][same] >= end[:-1][same] - 1e-6)
+            assert np.all((start < horizon) & (end >= start))
+            counts.append(np.bincount(dev, minlength=n))
+        a, b = counts
+        se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(n)
+        assert a.mean() > 10 and abs(a.mean() - b.mean()) <= 4 * se
+
+    def test_ue_triggers_independent_of_mtcds(self, cfg):
+        args = (cfg.mix, cfg.geom, cfg.mmpp)
+        alone = generate_triggers(*args, 30, 0, 10.0, 2000.0, 8, speed_dist=cfg.speed_dist)
+        mixed = generate_triggers(*args, 30, 25, 10.0, 2000.0, 8, speed_dist=cfg.speed_dist)
+        assert len(alone) > 0 and np.any(mixed.device_kind == KIND_MTCD)
+        _assert_same(_by_device(mixed, KIND_UE), _by_device(alone, KIND_UE))
+
+    def test_rates_match_the_reference_generator(self, cfg):
+        # per-UE SR, SRR and HR counts of the population sampler and of the
+        # per-device reference generator, which draws one UE at a time from
+        # a stream of its own, must agree in mean within 4 standard errors
+        n, t_i, horizon = 2000, 10.0, 4000.0
+        trace = generate_triggers(cfg.mix, cfg.geom, None, n, 0, t_i, horizon, 21,
+                                  speed_dist=cfg.speed_dist)
+        plan = _UePlan.build(cfg.mix, cfg.geom, cfg.speed_dist)
+        ref = np.zeros((3, n))
+        for d in range(n):
+            starts, ends, motion = _reference_ue_timeline(np.random.default_rng([21, d]), plan,
+                                                          horizon, 3000.0)
+            _, _, p = _interval_triggers(np.array(starts), np.array(ends),
+                                         np.zeros(len(starts), dtype=np.int64), t_i, horizon,
+                                         tuple(np.array([v]) for v in motion) + (plan.lines,))
+            ref[:, d] = np.bincount(p, minlength=3)
+        new = np.zeros((3, n))
+        np.add.at(new, (trace.procedure, trace.device_id), 1)
+        for proc in (PROC_SR, PROC_SRR, PROC_HR):
+            a, b = new[proc], ref[proc]
+            se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(n)
+            assert a.mean() > 1.0
+            assert abs(a.mean() - b.mean()) <= 4 * se, PROC_NAMES[proc]
 
 
 class TestMtcdLeadIn:
@@ -276,7 +564,7 @@ class TestMtcdLeadIn:
                                   speed_dist=cfg.speed_dist, settle_s=50.0)
         assert len(trace) > 0
         # 40 MTCDs fit in one chunk, so the trace's packets are these
-        pk, dev = mmpp_packet_streams(cfg.mmpp, 550.0, 40, mtcd_rng(5))
+        pk, dev = mmpp_packet_streams(cfg.mmpp, 550.0, 40, population_rng(5, KIND_MTCD))
         want = _reference_population(pk - 50.0, dev, 40, t_i, 500.0)
         _assert_same(_by_device(trace), want)
         assert np.all(trace.device_kind == KIND_MTCD)
@@ -289,13 +577,14 @@ class TestMtcdLeadIn:
 
         def per_device(seed, lead_s):
             n_sr, n_srr = np.zeros(n), np.zeros(n)
-            for pk, dev in mmpp_stream_chunks(cfg.mmpp, lead_s + horizon, n, mtcd_rng(seed)):
+            rng = population_rng(seed, KIND_MTCD)
+            for pk, dev in mmpp_stream_chunks(cfg.mmpp, lead_s + horizon, n, rng):
                 pk = pk - lead_s
                 # an SRR follows a device's last packet and each one before a gap > t_i
                 srr = np.append((dev[1:] != dev[:-1]) | (np.diff(pk) > t_i), True)
                 t = pk[srr] + t_i
                 n_srr += np.bincount(dev[srr][(t >= 0.0) & (t < t_i)], minlength=n)
-                t, d, p = _mtcd_triggers(pk, dev, t_i, horizon)
+                t, d, p = _interval_triggers(pk, pk, dev, t_i, horizon)
                 n_sr += np.bincount(d[(p == PROC_SR) & (t < t_i)], minlength=n)
             return n_sr, n_srr
 
@@ -374,7 +663,7 @@ class TestMtcdTriggers:
     """The population's masks against the per-device reference, on the same packets."""
 
     def check(self, pk, dev, n, t_i, horizon_s):
-        t, d, p = _mtcd_triggers(pk, dev, t_i, horizon_s)
+        t, d, p = _interval_triggers(pk, pk, dev, t_i, horizon_s)
         order = np.lexsort((t, d))  # stable: an SR stays ahead of an SRR at its time
         got = (t[order], d[order], p[order])
         _assert_same(got, _reference_population(pk, dev, n, t_i, horizon_s))
@@ -427,7 +716,8 @@ class TestMtcdTriggers:
         n, t_i, horizon = 300, 10.0, 2000.0
         trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 0, n, t_i, horizon, 3,
                                   speed_dist=cfg.speed_dist)
-        chunks = list(mmpp_stream_chunks(cfg.mmpp, 10.0 + horizon, n, mtcd_rng(3)))
+        rng = population_rng(3, KIND_MTCD)
+        chunks = list(mmpp_stream_chunks(cfg.mmpp, 10.0 + horizon, n, rng))
         assert len(chunks) > 3
         pk, dev = (np.concatenate(c) for c in zip(*chunks))
         want = _reference_population(pk - 10.0, dev, n, t_i, horizon)
@@ -441,9 +731,9 @@ class TestMtcdTriggers:
         mixed = generate_triggers(*args, 3, 30, 10.0, 1000.0, 8, speed_dist=cfg.speed_dist)
         assert len(alone) > 0 and np.any(mixed.device_kind == KIND_UE)
         _assert_same(_by_device(mixed, shift=3), _by_device(alone))
-        # the MTCD stream is none of the UE streams
-        first = mtcd_rng(8).random(4)
-        assert not any(np.array_equal(first, device_rng(8, dev).random(4)) for dev in range(33))
+        # the MTCD stream is not the UE stream
+        first = population_rng(8, KIND_MTCD).random(4)
+        assert not np.array_equal(first, population_rng(8, KIND_UE).random(4))
 
     @pytest.mark.parametrize("p, q, lambda1, lambda2", [
         (0.0, 0.01, 0.05, 0.5),  # never leaves state 1
@@ -456,7 +746,7 @@ class TestMtcdTriggers:
         params = MmppParams(p, q, lambda1, lambda2)
         trace = generate_triggers(cfg.mix, cfg.geom, params, 0, 50, 10.0, 500.0, 2,
                                   speed_dist=cfg.speed_dist)
-        pk, dev = mmpp_packet_streams(params, 510.0, 50, mtcd_rng(2))
+        pk, dev = mmpp_packet_streams(params, 510.0, 50, population_rng(2, KIND_MTCD))
         want = _reference_population(pk - 10.0, dev, 50, 10.0, 500.0)
         _assert_same(_by_device(trace), want)
         assert (len(trace) > 0) == (lambda1 + lambda2 > 0)
@@ -673,18 +963,19 @@ class TestQueueSim:
         # must stay bit-identical. The m = 1 trace is generated, so a change
         # to trace generation changes these figures too (recorded again after
         # UE draws moved to per-device blocks, after the MTCD lead-in shrank
-        # to one timer length, and after MTCDs moved to one population stream).
+        # to one timer length, after MTCDs moved to one population stream,
+        # and after UEs did).
         small = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 50, 50, 10.0,
                                   3000.0, 7, speed_dist=cfg.speed_dist)
         st = run_queue_sim(small, replace(cfg.queue, m=1), "deterministic", seed=3)
         assert (st.mean_response_s, st.ci_halfwidth_s) == (
-            0.00011781027384126603, 4.652068457390193e-08)
+            0.00011784840971068857, 5.1540590023794505e-08)
         assert (st.n_messages, st.n_triggers, st.max_backlog, st.n_batches) == (
-            12526, 4237, 2, 20)
+            11944, 4029, 2, 20)
         assert st.utilization == {
-            "fe": 3.481356459062977e-05, "sl": 0.00041479341093377095,
-            "db": 4.177627750875418e-05, "oi": 8.3552555017513e-07}
-        assert st.empirical_lam_msgs == 4.177627750875935
+            "fe": 3.319600953779997e-05, "sl": 0.00039563355471212064,
+            "db": 3.9835211445358835e-05, "oi": 7.967042289071885e-07}
+        assert st.empirical_lam_msgs == 3.9835211445363377
         assert (st.warmup_fraction, st.seed, st.valid) == (0.1, 3, True)
 
         # m = 3 pool at about 75 % load, where messages queue and overtake
