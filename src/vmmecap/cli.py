@@ -30,7 +30,7 @@ from .errors import (
     InstabilityError,
     VmmeCapError,
 )
-from .queueing import capacity, dimension, system_response
+from .queueing import capacity, dimension, stages, system_response
 from .simcore import compare, generate_triggers, measured_rates, run_queue_sim
 from .workload import aggregate_rates, htc_rates, mtc_rates
 
@@ -107,10 +107,14 @@ def _meta(cfg: ToolConfig, **extra) -> dict:
     return {"tool_version": __version__, "config_digest": cfg.digest, **extra}
 
 
-def _scenario_counts(cfg: ToolConfig) -> tuple[int, int]:
-    """(n_u, n_d), with n_d = round(MTCDs per UE * n_u) as `capacity` counts them."""
+def _scenario_counts(cfg: ToolConfig, command: str | None = None) -> tuple[int, int]:
+    """(n_u, n_d), with n_d = round(MTCDs per UE * n_u) as `capacity` counts them.
+    A `command` named here needs at least one device."""
     n_u = cfg.scenario["n_u"]
-    return n_u, int(round(cfg.scenario["mtcd_per_ue"] * n_u))
+    n_d = int(round(cfg.scenario["mtcd_per_ue"] * n_u))
+    if command is not None and n_u + n_d == 0:
+        raise ConfigError(f"{command} needs at least one device, got 0 UEs and 0 MTCDs")
+    return n_u, n_d
 
 
 def cmd_rates(cfg: ToolConfig, args) -> None:
@@ -147,9 +151,11 @@ def cmd_rates(cfg: ToolConfig, args) -> None:
 
 def cmd_dimension(cfg: ToolConfig, args) -> None:
     ti = cfg.scenario["t_i_s"]
-    n_u, n_d = _scenario_counts(cfg)
+    n_u, n_d = _scenario_counts(cfg, "dimension")
     per_mtcd = mtc_rates(cfg.mmpp, ti) if n_d > 0 else (0.0, 0.0)
     rates = aggregate_rates(htc_rates(cfg.mix, cfg.geom, ti), per_mtcd, n_u, n_d)
+    if rates.lam_total_msgs == 0:
+        raise InfeasibleError("the configured mix generates no signaling at all")
     m = dimension(rates, cfg.queue)
     total, breakdown = system_response(rates, replace(cfg.queue, m=m))
     rows = [{
@@ -159,10 +165,8 @@ def cmd_dimension(cfg: ToolConfig, args) -> None:
         "lambda_msgs_per_s": rates.lam_total_msgs,
         "m_min": m,
         "t_mean_us": total * 1e6,
-        "t_fe_us": breakdown["fe_s"] * 1e6,
-        "t_sl_us": breakdown["sl_s"] * 1e6,
-        "t_db_us": breakdown["db_s"] * 1e6,
-        "t_oi_us": breakdown["oi_s"] * 1e6,
+        **{f"t_{s.key}_us": breakdown[f"{s.key}_s"] * 1e6
+           for s in stages(cfg.queue, breakdown["t_sl_bar_s"])},
         "t_max_us": cfg.queue.t_max * 1e6,
     }]
     _emit(rows, _meta(cfg), args)
@@ -211,9 +215,7 @@ def cmd_scalability(cfg: ToolConfig, args) -> None:
 
 def cmd_simulate(cfg: ToolConfig, args) -> None:
     ti, horizon, seed = (cfg.scenario[k] for k in ("t_i_s", "horizon_s", "seed"))
-    n_u, n_d = _scenario_counts(cfg)
-    if n_u + n_d == 0:
-        raise ConfigError("simulate needs at least one device, got 0 UEs and 0 MTCDs")
+    n_u, n_d = _scenario_counts(cfg, "simulate")
     walls = {}  # wall seconds of each phase, for the output's meta
 
     def timed(phase, fn, *fn_args, **kw):
@@ -239,10 +241,7 @@ def cmd_simulate(cfg: ToolConfig, args) -> None:
         "n_messages": stats.n_messages,
         "mean_response_us": stats.mean_response_s * 1e6,
         "ci_halfwidth_us": stats.ci_halfwidth_s * 1e6,
-        "util_fe": stats.utilization["fe"],
-        "util_sl": stats.utilization["sl"],
-        "util_db": stats.utilization["db"],
-        "util_oi": stats.utilization["oi"],
+        **{f"util_{k}": u for k, u in stats.utilization.items()},
         "sim_lam_msgs_per_s": stats.empirical_lam_msgs,
         "sim_lam_u_sr_per_s": emp.lam_u_sr,
         "sim_lam_u_hr_per_s": emp.lam_u_hr,

@@ -15,8 +15,8 @@ generator, in rounds: each round draws a block of segments for every stream
 that has not yet reached the horizon. `mmpp_stream_chunks` hands a
 population's streams out a chunk at a time, so the memory in use does not
 grow with the population. The trace generator draws all of a trace's MTCDs
-this way, from one random stream shared by the population, while each UE
-keeps a stream of its own.
+this way, from one random stream shared by the population; the UEs share
+another.
 """
 
 from __future__ import annotations

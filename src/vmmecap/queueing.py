@@ -1,8 +1,9 @@
 """Open Jackson-network response-time model of the vMME chain.
 
-Four stages in series: front-end (M/M/1), service-logic pool (M/M/m with a
-message-mix-weighted service time), state database (M/M/1), and output
-interface (M/M/1). Mean response time is the sum of the per-stage means;
+Four M/M/c stages in series, listed once in `stages`: front end (FE, c = 1),
+service-logic pool (SL, c = m, message-mix-weighted service time), state
+database (SDB, c = 1) and output interface (OI, c = 1); c = inf, an unlimited
+pool, has no wait. Mean response time is the sum of the per-stage means;
 propagation delay and the inter-message round trip shape arrival timing
 only and are excluded from the processing-time budget.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FieldError, InfeasibleError, InstabilityError, ParameterError
 from .mmpp import MmppParams
@@ -79,15 +81,6 @@ class QueueParams:
             raise FieldError("m", "an integer >= 1", self.m)
 
 
-def mm1_response(lam: float, mu: float, stage: str = "M/M/1") -> float:
-    """Mean response time (wait + service) of an M/M/1 queue, seconds."""
-    if lam < 0 or mu <= 0:
-        raise ParameterError(f"need lam >= 0 and mu > 0, got lam={lam}, mu={mu}")
-    if lam >= mu:
-        raise InstabilityError(stage, lam, mu)
-    return (1.0 / mu) / (1.0 - lam / mu)
-
-
 def erlang_c(m: int, a: float) -> float:
     """Probability of waiting in an M/M/m queue with offered load a = lam/mu.
 
@@ -119,27 +112,44 @@ def weighted_sl_service_time(rates: ProcedureRates, times: SlServiceTimes) -> fl
     ) / lam
 
 
-def mmm_response(lam: float, mu_sl: float, m: int) -> float:
-    """Mean response time of an M/M/m queue, seconds."""
-    if mu_sl <= 0:
-        raise ParameterError(f"mu_sl must be > 0, got {mu_sl}")
-    a = lam / mu_sl
-    if a >= m:
-        raise InstabilityError("SL", lam, m * mu_sl)
-    return 1.0 / mu_sl + erlang_c(m, a) / (m * mu_sl - lam)
+class Stage(NamedTuple):
+    """A stage: breakdown key, name in errors, server count, rate per server (1/s)."""
+    key: str
+    label: str
+    servers: float
+    mu: float
 
 
-def response_at(lam: float, t_sl: float, params: QueueParams, m: int | None = None):
-    """(total response s, per-stage breakdown) at message rate `lam` with mean
-    SL service time `t_sl` already fixed."""
+def stages(params: QueueParams, t_sl: float, m: float | None = None) -> tuple[Stage, ...]:
+    """The chain's stages in order, the SL pool with mean service time `t_sl`
+    and `m` servers (default `params.m`; `math.inf` for an unlimited pool)."""
     m = params.m if m is None else m
-    t_fe = mm1_response(lam, params.mu_fe, "FE")
-    t_sl_stage = mmm_response(lam, 1.0 / t_sl, m)
-    t_db = mm1_response(lam, params.mu_sdb, "SDB")
-    t_oi = mm1_response(lam, params.mu_oi, "OI")
-    total = t_fe + t_sl_stage + t_db + t_oi
-    return total, {"fe_s": t_fe, "sl_s": t_sl_stage, "db_s": t_db, "oi_s": t_oi,
-                   "t_sl_bar_s": t_sl, "m": m}
+    return (Stage("fe", "FE", 1, params.mu_fe),
+            Stage("sl", "SL", m, 1.0 / t_sl),
+            Stage("db", "SDB", 1, params.mu_sdb),
+            Stage("oi", "OI", 1, params.mu_oi))
+
+
+def mmm_response(lam: float, mu: float, c: float, stage: str = "SL") -> float:
+    """Mean response time (wait + service) of an M/M/c queue, seconds; with
+    c = inf nothing waits."""
+    if lam < 0 or mu <= 0:
+        raise ParameterError(f"need lam >= 0 and mu > 0, got lam={lam}, mu={mu}")
+    if c == math.inf:
+        return 1.0 / mu
+    a = lam / mu
+    if a >= c:
+        raise InstabilityError(stage, lam, c * mu)
+    return 1.0 / mu + erlang_c(c, a) / (c * mu - lam)
+
+
+def response_at(lam: float, t_sl: float, params: QueueParams, m: float | None = None):
+    """(total response s, per-stage breakdown) at message rate `lam` with mean
+    SL service time `t_sl` already fixed; `m = math.inf` is an unlimited pool."""
+    m = params.m if m is None else m
+    parts = {f"{s.key}_s": mmm_response(lam, s.mu, s.servers, s.label)
+             for s in stages(params, t_sl, m)}
+    return sum(parts.values()), {**parts, "t_sl_bar_s": t_sl, "m": m}
 
 
 def system_response(rates: ProcedureRates, params: QueueParams):
@@ -148,33 +158,21 @@ def system_response(rates: ProcedureRates, params: QueueParams):
     return response_at(rates.lam_total_msgs, t_sl, params)
 
 
-def _min_floor_response(lam: float, t_sl: float, params: QueueParams) -> tuple[float, str]:
-    """Best achievable response (m -> inf) and the dominating stage name."""
-    parts = {
-        "FE": mm1_response(lam, params.mu_fe, "FE"),
-        "SL": t_sl,
-        "SDB": mm1_response(lam, params.mu_sdb, "SDB"),
-        "OI": mm1_response(lam, params.mu_oi, "OI"),
-    }
-    total = sum(parts.values())
-    return total, max(parts, key=parts.get)
-
-
 def dimension(rates: ProcedureRates, params: QueueParams, t_max: float | None = None) -> int:
     """Smallest SL instance count whose total response meets the budget."""
     t_max = params.t_max if t_max is None else t_max
     lam = rates.lam_total_msgs
     if lam == 0:
         return 1
-    for mu, stage in ((params.mu_fe, "FE"), (params.mu_sdb, "SDB"),
-                      (params.mu_oi, "OI")):
-        if lam >= mu:
-            raise InfeasibleError(
-                f"message rate {lam:g}/s saturates the {stage} stage "
-                f"(capacity {mu:g}/s); no instance count helps", stage=stage)
     t_sl = weighted_sl_service_time(rates, params.sl_times)
-    floor, binding = _min_floor_response(lam, t_sl, params)
+    try:
+        floor, parts = response_at(lam, t_sl, params, math.inf)
+    except InstabilityError as e:
+        raise InfeasibleError(
+            f"message rate {lam:g}/s saturates the {e.stage} stage "
+            f"(capacity {e.capacity:g}/s); no instance count helps", stage=e.stage) from None
     if floor > t_max:
+        binding = max(stages(params, t_sl), key=lambda s: parts[f"{s.key}_s"]).label
         raise InfeasibleError(
             f"even with unlimited instances the response floor is "
             f"{floor*1e6:.1f} us > budget {t_max*1e6:.1f} us ({binding}-bound)",
@@ -241,7 +239,7 @@ def capacity(
 
     # lo meets the budget (no UEs trivially does); hi does not, or is unstable:
     # two UEs past the first stage's saturation rate
-    lam_max = min(params.mu_fe, params.mu_sdb, params.mu_oi, m / t_sl)
+    lam_max = min(s.servers * s.mu for s in stages(params, t_sl, m))
     lo, hi = 0, int(lam_max / msgs_per_ue) + 2
     while hi - lo > 1:
         mid = (lo + hi) // 2

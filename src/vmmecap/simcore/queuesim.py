@@ -38,11 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError
-from ..queueing import QueueParams
+from ..queueing import QueueParams, stages
 from .triggers import PROC_HR, PROC_SR, PROC_SRR, TriggerTrace
 from .stats import batch_means
 
-_STAGES = ("fe", "sl", "db", "oi")
 WARMUP_FRACTION = 0.10  # leading share of responses dropped before batch means
 MIN_BATCHES = 20
 
@@ -75,9 +74,10 @@ def run_queue_sim(
     if not np.all(np.isfinite(trace.time_s)) or np.any(np.diff(trace.time_s) < 0):
         raise ParameterError("trigger times must be finite and sorted")
     st = params.sl_times
-    t_fe, t_db, t_oi = 1.0 / params.mu_fe, 1.0 / params.mu_sdb, 1.0 / params.mu_oi
+    chain = stages(params, st.t_sr1)  # in the loop's order; its SL rate goes unused
     # per procedure, each message's mean service time at each of the four stages
-    means = {proc: [(t_fe, t_sl, t_db, t_oi) for t_sl in sl]
+    means = {proc: [tuple(t_sl if s.key == "sl" else 1.0 / s.mu for s in chain)
+                    for t_sl in sl]
              for proc, sl in ((PROC_SR, (st.t_sr1, st.t_sr2, st.t_sr3)),
                               (PROC_SRR, (st.t_srr1, st.t_srr2, st.t_srr3)),
                               (PROC_HR, (st.t_hr1, st.t_hr2)))}
@@ -164,9 +164,8 @@ def run_queue_sim(
 
     n_msgs = len(responses)
     span = max(t_last - t_first, 0.0)
-    util = {s: (b / span if span > 0 else 0.0)
-            for s, b in zip(_STAGES, (busy_fe, busy_sl, busy_db, busy_oi))}
-    util["sl"] = util["sl"] / m
+    util = {s.key: (b / span / s.servers if span > 0 else 0.0)
+            for s, b in zip(chain, (busy_fe, busy_sl, busy_db, busy_oi))}
 
     resp = np.asarray(responses)
     kept = resp[int(len(resp) * WARMUP_FRACTION):]

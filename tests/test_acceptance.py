@@ -23,7 +23,6 @@ from vmmecap.queueing import (
     capacity,
     dimension,
     erlang_c,
-    mm1_response,
     mmm_response,
     response_at,
     system_response,
@@ -120,7 +119,7 @@ def test_criterion_3_queueing_kernel_oracles(cfg, acceptance):
     for rho in np.arange(0.1, 0.95, 0.1):
         mu = 10136.0
         a = mmm_response(rho * mu, mu, 1)
-        b = mm1_response(rho * mu, mu)
+        b = (1.0 / mu) / (1.0 - rho)  # M/M/1 in closed form
         ok_m1 &= abs(a - b) <= 1e-12 * b
     total, _ = system_response(_rates(1000.0, 1000.0, 500.0), replace(cfg.queue, m=1))
     ok_sys = abs(total - 338.7e-6) <= 0.1e-6
@@ -179,24 +178,13 @@ def _per_pair(cfg, geom):
     return unit, weighted_sl_service_time(unit, cfg.queue.sl_times)
 
 
-def _unlimited_sl_parts(lam, t_sl, q):
-    """Per-stage mean delays with m -> inf: the SL stage is its service time alone."""
-    return {"fe_s": mm1_response(lam, q.mu_fe), "sl_s": t_sl,
-            "db_s": mm1_response(lam, q.mu_sdb), "oi_s": mm1_response(lam, q.mu_oi)}
-
-
-def _budget_rate(t_sl, q, m=None):
+def _budget_rate(t_sl, q, m=math.inf):
     """Largest message rate whose four-stage mean response meets q.t_max,
-    found by bisection; m=None means unlimited SL instances."""
-    def total(lam):
-        if m is None:
-            return sum(_unlimited_sl_parts(lam, t_sl, q).values())
-        return response_at(lam, t_sl, q, m)[0]
-
-    lo, hi = 0.0, min(q.mu_fe, q.mu_sdb, q.mu_oi, (m or math.inf) / t_sl)
+    found by bisection; m = inf means unlimited SL instances."""
+    lo, hi = 0.0, min(q.mu_fe, q.mu_sdb, q.mu_oi, m / t_sl)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if total(mid) <= q.t_max:
+        if response_at(mid, t_sl, q, m)[0] <= q.t_max:
             lo = mid
         else:
             hi = mid
@@ -231,8 +219,8 @@ def test_criterion_5_capacity_scalability_headline(cfg, acceptance):
     ok_sat = all(abs(capacity(m, q, cfg.mix, cfg.geom, cfg.mmpp, 10.0, 1.0).n_u_max - n_inf) <= 1
                  for m in (20, 40))
     ok_procs = abs(ceiling - 37000.0) <= 0.1 * 37000.0
-    parts_inf = _unlimited_sl_parts(lam_inf, t_sl, q)
-    ok_sdb = max(parts_inf, key=parts_inf.get) == "db_s"
+    parts_inf = response_at(lam_inf, t_sl, q, math.inf)[1]
+    ok_sdb = max(_STAGES, key=parts_inf.get) == "db_s"
 
     # the knee: the first k whose largest stage delay at capacity is the SDB's
     points, binding = [], {}

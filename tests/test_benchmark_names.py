@@ -5,12 +5,13 @@ this suite; these checks only build what the benchmark looks up by name.
 """
 
 import importlib
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
-from vmmecap import dists
+from vmmecap import dists, queueing, workload
 from vmmecap.config import load_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -48,3 +49,16 @@ def test_config_laws_cover_every_kind(perfbench):
 def test_scenario_holds_the_keys_perfbench_reads():
     # perfbench/probes.py reads mtcd_per_ue in code no other test runs
     assert {"t_i_s", "service_law", "mtcd_per_ue"} <= set(load_config().scenario)
+
+
+@pytest.mark.parametrize("m", [None, 3])
+def test_queueing_names_the_workloads_call(m):
+    # perfbench/workloads.py calls these two outside `Lib`, in checks no other
+    # test runs: with the configured m and with an explicit one
+    cfg = load_config()
+    ti = cfg.scenario["t_i_s"]
+    rates = workload.aggregate_rates(workload.htc_rates(cfg.mix, cfg.geom, ti),
+                                     workload.mtc_rates(cfg.mmpp, ti), 1000, 1000)
+    t_sl = queueing.weighted_sl_service_time(rates, cfg.queue.sl_times)
+    total = queueing.response_at(rates.lam_total_msgs, t_sl, cfg.queue, m)[0]
+    assert isinstance(total, float) and math.isfinite(total) and total > 0

@@ -222,6 +222,7 @@ class TestCli:
         ["rates", "--ti", "abc"],
         ["simulate", "--duration-s", "inf"],
         ["simulate", "--seed", "-1"],
+        ["dimension", "--users", "0"],  # no devices to dimension for
     ], ids=lambda argv: " ".join(argv))
     def test_bad_flag_exit_code(self, argv, tmp_path, capsys):
         # rejected before any trace is generated or any output written
@@ -313,6 +314,16 @@ class TestCli:
         # DB-saturating population: dimensioning has no solution
         assert main(["dimension", "--users", "30000000", "--out",
                      str(tmp_path / "x")]) == 3
+
+    @pytest.mark.parametrize("command", ["dimension", "capacity", "scalability"])
+    def test_no_signaling_exit_code(self, command, tmp_path, capsys):
+        # devices that never move and whose timer never expires send nothing
+        p = tmp_path / "still.yaml"
+        p.write_text("geometry:\n  speed_dist: {kind: constant, value: 0.0}\n")
+        assert main([command, "--ti", "inf", "--config", str(p),
+                     "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err == "infeasible model: the configured mix generates no signaling at all\n"
 
     @pytest.mark.parametrize("command", ["rates", "dimension", "simulate"])
     def test_session_longer_than_iast_exit_code(self, command, tmp_path, capsys):

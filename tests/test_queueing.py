@@ -15,7 +15,6 @@ from vmmecap.queueing import (
     capacity,
     dimension,
     erlang_c,
-    mm1_response,
     mmm_response,
     response_at,
     system_response,
@@ -49,16 +48,25 @@ def _erlang_c_logspace(m, a):
     return math.exp(log_top - mx) / denom
 
 
+def _mm1(lam, mu):
+    """M/M/1 mean response time in closed form: (1/mu) / (1 - rho)."""
+    return (1.0 / mu) / (1.0 - lam / mu)
+
+
 class TestMM1:
+    """M/M/1 is the M/M/c kernel at c = 1."""
+
     def test_empty_system(self):
-        assert mm1_response(0.0, 100000.0) == pytest.approx(10e-6, rel=1e-12)
+        assert _mm1(0.0, 100000.0) == pytest.approx(10e-6, rel=1e-12)
+        assert mmm_response(0.0, 100000.0, 1) == pytest.approx(10e-6, rel=1e-12)
 
     def test_half_load(self):
-        assert mm1_response(50000.0, 100000.0) == pytest.approx(20e-6, rel=1e-12)
+        assert _mm1(50000.0, 100000.0) == pytest.approx(20e-6, rel=1e-12)
+        assert mmm_response(50000.0, 100000.0, 1) == pytest.approx(20e-6, rel=1e-12)
 
     def test_instability(self):
         with pytest.raises(InstabilityError) as e:
-            mm1_response(100000.0, 100000.0, "SDB")
+            mmm_response(100000.0, 100000.0, 1, "SDB")
         assert e.value.stage == "SDB"
 
 
@@ -121,8 +129,7 @@ class TestMMm:
         mu = 10136.0
         for rho in np.arange(0.1, 0.95, 0.1):
             lam = rho * mu
-            assert mmm_response(lam, mu, 1) == pytest.approx(
-                mm1_response(lam, mu), rel=1e-12)
+            assert mmm_response(lam, mu, 1) == pytest.approx(_mm1(lam, mu), rel=1e-12)
 
     def test_reference_point(self):
         t_sl = 690600e-6 / 7000.0
@@ -161,6 +168,18 @@ class TestSystemResponse:
             system_response(r, replace(cfg.queue, m=50))
         assert e.value.stage == "FE"
 
+    def test_unlimited_pool_is_the_floor(self, cfg):
+        # m = inf: the SL stage is its service time, the others M/M/1
+        q, t_sl = cfg.queue, 99.277e-6
+        for lam in (0.0, 7000.0, 50000.0, 90000.0):
+            floor = (1 / (q.mu_fe - lam) + t_sl + 1 / (q.mu_sdb - lam)
+                     + 1 / (q.mu_oi - lam))
+            total, parts = response_at(lam, t_sl, q, math.inf)
+            assert total == pytest.approx(floor, rel=1e-12)
+            assert parts["sl_s"] == pytest.approx(t_sl, rel=1e-12)
+            assert parts["m"] == math.inf
+            assert total <= response_at(lam, t_sl, q, 40)[0]
+
 
 class TestDimension:
     def test_worked_example(self, cfg):
@@ -168,6 +187,18 @@ class TestDimension:
 
     def test_zero_load(self, cfg):
         assert dimension(_rates(0, 0, 0), cfg.queue) == 1
+
+    @pytest.mark.parametrize("lam_sr, lam_srr, lam_hr, lam, stage", [
+        (20000.0, 20000.0, 5000.0, 130000.0, "FE"),  # past mu_fe = 120000/s
+        (15000.0, 15000.0, 7500.0, 105000.0, "SDB"),  # past mu_sdb = 100000/s only
+    ])
+    def test_saturated_stage_infeasible(self, cfg, lam_sr, lam_srr, lam_hr, lam, stage):
+        r = _rates(lam_sr, lam_srr, lam_hr)
+        assert r.lam_total_msgs == pytest.approx(lam)
+        with pytest.raises(InfeasibleError, match=f"saturates the {stage} stage") as e:
+            dimension(r, cfg.queue)
+        assert e.value.stage == stage
+        assert "no instance count helps" in str(e.value)
 
     def test_db_bound_infeasible(self, cfg):
         # 99500 msgs/s: the database term alone is 2 ms
