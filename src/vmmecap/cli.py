@@ -119,8 +119,11 @@ def _scenario_counts(cfg: ToolConfig, command: str | None = None) -> tuple[int, 
 
 def cmd_rates(cfg: ToolConfig, args) -> None:
     tis = [cfg.scenario["t_i_s"]] if args.ti is None else _parse_grid(args.ti, "--ti")
-    n_u, n_d = _scenario_counts(cfg)
+    n_u, n_d = _scenario_counts(cfg, "rates --simulate" if args.simulate else None)
     horizon, seed = cfg.scenario["horizon_s"], cfg.scenario["seed"]
+    # the simulated rates of the device kinds the population has
+    sim_cols = [c for c, n in (("lam_u_sr", n_u), ("lam_u_hr", n_u), ("lam_s_sr", n_d))
+                if n and args.simulate]
     rows = []
     for ti in tis:
         u_sr, u_srr, u_hr = htc_rates(cfg.mix, cfg.geom, ti)
@@ -136,15 +139,12 @@ def cmd_rates(cfg: ToolConfig, args) -> None:
             trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, n_u, n_d, ti, horizon,
                                       seed, speed_dist=cfg.speed_dist)
             emp = measured_rates(trace, n_u, n_d, horizon)
-            row["sim_lam_u_sr_per_s"] = emp.lam_u_sr
-            row["sim_lam_u_hr_per_s"] = emp.lam_u_hr
-            row["sim_lam_s_sr_per_s"] = emp.lam_s_sr
+            row.update({f"sim_{c}_per_s": getattr(emp, c) for c in sim_cols})
         rows.append(row)
     meta = _meta(cfg, seed=seed)
     if args.simulate:
-        cols = ("lam_u_sr", "lam_s_sr")
-        theory = {c: [r[f"{c}_per_s"] for r in rows] for c in cols}
-        sim = {c: [r[f"sim_{c}_per_s"] for r in rows] for c in cols}
+        theory = {c: [r[f"{c}_per_s"] for r in rows] for c in sim_cols}
+        sim = {c: [r[f"sim_{c}_per_s"] for r in rows] for c in sim_cols}
         meta.update({f"rmse_{k}": v for k, v in compare(theory, sim).items()})
     _emit(rows, meta, args)
 

@@ -88,8 +88,6 @@ def paper_defaults() -> dict:
         "geometry": {
             "cell_width_m": 138.0,
             "cell_height_m": 129.0,
-            "grid_cols": 4,
-            "grid_rows": 3,
             "speed_dist": {"kind": "uniform", "lo": 0.0, "hi": 4.2},
         },
         "mmpp": {

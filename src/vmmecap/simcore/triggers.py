@@ -17,10 +17,10 @@ vectorised call per law across all of them (`_ue_intervals`). MTCD packets
 come from one MMPP pass (`mmpp.mmpp_stream_chunks`).
 
 Devices are warmed up over a lead-in interval before time zero: `settle_s`
-for a UE, one timer length for an MTCD (`_mtcd_lead_in`). Triggers from the
-lead-in are dropped, as are any release/handover triggers that would
-precede a device's first in-horizon service request, keeping the trace
-causally consistent (SRR/HR only after a matching SR).
+for a UE, one timer length for an MTCD (`_mtcd_lead_in`). Triggers before
+time zero are dropped. A session still open at zero keeps its SRR and HRs
+in the horizon, so every SRR/HR follows a matching SR, in the lead-in or
+in the horizon.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ class _UePlan:
     standby: tuple[Dist, ...]  # per app: the gap between sessions
     aaps_per_session: float  # expected, over the mix
     speed: Dist
-    lines: tuple  # `_grid_lines` of the geometry
+    cell: tuple  # (width, height) of a cell, m
 
     @staticmethod
     def build(mix: TrafficMix, geom: CellGeometry, speed_dist: Dist) -> "_UePlan":
@@ -143,7 +143,7 @@ class _UePlan:
         return _UePlan(mix, np.cumsum([a.p_app for a in mix.apps]),
                        tuple(standby_dist(mix, a, m) for a, m in zip(mix.apps, moments)),
                        sum(a.p_app * max(1.0, m.mean_n) for a, m in zip(mix.apps, moments)),
-                       speed_dist, _grid_lines(geom))
+                       speed_dist, (geom.cell_width_m, geom.cell_height_m))
 
 
 def _ue_intervals(plan: _UePlan, n: int, horizon_s: float, settle_s: float,
@@ -214,64 +214,47 @@ def _ue_chunks(plan: _UePlan, n: int, horizon_s: float, settle_s: float, rng):
 
     A chunk's first round draws its UEs' sessions for about CHUNK expected
     AAPs; its devices are numbered from 0. `motion` is each device's start
-    position and velocity, and the grid lines.
+    position in its cell and velocity, and the cell size.
     """
     sessions = (settle_s + horizon_s) / plan.mix.mean_iast_s  # expected, per UE
     per_round = math.ceil(sessions + 3.0 * math.sqrt(sessions))
     size = max(1, int(CHUNK // (per_round * plan.aaps_per_session)))
-    (span_x, _), (span_y, _) = plan.lines
+    w, h = plan.cell
     for lo in range(0, n, size):
         m = min(size, n - lo)
-        x0, y0 = rng.uniform(0.0, span_x, m), rng.uniform(0.0, span_y, m)
+        x0, y0 = rng.uniform(0.0, w, m), rng.uniform(0.0, h, m)
         heading = rng.uniform(0.0, 2.0 * math.pi, m)
         speed = dists.sample(plan.speed, rng, m)
-        motion = (x0, y0, speed * np.cos(heading), speed * np.sin(heading), plan.lines)
+        motion = (x0, y0, speed * np.cos(heading), speed * np.sin(heading), plan.cell)
         yield lo, _ue_intervals(plan, m, horizon_s, settle_s, per_round, rng), motion
 
 
 # ---------------------------------------------------------------------------
-# mobility: cell-crossing times of reflected straight-line motion
+# mobility: cell-edge crossings of straight-line motion
 # ---------------------------------------------------------------------------
 
-def _grid_lines(geom: CellGeometry):
-    """Per axis (x, then y): the grid's span and its interior lines.
+def _crossing_times(t_a, t_b, x0, y0, vx, vy, cell):
+    """(times, windows) of the cell-edge crossings in the windows (t_a, t_b], unsorted.
 
-    Only interior lines count: bouncing at the outer edge keeps the device
-    in its cell, so no handover is generated there.
-    """
-    return ((geom.grid_cols * geom.cell_width_m,
-             np.arange(1, geom.grid_cols) * geom.cell_width_m),
-            (geom.grid_rows * geom.cell_height_m,
-             np.arange(1, geom.grid_rows) * geom.cell_height_m))
-
-
-def _crossing_times(t_a, t_b, x0, y0, vx, vy, lines):
-    """(times, windows) of the grid-line hits in the windows (t_a, t_b], unsorted.
-
-    Window i's device starts at (x0[i], y0[i]) and moves at (vx[i], vy[i]).
-    Reflection in [0, span] unfolds to straight motion with period 2*span:
-    the device is at line g whenever x0 + v*t = +-g (mod 2*span). Each axis
-    solves every (window, target) pair at once; `lines` is `_grid_lines`.
+    Window i's device starts at (x0[i], y0[i]) and moves at (vx[i], vy[i])
+    over a plane tiled by cells of size `cell` (width, height), the
+    unbounded tessellation of the fluid-flow model. It crosses an edge
+    whenever x0 + vx*t = k*width or y0 + vy*t = k*height, for an integer k.
+    Each axis solves every window at once.
     """
     times, wins = [np.empty(0)], [np.empty(0, dtype=np.int64)]
-    for x, v, (span, g) in ((x0, vx, lines[0]), (y0, vy, lines[1])):
+    for x, v, size in ((x0, vx, cell[0]), (y0, vy, cell[1])):
         moving = np.flatnonzero(v != 0.0)
-        if not len(g) or not moving.size:
-            continue
-        x, v, a, b = (c[moving, None] for c in (x, v, t_a, t_b))
-        period = 2.0 * span
-        target = np.concatenate((g, -g))
-        # x + v t = target + period*k  <=>  k = (x + v t - target)/period
-        k1 = (x + v * a - target) / period
-        k2 = (x + v * b - target) / period
-        k_lo = np.ceil(np.minimum(k1, k2) - 1e-12).ravel()
-        n_k = np.maximum(np.floor(np.maximum(k1, k2) + 1e-12).ravel() - k_lo + 1, 0)
-        n_k = n_k.astype(np.int64)
-        pair = np.repeat(np.arange(n_k.size), n_k)
-        k = k_lo[pair] + (np.arange(pair.size) - np.repeat(np.cumsum(n_k) - n_k, n_k))
-        row = pair // len(target)
-        t = (target[pair % len(target)] + period * k - x[row, 0]) / v[row, 0]
-        hit = (a[row, 0] < t) & (t <= b[row, 0])
+        x, v, a, b = (c[moving] for c in (x, v, t_a, t_b))
+        # x + v t = size*k  <=>  k = (x + v t)/size
+        k1 = (x + v * a) / size
+        k2 = (x + v * b) / size
+        k_lo = np.ceil(np.minimum(k1, k2) - 1e-12)
+        n_k = np.maximum(np.floor(np.maximum(k1, k2) + 1e-12) - k_lo + 1, 0).astype(np.int64)
+        row = np.repeat(np.arange(n_k.size), n_k)
+        k = k_lo[row] + (np.arange(row.size) - np.repeat(np.cumsum(n_k) - n_k, n_k))
+        t = (size * k - x[row]) / v[row]
+        hit = (a[row] < t) & (t <= b[row])
         times.append(t[hit])
         wins.append(moving[row[hit]])
     return np.concatenate(times), np.concatenate(wins)
@@ -298,30 +281,23 @@ def _interval_triggers(start, end, dev, t_i: float, horizon_s: float, motion=Non
     """(times, devices, procs) of the triggers of intervals sorted by device, then start.
 
     Each session (`_sessions`) is an SR at its open and an SRR at its close;
-    with `motion` (`_ue_chunks`), every grid-line hit while it is open is an
-    HR. Triggers outside [0, horizon) are dropped, as is an SRR or HR before
-    its device's first kept SR. The SRs come first, then the SRRs, then the
-    HRs, so a stable sort by device and time puts an SR first at a tie: a
-    session of zero length opens before it closes.
+    with `motion` (`_ue_chunks`), every cell-edge crossing while it is open
+    is an HR. Triggers outside [0, horizon) are dropped, so a session open
+    at 0 keeps its SRR and HRs in the horizon. The SRs come first, then the
+    SRRs, then the HRs, so a stable sort by device and time puts an SR first
+    at a tie: a session of zero length opens before it closes.
     """
     sr_t, srr_t, sess_d = _sessions(start, end, dev, t_i)
     keep = (sr_t >= 0.0) & (sr_t < horizon_s)
-    kept_d, kept_t = sess_d[keep], sr_t[keep]
-    # each session's device's first kept SR, or inf if it has none (the
-    # appended device -1 stands past the last SR)
-    at = np.searchsorted(kept_d, sess_d)
-    first_sr = np.where(np.append(kept_d, -1)[at] == sess_d, np.append(kept_t, np.inf)[at],
-                        np.inf)
-    late = srr_t >= first_sr
-    rel = late & (srr_t < horizon_s)
-    times, devs = [kept_t, srr_t[rel]], [kept_d, sess_d[rel]]
+    rel = (srr_t >= 0.0) & (srr_t < horizon_s)
+    times, devs = [sr_t[keep], srr_t[rel]], [sess_d[keep], sess_d[rel]]
     if motion is not None:
-        x0, y0, vx, vy, lines = motion
-        w = np.flatnonzero(late & (sr_t < horizon_s))  # the sessions an HR can come from
+        x0, y0, vx, vy, cell = motion
+        w = np.flatnonzero((srr_t >= 0.0) & (sr_t < horizon_s))  # open at some time in the horizon
         d = sess_d[w]
         hr, win = _crossing_times(sr_t[w], np.minimum(srr_t[w], horizon_s),
-                                  x0[d], y0[d], vx[d], vy[d], lines)
-        ok = (hr >= first_sr[w][win]) & (hr < horizon_s)
+                                  x0[d], y0[d], vx[d], vy[d], cell)
+        ok = (hr >= 0.0) & (hr < horizon_s)
         times.append(hr[ok])
         devs.append(d[win[ok]])
     return (np.concatenate(times), np.concatenate(devs),

@@ -105,17 +105,12 @@ class TrafficMix:
 class CellGeometry:
     cell_width_m: float
     cell_height_m: float
-    grid_cols: int = 1
-    grid_rows: int = 1
     mean_speed_mps: float = 0.0
 
     def __post_init__(self):
         for name in ("cell_width_m", "cell_height_m"):
             if not getattr(self, name) > 0:
                 raise FieldError(name, "> 0", getattr(self, name))
-        for name in ("grid_cols", "grid_rows"):
-            if not getattr(self, name) >= 1:
-                raise FieldError(name, ">= 1", getattr(self, name))
         if not self.mean_speed_mps >= 0:
             raise FieldError("mean_speed_mps", ">= 0", self.mean_speed_mps)
 

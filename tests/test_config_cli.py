@@ -174,6 +174,28 @@ class TestCli:
         assert [r[0] for r in csv.reader(text.splitlines()) if r[0].startswith("#")][-3:] \
             == [f"# {k}" for k in WALLS]
 
+    def test_rates_simulate_without_mtcds(self, tmp_path):
+        # a kind the population lacks is neither reported nor scored
+        code, text = run_cli(["rates", "--simulate", "--users", "20", "--mtcd-ratio", "0",
+                              "--ti", "1,10", "--duration-s", "2000"], tmp_path, fmt="json")
+        assert code == 0
+        out = json.loads(text)
+        assert [k for k in out["rows"][0] if k.startswith("sim_")] == [
+            "sim_lam_u_sr_per_s", "sim_lam_u_hr_per_s"]
+        assert {k for k in out["meta"] if k.startswith("rmse_")} == {
+            "rmse_lam_u_sr", "rmse_lam_u_hr"}
+        # without --simulate, no device is needed
+        assert run_cli(["rates", "--users", "0"], tmp_path)[0] == 0
+
+    def test_rates_simulate_scores_every_rate(self, tmp_path):
+        _, text = run_cli(["rates", "--simulate", "--users", "20", "--ti", "10",
+                           "--duration-s", "2000"], tmp_path, fmt="json")
+        out = json.loads(text)
+        assert [k for k in out["rows"][0] if k.startswith("sim_")] == [
+            "sim_lam_u_sr_per_s", "sim_lam_u_hr_per_s", "sim_lam_s_sr_per_s"]
+        assert {k for k in out["meta"] if k.startswith("rmse_")} == {
+            "rmse_lam_u_sr", "rmse_lam_u_hr", "rmse_lam_s_sr"}
+
     def test_config_error_exit_code(self, tmp_path):
         code = main(["rates", "--config", "/no/such/file.yaml"])
         assert code == 2
@@ -198,9 +220,10 @@ class TestCli:
         (_apps(lambda a: _rename(a[0], "reading_time_s", "reding_time_s")),
          "traffic.apps[0].reding_time_s"),
         ({"queue": {"mu_oi": None}}, None),  # no longer means "derive from o_bw"
+        ({"geometry": {"grid_cols": 4}}, "geometry.grid_cols"),  # cells wrap around
     ], ids=["nonsense", "mmpp.packet_size_bytes", "queue.o_bw", "queue.o_size_bytes",
             "scenario.n_d", "parsing_per_object", "misspelt-model-key",
-            "misspelt-app-key", "queue.mu_oi-null"])
+            "misspelt-app-key", "queue.mu_oi-null", "geometry.grid_cols"])
     def test_unknown_key_exit_code(self, overlay, path, tmp_path, capsys):
         p = tmp_path / "bad.yaml"
         p.write_text(yaml.safe_dump(overlay))
@@ -223,6 +246,7 @@ class TestCli:
         ["simulate", "--duration-s", "inf"],
         ["simulate", "--seed", "-1"],
         ["dimension", "--users", "0"],  # no devices to dimension for
+        ["rates", "--simulate", "--users", "0"],  # no devices to simulate
     ], ids=lambda argv: " ".join(argv))
     def test_bad_flag_exit_code(self, argv, tmp_path, capsys):
         # rejected before any trace is generated or any output written
@@ -237,7 +261,7 @@ class TestCli:
         (["scalability"], {"cost": {"seconds_per_month": 0}}, "cost.seconds_per_month"),
         (["simulate", "--duration-s", "inf"], None, "scenario.horizon_s"),
         (["dimension"], {"queue": {"m": 1.5}}, "queue.m"),
-        (["dimension"], {"geometry": {"grid_cols": 2.5}}, "geometry.grid_cols"),
+        (["dimension"], {"geometry": {"cell_width_m": 0.0}}, "geometry.cell_width_m"),
         (["dimension"], {"scenario": {"seed": 1.7}}, "scenario.seed"),
         (["scalability"], {"cost": {"egress_per_instance": "maybe"}},
          "cost.egress_per_instance"),
@@ -256,7 +280,7 @@ class TestCli:
         (["dimension"], {"mmpp": {"p": 1.5}}, "mmpp.p"),
         (["scalability"], {"cost": {"egress_tiers_gb_usd": [[0, 1.0]]}},
          "cost.egress_tiers_gb_usd"),
-        (["dimension"], {"geometry": {"grid_rows": 0}}, "geometry.grid_rows"),
+        (["dimension"], {"geometry": {"cell_height_m": float("nan")}}, "geometry.cell_height_m"),
         (["dimension"], {"traffic": {"link_rate_bps": 0.0}}, "traffic.link_rate_bps"),
         (["dimension"], _apps(lambda a: a[1]["model"].update(throttle_factor=0.0)),
          "traffic.apps[1].model.throttle_factor"),

@@ -36,7 +36,6 @@ from vmmecap.simcore.triggers import (
     PROC_SR,
     PROC_SRR,
     _crossing_times,
-    _grid_lines,
     _interval_triggers,
     _mtcd_lead_in,
     _sessions,
@@ -46,7 +45,6 @@ from vmmecap.simcore.triggers import (
     population_rng,
 )
 from vmmecap.workload import (
-    CellGeometry,
     VideoModel,
     WebModel,
     aggregate_rates,
@@ -87,11 +85,14 @@ class TestTraceInvariants:
             <= small_trace.n_u + small_trace.n_d
 
     def test_per_device_causality(self, small_trace):
-        # never SR while connected, never SRR/HR while disconnected
+        # never SR while connected, never SRR/HR while disconnected; a device
+        # starts connected when a session is open at 0, which then closes
+        # before any SR opens one
         for dev in np.unique(small_trace.device_id)[:50]:
             sel = small_trace.device_id == dev
             procs = small_trace.procedure[sel]
-            connected = False
+            opens_closes = procs[procs != PROC_HR]
+            connected = opens_closes.size == 0 or opens_closes[0] == PROC_SRR
             for p in procs:
                 if p == PROC_SR:
                     assert not connected
@@ -157,48 +158,42 @@ class TestTraceInvariants:
             [PROC_NAMES[p] for p in small_trace.procedure]
 
 
-def _axis_crossings(x0, v, span, lines, t_a, t_b):
-    """Reference: times in (t_a, t_b] when the reflected coordinate hits any of `lines`.
+def _axis_crossings(x0, v, size, t_a, t_b):
+    """Reference: times in (t_a, t_b] when the coordinate hits a whole multiple of `size`.
 
-    One scalar step per line, sign and period; `_crossing_times` must give
-    the same times bit for bit.
+    One scalar step per integer k; `_crossing_times` must give the same
+    times bit for bit.
     """
-    if v == 0.0 or not lines:
+    if v == 0.0:
         return []
-    period = 2.0 * span
+    k1 = (x0 + v * t_a) / size
+    k2 = (x0 + v * t_b) / size
     out = []
-    for g in lines:
-        for target in (g, -g):
-            k1 = (x0 + v * t_a - target) / period
-            k2 = (x0 + v * t_b - target) / period
-            k_lo, k_hi = min(k1, k2), max(k1, k2)
-            for k in range(math.ceil(k_lo - 1e-12), math.floor(k_hi + 1e-12) + 1):
-                t = (target + period * k - x0) / v
-                if t_a < t <= t_b:
-                    out.append(t)
+    for k in range(math.ceil(min(k1, k2) - 1e-12), math.floor(max(k1, k2) + 1e-12) + 1):
+        t = (size * k - x0) / v
+        if t_a < t <= t_b:
+            out.append(t)
     return out
 
 
-def _reference_crossing_times(windows, x0, y0, vx, vy, geom):
-    w, h = geom.cell_width_m, geom.cell_height_m
-    v_lines = [i * w for i in range(1, geom.grid_cols)]
-    h_lines = [j * h for j in range(1, geom.grid_rows)]
+def _reference_crossing_times(windows, x0, y0, vx, vy, cell):
     out = []
     for t_a, t_b in windows:
-        out.extend(_axis_crossings(x0, vx, geom.grid_cols * w, v_lines, t_a, t_b))
-        out.extend(_axis_crossings(y0, vy, geom.grid_rows * h, h_lines, t_a, t_b))
+        out.extend(_axis_crossings(x0, vx, cell[0], t_a, t_b))
+        out.extend(_axis_crossings(y0, vy, cell[1], t_a, t_b))
     return sorted(out)
 
 
-class TestCrossingTimes:
-    GEOM = CellGeometry(138.0, 129.0, 4, 3)
+CELL = (138.0, 129.0)  # width, height, m
 
-    def check(self, windows, x0, y0, vx, vy, geom=GEOM):
+
+class TestCrossingTimes:
+    def check(self, windows, x0, y0, vx, vy):
         """One device's motion in every window; the hits must be the reference's."""
         w = np.array(windows, dtype=float).reshape(-1, 2)
         motion = (np.full(len(w), c) for c in (x0, y0, vx, vy))
-        got, win = _crossing_times(w[:, 0], w[:, 1], *motion, _grid_lines(geom))
-        want = _reference_crossing_times(windows, x0, y0, vx, vy, geom)
+        got, win = _crossing_times(w[:, 0], w[:, 1], *motion, CELL)
+        want = _reference_crossing_times(windows, x0, y0, vx, vy, CELL)
         assert np.sort(got).tolist() == want
         assert np.all((w[win, 0] < got) & (got <= w[win, 1]))
         return want
@@ -211,7 +206,7 @@ class TestCrossingTimes:
             starts = np.sort(rng.uniform(-3000.0, 20000.0, n))
             windows = list(zip(starts.tolist(), (starts + rng.exponential(300.0, n)).tolist()))
             speed, heading = rng.uniform(0.0, 8.4), rng.uniform(0.0, 2 * math.pi)
-            total += len(self.check(windows, rng.uniform(0.0, 552.0), rng.uniform(0.0, 387.0),
+            total += len(self.check(windows, rng.uniform(0.0, 138.0), rng.uniform(0.0, 129.0),
                                     speed * math.cos(heading), speed * math.sin(heading)))
         assert total > 1000
 
@@ -220,17 +215,17 @@ class TestCrossingTimes:
         n = 400
         t_a = rng.uniform(-3000.0, 20000.0, n)
         t_b = t_a + rng.exponential(300.0, n)
-        x0, y0 = rng.uniform(0.0, 552.0, n), rng.uniform(0.0, 387.0, n)
+        x0, y0 = rng.uniform(0.0, 138.0, n), rng.uniform(0.0, 129.0, n)
         speed, heading = rng.uniform(0.0, 8.4, n), rng.uniform(0.0, 2 * math.pi, n)
         speed[::7] = 0.0  # some devices stand still
         vx, vy = speed * np.cos(heading), speed * np.sin(heading)
-        got, win = _crossing_times(t_a, t_b, x0, y0, vx, vy, _grid_lines(self.GEOM))
+        got, win = _crossing_times(t_a, t_b, x0, y0, vx, vy, CELL)
         assert len(got) > 1000
         order = np.lexsort((got, win))
         got, win = got[order], win[order]
         for i in range(n):
             want = _reference_crossing_times([(t_a[i], t_b[i])], x0[i], y0[i], vx[i], vy[i],
-                                             self.GEOM)
+                                             CELL)
             assert got[win == i].tolist() == want
 
     def test_still_on_one_axis(self):
@@ -245,8 +240,8 @@ class TestCrossingTimes:
         for heading in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi):
             assert self.check(windows, 70.0, 60.0, 3.0 * math.cos(heading),
                               3.0 * math.sin(heading))
-        # a grid one cell wide has no interior line to cross along x
-        assert self.check(windows, 70.0, 60.0, 3.0, 0.0, CellGeometry(138.0, 129.0, 1, 3)) == []
+        # x runs from 70 to 15070 m and meets every multiple of 138 m on the way
+        assert len(self.check(windows, 70.0, 60.0, 3.0, 0.0)) == 15070 // 138
 
     def test_window_end_on_grid_line(self):
         # x = 1 m/s * t reaches the line at 138 m exactly at t = 138 s, which
@@ -296,8 +291,7 @@ def _reference_aap_duration(model, link_rate_bps, draw):
 def _reference_ue_timeline(rng, plan, horizon_s, settle_s):
     """Reference: one UE's AAPs (starts, ends) and motion from its own stream,
     drawn session by session and AAP by AAP as the per-device generator did."""
-    (span_x, _), (span_y, _) = plan.lines
-    x0, y0 = rng.uniform(0.0, span_x), rng.uniform(0.0, span_y)
+    x0, y0 = rng.uniform(0.0, plan.cell[0]), rng.uniform(0.0, plan.cell[1])
     heading = rng.uniform(0.0, 2.0 * math.pi)
     draw = _block_draws(rng)
     speed = draw(plan.speed)
@@ -318,14 +312,15 @@ def _reference_ue_timeline(rng, plan, horizon_s, settle_s):
     return starts, ends, (x0, y0, speed * math.cos(heading), speed * math.sin(heading))
 
 
-def _reference_ue_triggers(starts, ends, motion, t_i, horizon_s, geom):
+def _reference_ue_triggers(starts, ends, motion, t_i, horizon_s):
     """Reference: one UE's (times, procs) and its sessions' (open, close) windows.
 
     The per-UE state machine of the per-device generator, walked over the
     UE's activity intervals: an SR when an interval starts while idle, an SRR
     when the timer runs out after a gap longer than `t_i` or after the last
-    interval, an HR at each grid-line crossing while connected. Lead-in
-    triggers are then dropped, and any SRR/HR before the first kept SR.
+    interval, an HR at each cell-edge crossing while connected. `motion` is
+    the start position, the velocity and the cell size. Triggers outside
+    [0, horizon) are then dropped.
     """
     times, procs, windows = [], [], []
     connected, win_start, t_end = False, None, None
@@ -347,26 +342,24 @@ def _reference_ue_triggers(starts, ends, motion, t_i, horizon_s, geom):
         t_end = e
     if connected:
         close_window(t_end + t_i)
-    hr = _reference_crossing_times([(a, min(b, horizon_s)) for a, b in windows], *motion, geom)
+    hr = _reference_crossing_times([(a, min(b, horizon_s)) for a, b in windows], *motion)
     times = np.array(times + hr)
     procs = np.array(procs + [PROC_HR] * len(hr), dtype=np.uint8)
     order = np.argsort(times, kind="stable")
     times, procs = times[order], procs[order]
     keep = (times >= 0.0) & (times < horizon_s)
-    times, procs = times[keep], procs[keep]
-    sr_pos = np.flatnonzero(procs == PROC_SR)
-    first = sr_pos[0] if len(sr_pos) else len(times)
-    return times[first:], procs[first:], windows
+    return times[keep], procs[keep], windows
 
 
-def _reference_ue_population(start, end, dev, motion, n, t_i, horizon_s, geom):
+def _reference_ue_population(start, end, dev, motion, n, t_i, horizon_s):
     """(times, devices, procs) and (open, close, device) of `_reference_ue_triggers`
     over devices 0..n-1, each device's share of the intervals and motion."""
     times, devs, procs, wins = [], [], [], []
     for d in range(n):
         sel = dev == d
-        t, p, w = _reference_ue_triggers(start[sel], end[sel], [m[d] for m in motion[:4]],
-                                         t_i, horizon_s, geom)
+        t, p, w = _reference_ue_triggers(start[sel], end[sel],
+                                         [m[d] for m in motion[:4]] + [motion[4]],
+                                         t_i, horizon_s)
         times.append(t)
         devs.append(np.full(len(t), d))
         procs.append(p)
@@ -376,13 +369,12 @@ def _reference_ue_population(start, end, dev, motion, n, t_i, horizon_s, geom):
             (wins[:, 0], wins[:, 1], wins[:, 2].astype(np.int64)))
 
 
-def _random_motion(rng, n, geom):
-    """Start positions and velocities of n devices, every fifth standing still."""
-    (span_x, _), (span_y, _) = lines = _grid_lines(geom)
+def _random_motion(rng, n):
+    """Start positions in a cell and velocities of n devices, every fifth standing still."""
     speed, heading = rng.uniform(0.0, 8.4, n), rng.uniform(0.0, 2 * math.pi, n)
     speed[::5] = 0.0
-    return (rng.uniform(0.0, span_x, n), rng.uniform(0.0, span_y, n),
-            speed * np.cos(heading), speed * np.sin(heading), lines)
+    return (rng.uniform(0.0, CELL[0], n), rng.uniform(0.0, CELL[1], n),
+            speed * np.cos(heading), speed * np.sin(heading), CELL)
 
 
 def _random_timelines(rng, n, lead_s, horizon_s):
@@ -405,14 +397,12 @@ def _random_timelines(rng, n, lead_s, horizon_s):
 class TestUeTriggers:
     """The interval-based builder against the per-UE state machine, on the same timelines."""
 
-    GEOM = CellGeometry(138.0, 129.0, 4, 3)
-
     def check(self, start, end, dev, motion, n, t_i, horizon_s):
         t, d, p = _interval_triggers(start, end, dev, t_i, horizon_s, motion)
         order = np.lexsort((t, d))  # stable: SR, then SRR, then HR at one instant
         got = (t[order], d[order], p[order])
         want, want_windows = _reference_ue_population(start, end, dev, motion, n, t_i,
-                                                      horizon_s, self.GEOM)
+                                                      horizon_s)
         _assert_same(got, want)
         _assert_same(_sessions(start, end, dev, t_i), want_windows)
         return got
@@ -422,13 +412,12 @@ class TestUeTriggers:
     def test_random_timelines(self, seed, t_i):
         rng = np.random.default_rng(seed)
         start, end, dev = _random_timelines(rng, 60, 300.0, 1000.0)
-        t, d, p = self.check(start, end, dev, _random_motion(rng, 60, self.GEOM), 60, t_i,
-                             1000.0)
+        t, d, p = self.check(start, end, dev, _random_motion(rng, 60), 60, t_i, 1000.0)
         assert np.count_nonzero(p == PROC_SR) > 0
         assert np.count_nonzero(p == PROC_HR) > 0
 
     HAND = {  # device -> activity intervals, horizon 100 s, timer 10 s
-        0: [(-5.0, 3.0)],  # a session over 0 that opens before it: no trigger at all
+        0: [(-5.0, 3.0)],  # a session over 0 that opens before it: its SRR and HR only
         1: [(-50.0, -45.0)],  # only in the lead-in
         2: [(0.0, 5.0), (15.0, 20.0), (30.5, 31.0)],  # gaps of exactly 10 s, then 10.5 s
         3: [(-8.0, 2.0), (20.0, 20.0), (95.0, 130.0)],  # zero length; the last over the horizon
@@ -438,33 +427,39 @@ class TestUeTriggers:
     def hand_built(self):
         cells = sorted((d, a, b) for d, ivs in self.HAND.items() for a, b in ivs)
         d, a, b = (np.array(c) for c in zip(*cells))
-        motion = tuple(np.full(5, v) for v in (130.0, 60.0, 2.0, 0.0)) + (_grid_lines(self.GEOM),)
+        motion = tuple(np.full(5, v) for v in (130.0, 60.0, 2.0, 0.0)) + (CELL,)
         return a, b, d.astype(np.int64), motion
 
     def test_hand_built(self):
         start, end, dev, motion = self.hand_built()
         t, d, p = self.check(start, end, dev, motion, 5, 10.0, 100.0)
-        # x = 130 + 2 t reaches the line at 138 m at 4 s and the next, at 276 m, at 73 s
+        # x = 130 + 2 t reaches the cell edge at 138 m at 4 s and the next, at
+        # 276 m, at 73 s (and the one at 0 m at -65 s)
         assert list(zip(d.tolist(), t.tolist(), p.tolist())) == [
+            (0, 4.0, PROC_HR), (0, 13.0, PROC_SRR),
             (2, 0.0, PROC_SR), (2, 4.0, PROC_HR), (2, 30.0, PROC_SRR), (2, 30.5, PROC_SR),
             (2, 41.0, PROC_SRR),
-            (3, 20.0, PROC_SR), (3, 30.0, PROC_SRR), (3, 95.0, PROC_SR),
+            (3, 4.0, PROC_HR), (3, 12.0, PROC_SRR), (3, 20.0, PROC_SR), (3, 30.0, PROC_SRR),
+            (3, 95.0, PROC_SR),
             (4, 90.0, PROC_SR)]
 
     def test_hand_built_timer_zero_and_infinite(self):
         start, end, dev, motion = self.hand_built()
         t, d, p = self.check(start, end, dev, motion, 5, 0.0, 100.0)
         assert p.tolist().count(PROC_SR) == 6  # every interval starting in [0, 100) opens one
-        # t_i = inf: a device's first interval opens its only session, so
-        # devices 0, 1 and 3, which open theirs before 0, have no trigger
+        # t_i = inf: a device's first interval opens its only session, which
+        # never closes, so devices 0, 1 and 3, which open theirs before 0,
+        # have its HRs alone
         t, d, p = self.check(start, end, dev, motion, 5, np.inf, 100.0)
         assert list(zip(d.tolist(), t.tolist(), p.tolist())) == [
-            (2, 0.0, PROC_SR), (2, 4.0, PROC_HR), (2, 73.0, PROC_HR), (4, 90.0, PROC_SR)]
+            (0, 4.0, PROC_HR), (0, 73.0, PROC_HR), (1, 4.0, PROC_HR), (1, 73.0, PROC_HR),
+            (2, 0.0, PROC_SR), (2, 4.0, PROC_HR), (2, 73.0, PROC_HR),
+            (3, 4.0, PROC_HR), (3, 73.0, PROC_HR), (4, 90.0, PROC_SR)]
 
     def test_no_intervals(self):
         empty = np.empty(0)
         got = self.check(empty, empty, np.empty(0, dtype=np.int64),
-                         _random_motion(np.random.default_rng(0), 3, self.GEOM), 3, 10.0, 100.0)
+                         _random_motion(np.random.default_rng(0), 3), 3, 10.0, 100.0)
         assert all(len(a) == 0 for a in got)
 
     def test_trace_over_several_chunks(self, cfg, monkeypatch):
@@ -481,8 +476,7 @@ class TestUeTriggers:
             assert np.all(start < horizon) and np.all(end >= start)
             assert np.all(np.diff(dev) >= 0) and set(dev.tolist()) <= set(range(m))
             assert np.all(np.diff(start)[dev[1:] == dev[:-1]] >= 0)
-            (t, d, p), _ = _reference_ue_population(start, end, dev, motion, m, t_i, horizon,
-                                                    cfg.geom)
+            (t, d, p), _ = _reference_ue_population(start, end, dev, motion, m, t_i, horizon)
             want.append((t, d + lo, p))
         got = _by_device(trace, KIND_UE)
         assert len(got[0]) > 0
@@ -529,7 +523,7 @@ class TestUeLaw:
                                                           horizon, 3000.0)
             _, _, p = _interval_triggers(np.array(starts), np.array(ends),
                                          np.zeros(len(starts), dtype=np.int64), t_i, horizon,
-                                         tuple(np.array([v]) for v in motion) + (plan.lines,))
+                                         tuple(np.array([v]) for v in motion) + (plan.cell,))
             ref[:, d] = np.bincount(p, minlength=3)
         new = np.zeros((3, n))
         np.add.at(new, (trace.procedure, trace.device_id), 1)
@@ -570,22 +564,18 @@ class TestMtcdLeadIn:
         assert np.all(trace.device_kind == KIND_MTCD)
 
     def test_short_lead_in_keeps_the_trigger_law(self, cfg):
-        # Only the triggers in [0, t_i) can see the lead-in. Clipping drops
-        # every SRR there (it closes a session opened before 0), so SRRs are
-        # counted before clipping, SRs after it.
+        # Only the triggers in [0, t_i) can see the lead-in: the SRRs there
+        # close sessions opened before 0, and an SR there needs the packets
+        # up to t_i before it.
         t_i, horizon, n = 7.5, 15.0, 20_000
 
         def per_device(seed, lead_s):
             n_sr, n_srr = np.zeros(n), np.zeros(n)
             rng = population_rng(seed, KIND_MTCD)
             for pk, dev in mmpp_stream_chunks(cfg.mmpp, lead_s + horizon, n, rng):
-                pk = pk - lead_s
-                # an SRR follows a device's last packet and each one before a gap > t_i
-                srr = np.append((dev[1:] != dev[:-1]) | (np.diff(pk) > t_i), True)
-                t = pk[srr] + t_i
-                n_srr += np.bincount(dev[srr][(t >= 0.0) & (t < t_i)], minlength=n)
-                t, d, p = _interval_triggers(pk, pk, dev, t_i, horizon)
+                t, d, p = _interval_triggers(pk - lead_s, pk - lead_s, dev, t_i, horizon)
                 n_sr += np.bincount(d[(p == PROC_SR) & (t < t_i)], minlength=n)
+                n_srr += np.bincount(d[(p == PROC_SRR) & (t < t_i)], minlength=n)
             return n_sr, n_srr
 
         lead_s = _mtcd_lead_in(cfg.mmpp, t_i, 3000.0)
@@ -598,25 +588,19 @@ class TestMtcdLeadIn:
 
 def _reference_mtcd_triggers(pk, t_i, horizon_s):
     """Reference: one MTCD's (times, procs) from its own packets, device by
-    device, as the per-device generator derived and clipped them."""
+    device: the per-device generator's triggers, clipped to [0, horizon)."""
     if len(pk) == 0:
         return np.empty(0), np.empty(0, dtype=np.uint8)
     gaps = np.diff(pk)
     sr_times = pk[np.concatenate(([True], gaps > t_i))]  # first packet finds it idle
     srr_times = pk[np.concatenate((gaps > t_i, [True]))] + t_i  # timer runs out after these
-    srr_times = srr_times[srr_times < horizon_s]
     times = np.concatenate((sr_times, srr_times))
     procs = np.concatenate((np.zeros(len(sr_times), dtype=np.uint8),
                             np.full(len(srr_times), PROC_SRR, dtype=np.uint8)))
-    # drop lead-in triggers and any SRR preceding the first kept SR
     order = np.argsort(times, kind="stable")
     times, procs = times[order], procs[order]
     keep = (times >= 0.0) & (times < horizon_s)
-    times, procs = times[keep], procs[keep]
-    sr_pos = np.flatnonzero(procs == PROC_SR)
-    if len(sr_pos) == 0:
-        return times[:0], procs[:0]
-    return times[sr_pos[0]:], procs[sr_pos[0]:]
+    return times[keep], procs[keep]
 
 
 def _reference_population(pk, dev, n, t_i, horizon_s):
@@ -678,10 +662,10 @@ class TestMtcdTriggers:
         assert len(got[0]) > 0
 
     HAND = {  # device -> packet times, lead-in 10 s, horizon 100 s
-        1: [-9.0, -5.0],  # only lead-in packets; its SRR at 5 precedes any SR
+        1: [-9.0, -5.0],  # only lead-in packets; their session's SRR at 5 is kept
         2: [-5.0, 3.0, 20.0, 95.0],  # the SRR at 13 closes a lead-in session
         3: [0.0, 90.0],  # an SR at 0; the SRR at 100 is past the horizon
-        5: [-10.0],  # an SRR exactly at 0, still without an SR
+        5: [-10.0],  # an SRR exactly at 0
         6: [-2.0, 8.0, 90.0 - 1e-9],  # the last SRR just inside the horizon
     }  # devices 0 and 4 send nothing
 
@@ -692,10 +676,11 @@ class TestMtcdTriggers:
 
     def test_hand_built(self):
         t, d, p = self.check(*self.hand_built(), 7, 10.0, 100.0)
-        assert d.tolist() == [2, 2, 2, 3, 3, 3, 6, 6]
-        assert t.tolist() == [20.0, 30.0, 95.0, 0.0, 10.0, 90.0, 90.0 - 1e-9, 100.0 - 1e-9]
-        assert p.tolist() == [PROC_SR, PROC_SRR, PROC_SR, PROC_SR, PROC_SRR, PROC_SR,
-                              PROC_SR, PROC_SRR]
+        assert d.tolist() == [1, 2, 2, 2, 2, 3, 3, 3, 5, 6, 6, 6]
+        assert t.tolist() == [5.0, 13.0, 20.0, 30.0, 95.0, 0.0, 10.0, 90.0, 0.0,
+                              18.0, 90.0 - 1e-9, 100.0 - 1e-9]
+        assert p.tolist() == [PROC_SRR, PROC_SRR, PROC_SR, PROC_SRR, PROC_SR, PROC_SR, PROC_SRR,
+                              PROC_SR, PROC_SRR, PROC_SRR, PROC_SR, PROC_SRR]
 
     def test_hand_built_timer_zero_and_infinite(self):
         # t_i = 0: every packet opens and closes its own session at one instant
@@ -759,8 +744,7 @@ class TestMeasuredRates:
         s_sr, _ = mtc_rates(cfg.mmpp, 10.0)
         assert emp.lam_u_sr == pytest.approx(u_sr, rel=0.10)
         assert emp.lam_s_sr == pytest.approx(s_sr, rel=0.10)
-        # bounce-back mobility crosses fewer boundaries than the open-plane model
-        assert emp.lam_u_hr <= u_hr
+        assert emp.lam_u_hr == pytest.approx(u_hr, rel=0.10)
 
     def test_trivial_counting(self):
         trace = TriggerTrace(
@@ -772,6 +756,38 @@ class TestMeasuredRates:
         )
         emp = measured_rates(trace, 2, 0, 10.0)
         assert emp.lam_u_sr == pytest.approx(2 / (2 * 10.0))
+
+
+class TestShortHorizon:
+    """A trace of a few timer lengths keeps the model's rates: a session open
+    at 0 keeps its SRR and HRs in the horizon."""
+
+    @staticmethod
+    def per_device(trace, n):
+        counts = np.zeros((3, n))
+        np.add.at(counts, (trace.procedure, trace.device_id), 1)
+        return counts
+
+    def test_ue_rates_match_the_model(self, cfg):
+        n, t_i, horizon = 20_000, 10.0, 60.0
+        trace = generate_triggers(cfg.mix, cfg.geom, None, n, 0, t_i, horizon, 31,
+                                  speed_dist=cfg.speed_dist)
+        counts = self.per_device(trace, n)
+        for proc, rate in zip((PROC_SR, PROC_SRR, PROC_HR), htc_rates(cfg.mix, cfg.geom, t_i)):
+            c = counts[proc]
+            assert c.mean() > 0.05
+            assert abs(c.mean() - rate * horizon) <= 4 * c.std(ddof=1) / math.sqrt(n), \
+                PROC_NAMES[proc]
+
+    def test_mtcd_srr_matches_sr(self, cfg):
+        # the shape of perfbench's simulate_mtc: 20k MTCDs over 200 s
+        n, horizon = 20_000, 200.0
+        trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 0, n, cfg.scenario["t_i_s"],
+                                  horizon, 111, speed_dist=cfg.speed_dist)
+        counts = self.per_device(trace, n)
+        diff = counts[PROC_SRR] - counts[PROC_SR]
+        assert counts[PROC_SR].mean() > 0.5
+        assert abs(diff.mean()) <= 4 * diff.std(ddof=1) / math.sqrt(n)
 
 
 class TestCallOnlyScenario:
@@ -964,18 +980,19 @@ class TestQueueSim:
         # to trace generation changes these figures too (recorded again after
         # UE draws moved to per-device blocks, after the MTCD lead-in shrank
         # to one timer length, after MTCDs moved to one population stream,
-        # and after UEs did).
+        # after UEs did, and after handovers moved to wrap-around cells and
+        # the trace's clip to t = 0).
         small = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 50, 50, 10.0,
                                   3000.0, 7, speed_dist=cfg.speed_dist)
         st = run_queue_sim(small, replace(cfg.queue, m=1), "deterministic", seed=3)
         assert (st.mean_response_s, st.ci_halfwidth_s) == (
-            0.00011784840971068857, 5.1540590023794505e-08)
+            0.00011778520303289705, 6.39981521136302e-08)
         assert (st.n_messages, st.n_triggers, st.max_backlog, st.n_batches) == (
-            11944, 4029, 2, 20)
+            12131, 4118, 2, 20)
         assert st.utilization == {
-            "fe": 3.319600953779997e-05, "sl": 0.00039563355471212064,
-            "db": 3.9835211445358835e-05, "oi": 7.967042289071885e-07}
-        assert st.empirical_lam_msgs == 3.9835211445363377
+            "fe": 3.3715739425908515e-05, "sl": 0.00040149370653114625,
+            "db": 4.0458887311088914e-05, "oi": 8.09177746221802e-07}
+        assert st.empirical_lam_msgs == 4.04588873110937
         assert (st.warmup_fraction, st.seed, st.valid) == (0.1, 3, True)
 
         # m = 3 pool at about 75 % load, where messages queue and overtake
