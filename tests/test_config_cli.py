@@ -174,27 +174,21 @@ class TestCli:
         assert [r[0] for r in csv.reader(text.splitlines()) if r[0].startswith("#")][-3:] \
             == [f"# {k}" for k in WALLS]
 
-    def test_rates_simulate_without_mtcds(self, tmp_path):
-        # a kind the population lacks is neither reported nor scored
-        code, text = run_cli(["rates", "--simulate", "--users", "20", "--mtcd-ratio", "0",
+    @pytest.mark.parametrize("ratio, rates", [
+        ("1", ["lam_u_sr", "lam_u_hr", "lam_s_sr"]),
+        ("0", ["lam_u_sr", "lam_u_hr"]),  # a kind the population lacks is not reported
+    ])
+    def test_rates_simulate_reports_and_scores(self, ratio, rates, tmp_path):
+        code, text = run_cli(["rates", "--simulate", "--users", "20", "--mtcd-ratio", ratio,
                               "--ti", "1,10", "--duration-s", "2000"], tmp_path, fmt="json")
         assert code == 0
         out = json.loads(text)
         assert [k for k in out["rows"][0] if k.startswith("sim_")] == [
-            "sim_lam_u_sr_per_s", "sim_lam_u_hr_per_s"]
-        assert {k for k in out["meta"] if k.startswith("rmse_")} == {
-            "rmse_lam_u_sr", "rmse_lam_u_hr"}
-        # without --simulate, no device is needed
-        assert run_cli(["rates", "--users", "0"], tmp_path)[0] == 0
+            f"sim_{r}_per_s" for r in rates]
+        assert {k for k in out["meta"] if k.startswith("rmse_")} == {f"rmse_{r}" for r in rates}
 
-    def test_rates_simulate_scores_every_rate(self, tmp_path):
-        _, text = run_cli(["rates", "--simulate", "--users", "20", "--ti", "10",
-                           "--duration-s", "2000"], tmp_path, fmt="json")
-        out = json.loads(text)
-        assert [k for k in out["rows"][0] if k.startswith("sim_")] == [
-            "sim_lam_u_sr_per_s", "sim_lam_u_hr_per_s", "sim_lam_s_sr_per_s"]
-        assert {k for k in out["meta"] if k.startswith("rmse_")} == {
-            "rmse_lam_u_sr", "rmse_lam_u_hr", "rmse_lam_s_sr"}
+    def test_rates_needs_no_device_without_simulate(self, tmp_path):
+        assert run_cli(["rates", "--users", "0"], tmp_path)[0] == 0
 
     def test_config_error_exit_code(self, tmp_path):
         code = main(["rates", "--config", "/no/such/file.yaml"])
