@@ -18,8 +18,6 @@ import sys
 import time
 from dataclasses import replace
 
-import numpy as np
-
 from . import __version__
 from .config import ToolConfig, load_config
 from .econ import scalability_table
@@ -49,13 +47,10 @@ def _parse_grid(text: str, flag: str, whole: bool = False) -> list:
             lo, hi, step = parts
         else:
             raise ConfigError(f"bad grid spec {text!r}")
-        if not (step > 0 and lo <= hi < math.inf):
+        if not (step > 0 and -math.inf < lo <= hi < math.inf):
             raise ConfigError(f"bad grid spec {text!r}")
-        parts = []
-        v = lo
-        while v <= hi + 1e-9:
-            parts.append(round(v, 9))
-            v += step
+        # point i is lo + i * step, so no rounding error builds up over the grid
+        parts = [round(lo + i * step, 9) for i in range(math.floor((hi - lo) / step + 1e-9) + 1)]
     rule = "whole numbers >= 1" if whole else ">= 0"
     if not all(v >= 1 and v.is_integer() if whole else v >= 0 for v in parts):
         raise ConfigError(f"{flag} values must be {rule}, got {text!r}")
@@ -117,18 +112,20 @@ def _scenario_counts(cfg: ToolConfig, command: str | None = None) -> tuple[int, 
     return n_u, n_d
 
 
+def _sim_cols(n_u: int, n_d: int) -> list[str]:
+    """The per-device rates a simulation measures: those of the device kinds it has."""
+    return [c for c, n in (("lam_u_sr", n_u), ("lam_u_hr", n_u), ("lam_s_sr", n_d)) if n]
+
+
 def cmd_rates(cfg: ToolConfig, args) -> None:
     tis = [cfg.scenario["t_i_s"]] if args.ti is None else _parse_grid(args.ti, "--ti")
     n_u, n_d = _scenario_counts(cfg, "rates --simulate" if args.simulate else None)
     horizon, seed = cfg.scenario["horizon_s"], cfg.scenario["seed"]
-    # the simulated rates of the device kinds the population has
-    sim_cols = [c for c, n in (("lam_u_sr", n_u), ("lam_u_hr", n_u), ("lam_s_sr", n_d))
-                if n and args.simulate]
+    sim_cols = _sim_cols(n_u, n_d) if args.simulate else []
     rows = []
     for ti in tis:
         u_sr, u_srr, u_hr = htc_rates(cfg.mix, cfg.geom, ti)
-        s_sr, _ = mtc_rates(cfg.mmpp, ti, method=args.mtc_method,
-                            rng=np.random.default_rng(seed))
+        s_sr, _ = mtc_rates(cfg.mmpp, ti, method=args.mtc_method)
         row = {
             "t_i_s": ti,
             "lam_u_sr_per_s": u_sr,
@@ -243,9 +240,7 @@ def cmd_simulate(cfg: ToolConfig, args) -> None:
         "ci_halfwidth_us": stats.ci_halfwidth_s * 1e6,
         **{f"util_{k}": u for k, u in stats.utilization.items()},
         "sim_lam_msgs_per_s": stats.empirical_lam_msgs,
-        "sim_lam_u_sr_per_s": emp.lam_u_sr,
-        "sim_lam_u_hr_per_s": emp.lam_u_hr,
-        "sim_lam_s_sr_per_s": emp.lam_s_sr,
+        **{f"sim_{c}_per_s": getattr(emp, c) for c in _sim_cols(n_u, n_d)},
         "max_backlog": stats.max_backlog,
         "stats_valid": stats.valid,
     }]
@@ -286,8 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default scenario.t_i_s)")
     p.add_argument("--simulate", action="store_true",
                    help="append simulated rates and an RMSE footer")
-    p.add_argument("--mtc-method", choices=("approx", "monte_carlo"),
-                   default="approx")
+    p.add_argument("--mtc-method", choices=("approx", "exact"), default="approx",
+                   help="MTC rate: the paper's per-state approximation (default) or "
+                        "the exact slotted-MMPP gap law")
     p.set_defaults(func=cmd_rates)
 
     p = sub.add_parser("dimension", parents=[common, timer],

@@ -10,6 +10,9 @@ by normalised exponential spacings: the order statistics of n uniforms are
 the partial sums of n + 1 unit exponentials over their total (Devroye 1986,
 *Non-Uniform Random Variate Generation*, V.2), so no sort is needed.
 
+`gap_survival` is the exact tail of the gap that follows a typical packet,
+from the same slot and switch rules, in closed form.
+
 `mmpp_packet_streams` draws n independent streams together from one
 generator, in rounds: each round draws a block of segments for every stream
 that has not yet reached the horizon. `mmpp_stream_chunks` hands a
@@ -46,8 +49,8 @@ class MmppParams:
             if not 0 <= getattr(self, name) <= 1:
                 raise FieldError(name, "in [0, 1]", getattr(self, name))
         for name in ("lambda1", "lambda2"):
-            if not getattr(self, name) >= 0:
-                raise FieldError(name, ">= 0", getattr(self, name))
+            if not 0 <= getattr(self, name) < math.inf:
+                raise FieldError(name, "finite and >= 0", getattr(self, name))
         if not self.delta_t > 0:
             raise FieldError("delta_t", "> 0", self.delta_t)
 
@@ -62,6 +65,60 @@ def mmpp_stationary(params: MmppParams) -> tuple[float, float, float]:
     pi1 = q / (p + q)
     pi2 = p / (p + q)
     return pi1, pi2, pi1 * params.lambda1 + pi2 * params.lambda2
+
+
+def _slot_integral(m: np.ndarray, e: np.ndarray, c: np.ndarray, a: float) -> np.ndarray:
+    """Per row s, the sum over j of m[s, j] times the integral of exp(e[s, j] + c[s, j] u)
+    over u in [0, a], in closed form.
+
+    A term with c > 0 is integrated from its far end, so no exponent is
+    positive: a * exp(e + max(c, 0) a) * expm1(x) / x at x = -|c| a.
+    """
+    x = -np.abs(c) * a
+    safe = np.where(x == 0, 1.0, x)
+    mean_exp = np.where(x == 0, 1.0, np.expm1(safe) / safe)
+    return (m * np.exp(e + np.maximum(c, 0.0) * a) * a * mean_exp).sum(axis=1)
+
+
+def gap_survival(params: MmppParams, t: float) -> float:
+    """P(the gap after a typical packet exceeds `t` seconds), exactly.
+
+    Under the Palm law a typical packet is in state s with probability
+    pi_s lambda_s / mean rate, at a uniform place u in [0, 1) of its slot.
+    The gap must first clear the rest of that slot, e^{-lambda_s (1 - u)
+    delta_t}. Past the slot's end, its survival over k whole slots and a part
+    f of the next is switch @ (D @ switch)^k applied to the per-state factors
+    e^{-lambda f}, with D = diag(e^{-lambda delta_t}): the slotted form of the
+    MMPP inter-arrival law (Fischer & Meier-Hellstern 1993, "The
+    Markov-modulated Poisson process (MMPP) cookbook"). With
+    t / delta_t = n + phi, k is n - 1 for u < 1 - phi and n from there on
+    (k = -1: the gap ends inside the packet's own slot). Each piece is then a
+    sum of e^{c u} terms, integrated in closed form. The stream must not be
+    silent; P is 0 at t = inf.
+    """
+    pi1, pi2, mean_rate = mmpp_stationary(params)
+    if not t >= 0:
+        raise ParameterError(f"gap length must be >= 0, got {t}")
+    if mean_rate == 0:
+        raise ParameterError("a silent stream has no packets, so no gap law")
+    if t == math.inf:
+        return 0.0
+    d = params.delta_t
+    lam = np.array([params.lambda1, params.lambda2])
+    share = np.array([pi1, pi2]) * lam / mean_rate  # a typical packet's state
+    switch = np.array([[1.0 - params.p, params.p], [params.q, 1.0 - params.q]])
+    stay = np.diag(np.exp(-lam * d))  # no packet over one whole slot, by state
+    n, phi = divmod(t / d, 1.0)
+    c = (lam[:, None] - lam[None, :]) * d  # e^{c u}: this slot's rest, then the next's start
+    if n == 0:  # u < 1 - phi: the gap ends inside the packet's own slot
+        within = (1.0 - phi) * np.exp(-lam * t)
+        m = switch
+    else:
+        m = switch @ np.linalg.matrix_power(stay @ switch, int(n) - 1)
+        within = _slot_integral(m, -lam[:, None] * d - lam[None, :] * (phi * d), c, 1.0 - phi)
+        m = m @ stay @ switch
+    beyond = _slot_integral(m, -lam[:, None] * (phi * d), c, phi)  # u >= 1 - phi
+    return float(share @ (within + beyond))
 
 
 def _state1_share(params: MmppParams) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from . import dists
 from .dists import Dist
 from .errors import FieldError, InfeasibleError, ParameterError
-from .mmpp import MmppParams, mmpp_packet_stream, mmpp_stationary
+from .mmpp import MmppParams, gap_survival, mmpp_stationary
 
 MSGS_PER_PROC = (3, 3, 2)  # messages of one SR, SRR and HR procedure, in that order
 
@@ -246,39 +246,27 @@ def htc_rates(mix: TrafficMix, geom: CellGeometry, t_i: float) -> tuple[float, f
 # per-MTCD rates
 # ---------------------------------------------------------------------------
 
-def mtc_rates(
-    params: MmppParams,
-    t_i: float,
-    method: str = "approx",
-    rng: np.random.Generator | None = None,
-    horizon_s: float = 2e6,
-) -> tuple[float, float]:
+def mtc_rates(params: MmppParams, t_i: float, method: str = "approx") -> tuple[float, float]:
     """(lam_s_sr, lam_s_srr) per MTCD, procedures/s.
 
     A packet triggers an SR iff the preceding inter-packet gap exceeded the
-    inactivity timer. `approx` uses the packet-share-weighted mixture of
-    per-state exponential tails (valid when dwell times are much longer than
-    t_i); `monte_carlo` measures the gap tail on a stream drawn from `rng`.
+    inactivity timer, so both rates are the mean packet rate times
+    P(gap > t_i). `approx` is the paper's formula: the packet-share-weighted
+    mixture of per-state exponential tails, which ignores state switches
+    inside a gap (valid when dwell times are much longer than t_i). `exact`
+    takes the gap tail under the slotted chain's Palm law
+    (`mmpp.gap_survival`).
     """
     if t_i < 0:
         raise ParameterError(f"inactivity timer must be >= 0, got {t_i}")
     pi1, pi2, mean_rate = mmpp_stationary(params)
     if mean_rate == 0:
         return 0.0, 0.0
-    if method == "approx":
-        w1 = params.lambda1 * pi1 / mean_rate
-        w2 = params.lambda2 * pi2 / mean_rate
-        p_gap = w1 * math.exp(-params.lambda1 * t_i) + w2 * math.exp(-params.lambda2 * t_i)
-    elif method == "monte_carlo":
-        if rng is None:
-            raise ParameterError("the monte_carlo method needs a random generator")
-        times = mmpp_packet_stream(params, horizon_s, rng)
-        if len(times) < 2:
-            raise InfeasibleError(
-                f"MMPP stream too sparse over {horizon_s:g} s to estimate the gap tail"
-            )
-        gaps = np.diff(times)
-        p_gap = float(np.mean(gaps > t_i))
+    if method == "approx":  # a state that sends nothing has no share (and 0 * inf is NaN)
+        shares = ((params.lambda1 * pi1, params.lambda1), (params.lambda2 * pi2, params.lambda2))
+        p_gap = sum(w / mean_rate * math.exp(-lam * t_i) for w, lam in shares if w > 0)
+    elif method == "exact":
+        p_gap = gap_survival(params, t_i)
     else:
         raise ParameterError(f"unknown mtc_rates method {method!r}")
     lam = p_gap * mean_rate

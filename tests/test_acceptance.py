@@ -82,11 +82,10 @@ def test_criterion_2_theory_vs_simulation_rates(cfg, acceptance):
     grid = [1.0, 5.0, 10.0, 20.0, 30.0]
     th_sr, th_s_sr, sim_sr, sim_s_sr = [], [], [], []
     hr_z = []  # sim - analytic HR, in per-UE standard errors
-    mc_rng = np.random.default_rng(2024)
     for ti in grid:
         u_sr, _, u_hr = htc_rates(cfg.mix, cfg.geom, ti)
-        # MTC theory with the matching (empirical-gap) tail method
-        s_sr, _ = mtc_rates(cfg.mmpp, ti, "monte_carlo", rng=mc_rng, horizon_s=2e7)
+        # MTC theory: the exact gap law of the slotted MMPP the traces are drawn from
+        s_sr, _ = mtc_rates(cfg.mmpp, ti, "exact")
         trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, n_u, n_d, ti,
                                   horizon, seed=7, speed_dist=cfg.speed_dist)
         emp = measured_rates(trace, n_u, n_d, horizon)

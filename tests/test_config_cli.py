@@ -2,14 +2,17 @@
 
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
-from vmmecap.cli import main
+import vmmecap
+from vmmecap.cli import _parse_grid, main
 from vmmecap.config import config_digest, deep_merge, load_config
 from vmmecap.defaults import paper_defaults
 from vmmecap.errors import ConfigError
@@ -137,6 +140,15 @@ class TestCli:
         col = [float(r[idx]) for r in rows[1:]]
         assert all(b <= a for a, b in zip(col, col[1:]))
 
+    def test_grid_points_do_not_drift(self):
+        # each point is lo + i * step, not a running sum, so a long grid keeps its endpoint
+        grid = _parse_grid("0:10000:0.1", "--ti")
+        assert len(grid) == 100_001
+        assert grid[-1] == 10000.0
+        assert _parse_grid("1:30:5", "--ti") == [1.0, 6.0, 11.0, 16.0, 21.0, 26.0]
+        assert _parse_grid("0:1:0.1", "--ti") == [i / 10 for i in range(11)]
+        assert _parse_grid("1:10", "--m", whole=True) == list(range(1, 11))
+
     def test_dimension_reference(self, tmp_path):
         code, text = run_cli(["dimension", "--users", "20000"], tmp_path, fmt="json")
         assert code == 0
@@ -186,6 +198,12 @@ class TestCli:
         assert [k for k in out["rows"][0] if k.startswith("sim_")] == [
             f"sim_{r}_per_s" for r in rates]
         assert {k for k in out["meta"] if k.startswith("rmse_")} == {f"rmse_{r}" for r in rates}
+        # `simulate` reports the same per-device kinds, after the message rate
+        code, text = run_cli(["simulate", "--users", "20", "--mtcd-ratio", ratio,
+                              "--duration-s", "500"], tmp_path, fmt="json")
+        assert code == 0
+        assert [k for k in json.loads(text)["rows"][0] if k.startswith("sim_")] == [
+            "sim_lam_msgs_per_s"] + [f"sim_{r}_per_s" for r in rates]
 
     def test_rates_needs_no_device_without_simulate(self, tmp_path):
         assert run_cli(["rates", "--users", "0"], tmp_path)[0] == 0
@@ -237,6 +255,7 @@ class TestCli:
         ["simulate", "--users", "0", "--mtcd-ratio", "0"],  # no devices to simulate
         ["scalability", "--kmax", "0"],
         ["rates", "--ti", "abc"],
+        ["rates", "--ti=-inf:3"],  # no first point
         ["simulate", "--duration-s", "inf"],
         ["simulate", "--seed", "-1"],
         ["dimension", "--users", "0"],  # no devices to dimension for
@@ -286,6 +305,7 @@ class TestCli:
         (["dimension"], _apps(lambda a: a[2].update(n_aap={"kind": "uniform", "lo": 0.2,
                                                            "hi": 1.8})),
          "traffic.apps[2].reading_time_s"),
+        (["rates"], {"mmpp": {"lambda1": float("inf")}}, "mmpp.lambda1"),  # rates would be NaN
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_bad_value_exit_code(self, argv, overlay, key, tmp_path, capsys):
         if overlay is not None:
@@ -305,14 +325,14 @@ class TestCli:
         _, by_file = run_cli(["simulate", "--config", str(p)], tmp_path, fmt="json")
         assert _without_walls(by_flags) == _without_walls(by_file)
 
-    def test_monte_carlo_rates_follow_the_seed(self, tmp_path):
+    def test_exact_rates_ignore_the_seed(self, tmp_path):
         def row(seed):
-            _, text = run_cli(["rates", "--ti", "10", "--mtc-method", "monte_carlo",
+            _, text = run_cli(["rates", "--ti", "10", "--mtc-method", "exact",
                                "--seed", seed], tmp_path, fmt="json")
             return json.loads(text)["rows"]
 
-        assert row("5") != row("7")
-        assert row("5") == row("5")
+        assert row("5") == row("7")
+        assert row("5")[0]["lam_s_sr_per_s"] == pytest.approx(0.01169692524554546, rel=1e-12)
 
     @pytest.mark.parametrize("spec", [
         "{kind: uniform, lo: 0.0, hi: 4.2, hgih: 9.0}",  # misspelt parameter
@@ -357,6 +377,10 @@ class TestCli:
         assert "tool_version" in text
 
     def test_console_script_installed(self):
+        # the child finds the package where this process found it, installed or not
+        src = str(Path(vmmecap.__file__).parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-m", "vmmecap.cli", "--version"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0

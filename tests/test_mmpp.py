@@ -10,6 +10,7 @@ from vmmecap import mmpp
 from vmmecap.errors import DegenerateChainError, ParameterError
 from vmmecap.mmpp import (
     MmppParams,
+    gap_survival,
     mmpp_packet_stream,
     mmpp_packet_streams,
     mmpp_stationary,
@@ -43,6 +44,30 @@ class TestStationary:
             MmppParams(p=0.1, q=0.1, lambda1=-1.0, lambda2=1.0)
         with pytest.raises(ParameterError):
             MmppParams(p=0.1, q=0.1, lambda1=1.0, lambda2=1.0, delta_t=0.0)
+
+
+class TestGapSurvival:
+    def test_bounds(self):
+        assert gap_survival(TABLE, 0.0) == pytest.approx(1.0, rel=1e-12)
+        assert gap_survival(TABLE, math.inf) == 0.0
+        # over many slots the tail is that of the slower state, and it underflows
+        assert gap_survival(TABLE, 1e6) == 0.0
+
+    def test_continuous_across_slot_edges(self):
+        # the split point 1 - frac(t / delta_t) moves to 0 as t reaches a slot
+        # edge, so the law must not jump there
+        params = MmppParams(0.3, 0.2, 0.5, 3.0, 0.7)
+        for edge in (0.7, 1.4, 7.0):
+            below, above = (gap_survival(params, edge + h) for h in (-1e-9, 1e-9))
+            assert below == pytest.approx(above, rel=1e-7)
+
+    def test_rejects_negative_gap_and_silent_stream(self):
+        with pytest.raises(ParameterError):
+            gap_survival(TABLE, -1.0)
+        with pytest.raises(ParameterError):
+            gap_survival(MmppParams(0.1, 0.1, 0.0, 0.0), 1.0)
+        with pytest.raises(DegenerateChainError):
+            gap_survival(MmppParams(0.0, 0.0, 1.0, 2.0), 1.0)
 
 
 class TestPacketStream:

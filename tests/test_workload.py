@@ -7,7 +7,7 @@ import pytest
 
 from vmmecap.config import load_config
 from vmmecap.errors import InfeasibleError, ParameterError
-from vmmecap.mmpp import MmppParams, mmpp_stationary
+from vmmecap.mmpp import MmppParams, mmpp_packet_stream, mmpp_stationary
 from vmmecap.workload import (
     CellGeometry,
     aggregate_rates,
@@ -113,43 +113,73 @@ class TestCellCrossing:
 
 class TestMtcRates:
     TABLE = MmppParams(6.75e-5, 1.47e-4, 0.0015, 0.065)
+    # fast switching: a state lasts 2-5 slots, so a gap often spans a switch
+    FAST = MmppParams(0.3, 0.2, 0.5, 3.0, 0.7)
 
     def test_reference_point(self):
         sr, srr = mtc_rates(self.TABLE, 10.0)
         assert sr == pytest.approx(0.01169087658844491, rel=1e-9)
         assert srr == sr
+        sr, srr = mtc_rates(self.TABLE, 10.0, "exact")
+        assert sr == pytest.approx(0.01169692524554546, rel=1e-12)
+        assert srr == sr
 
     def test_ti_zero(self):
-        sr, _ = mtc_rates(self.TABLE, 0.0)
         _, _, rate = mmpp_stationary(self.TABLE)
-        assert sr == pytest.approx(rate, rel=1e-12)
+        for method in ("approx", "exact"):
+            sr, _ = mtc_rates(self.TABLE, 0.0, method)
+            assert sr == pytest.approx(rate, rel=1e-12)
 
     def test_poisson_special_case(self):
         params = MmppParams(0.2, 0.3, 0.01, 0.01)
-        sr, _ = mtc_rates(params, 25.0)
-        assert sr == pytest.approx(0.01 * math.exp(-0.25), rel=1e-12)
+        for method in ("approx", "exact"):
+            sr, _ = mtc_rates(params, 25.0, method)
+            assert sr == pytest.approx(0.01 * math.exp(-0.25), rel=1e-12)
 
-    def test_approx_vs_monte_carlo(self):
-        # The estimate spreads with the slow modulation (a state-2 visit lasts
-        # 6800 s on average): over 1e8 s its sd at ti = 30 s is about 0.4 %,
-        # and `approx` sits 0.6 % below the exact rate there.
-        rng = np.random.default_rng(5)
-        for ti in (1.0, 10.0, 30.0):
+    def test_infinite_timer(self):
+        # no gap outlasts an infinite timer, also in a state that sends nothing
+        for params in (self.TABLE, MmppParams(1.0, 1.0, 0.0, 80.0)):
+            for method in ("approx", "exact"):
+                assert mtc_rates(params, math.inf, method) == (0.0, 0.0)
+
+    def test_approx_vs_exact(self):
+        # (approx - exact) / exact in %: `approx` ignores switches inside a gap,
+        # which matter more as the timer grows towards a state's dwell time
+        for ti, gap_pct in ((1, -0.000), (5, -0.012), (10, -0.052), (20, -0.244),
+                            (30, -0.627), (60, -2.569)):
             a, _ = mtc_rates(self.TABLE, ti, "approx")
-            m, _ = mtc_rates(self.TABLE, ti, "monte_carlo", rng=rng, horizon_s=1e8)
-            assert m == pytest.approx(a, rel=0.02)
+            e, _ = mtc_rates(self.TABLE, ti, "exact")
+            assert (a - e) / e * 100 == pytest.approx(gap_pct, abs=1e-3)
+
+    @pytest.mark.parametrize("ti", [0.37, 1.0])
+    def test_exact_hand_case(self, ti):
+        # p = q = 1: the chain alternates a silent slot and one at rate 80, so
+        # every packet is in a busy slot and its gap ends there or lasts a
+        # whole silent slot more
+        lam, mean_rate = 80.0, 40.0
+        sr, _ = mtc_rates(MmppParams(1.0, 1.0, 0.0, lam, 1.0), ti, "exact")
+        want = (1.0 - ti) * math.exp(-lam * ti) + -math.expm1(-lam * ti) / lam
+        assert sr == pytest.approx(mean_rate * want, rel=1e-12)
+
+    def test_exact_matches_a_drawn_stream(self):
+        # 2e6 s of the fast chain: about 4e6 gaps, so a tail share is known to
+        # 0.08-0.24 % (one binomial s.e.); `approx` is 7-21 % low here
+        gaps = np.diff(mmpp_packet_stream(self.FAST, 2e6, np.random.default_rng(3)))
+        _, _, rate = mmpp_stationary(self.FAST)
+        for ti in (0.5, 1.3, 2.0):
+            exact = mtc_rates(self.FAST, ti, "exact")[0] / rate
+            se = math.sqrt(exact * (1.0 - exact) / len(gaps))
+            assert abs(float(np.mean(gaps > ti)) - exact) <= 4.0 * se
+            assert mtc_rates(self.FAST, ti, "approx")[0] / rate < 0.95 * exact
 
     def test_monotone_in_ti(self):
-        vals = [mtc_rates(self.TABLE, ti)[0] for ti in (0, 1, 5, 10, 20, 30, 60)]
-        assert all(b <= a for a, b in zip(vals, vals[1:]))
+        for method in ("approx", "exact"):
+            vals = [mtc_rates(self.TABLE, ti, method)[0] for ti in (0, 1, 5, 10, 20, 30, 60)]
+            assert all(b <= a for a, b in zip(vals, vals[1:]))
 
     def test_bad_method(self):
         with pytest.raises(ParameterError):
             mtc_rates(self.TABLE, 1.0, "guess")
-
-    def test_monte_carlo_needs_a_generator(self):
-        with pytest.raises(ParameterError):
-            mtc_rates(self.TABLE, 1.0, "monte_carlo")
 
 
 class TestAggregate:
