@@ -8,17 +8,6 @@ of their own. Every number here is overridable from the configuration file.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .dists import solve_trunc_pareto_lo
-
-
-@lru_cache(maxsize=None)
-def _embedded_count_lo() -> float:
-    # the embedded-object count is specified only by (shape 1.1, mean 22);
-    # fix the upper support at 550 and solve the lower bound for the mean
-    return solve_trunc_pareto_lo(1.1, 550.0, 22.0)
-
 
 def paper_defaults() -> dict:
     return {
@@ -41,9 +30,12 @@ def paper_defaults() -> dict:
                             "kind": "trunc_lognormal",
                             "mu": 6.17, "sigma": 2.36, "lo": 50.0, "hi": 2e6,
                         },
+                        # the embedded-object count is specified only by (shape 1.1,
+                        # mean 22); with hi fixed at 550, lo is the root that gives
+                        # mean 22, and dists.mean returns exactly 22.0 at this value
                         "n_embedded": {
                             "kind": "trunc_pareto",
-                            "shape": 1.1, "lo": _embedded_count_lo(), "hi": 550.0,
+                            "shape": 1.1, "lo": 5.363082609966363, "hi": 550.0,
                         },
                         "parsing_time_s": {"kind": "exponential", "mean": 0.13},
                     },

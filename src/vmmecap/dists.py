@@ -352,20 +352,3 @@ def tail_prob(d: Dist, t: float) -> float:
 def expected_truncated(d: Dist, t_cap: float) -> float:
     """E[min(X, t_cap)] = t_cap*P(X > t_cap) + integral of x f(x) up to t_cap."""
     return 0.0 if t_cap <= 0 else d._emin(t_cap)
-
-
-def solve_trunc_pareto_lo(shape: float, hi: float, target_mean: float) -> float:
-    """Find the lower bound so the truncated Pareto hits a target mean.
-
-    Used when only (mean, shape) of a truncated Pareto are known: fix the
-    upper support and solve for the lower bound numerically.
-    """
-    from scipy.optimize import brentq
-
-    f = lambda lo: mean(trunc_pareto(shape, lo, hi)) - target_mean
-    lo_min, lo_max = hi * 1e-9, hi * (1 - 1e-9)
-    if f(lo_min) > 0 or f(lo_max) < 0:
-        raise ParameterError(
-            f"no lower bound in (0, {hi}) gives truncated-Pareto mean {target_mean}"
-        )
-    return float(brentq(f, lo_min, lo_max, xtol=1e-12, rtol=1e-14))

@@ -44,8 +44,9 @@ class CostSchedule:
                 raise FieldError(name, ">= 0", v)
         if not self.seconds_per_month > 0:  # every monthly charge divides by it
             raise FieldError("seconds_per_month", "> 0", self.seconds_per_month)
-        if any(w <= 0 for w, _ in self.egress_tiers_gb_usd):
-            raise FieldError("egress_tiers_gb_usd", "brackets of width > 0",
+        if any(w <= 0 or usd < 0 for w, usd in self.egress_tiers_gb_usd):
+            raise FieldError("egress_tiers_gb_usd",
+                             "brackets of width > 0 and price >= 0",
                              self.egress_tiers_gb_usd)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import stdtrit
 
 from ..errors import ParameterError
 from ..workload import ProcedureRates, aggregate_rates
@@ -28,7 +28,7 @@ def batch_means(samples, n_batches: int = 20):
     means = x[:usable].reshape(n_batches, -1).mean(axis=1)
     grand = float(means.mean())
     se = float(means.std(ddof=1)) / math.sqrt(n_batches)
-    tq = float(sps.t.ppf(0.975, df=n_batches - 1))
+    tq = float(stdtrit(n_batches - 1, 0.975))
     return grand, tq * se, n_batches
 
 

@@ -111,6 +111,15 @@ def _without_walls(text: str) -> dict:
     return out
 
 
+def _run_child(args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that finds the package where this process
+    found it, installed or not."""
+    src = str(Path(vmmecap.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 def run_cli(args, tmp_path, fmt="csv"):
     out = tmp_path / "out.txt"
     code = main(args + ["--out", str(out), "--format", fmt])
@@ -306,6 +315,8 @@ class TestCli:
                                                            "hi": 1.8})),
          "traffic.apps[2].reading_time_s"),
         (["rates"], {"mmpp": {"lambda1": float("inf")}}, "mmpp.lambda1"),  # rates would be NaN
+        (["scalability"], {"cost": {"egress_tiers_gb_usd": [[1.0, -5.0]]}},
+         "cost.egress_tiers_gb_usd"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_bad_value_exit_code(self, argv, overlay, key, tmp_path, capsys):
         if overlay is not None:
@@ -377,10 +388,17 @@ class TestCli:
         assert "tool_version" in text
 
     def test_console_script_installed(self):
-        # the child finds the package where this process found it, installed or not
-        src = str(Path(vmmecap.__file__).parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-m", "vmmecap.cli", "--version"],
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path})
+        proc = _run_child(["-m", "vmmecap.cli", "--version"])
         assert proc.returncode == 0
+
+    def test_run_time_imports_only_scipy_special(self):
+        # a planner's every run pays for the import; scipy.stats and
+        # scipy.optimize would cost about 1 s of it
+        proc = _run_child(["-c", (
+            "import sys, vmmecap.cli, vmmecap.simcore\n"
+            "from vmmecap.config import load_config\n"
+            "load_config()\n"
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+        )])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

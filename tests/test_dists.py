@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 from vmmecap import dists
+from vmmecap.config import load_config
+from vmmecap.defaults import paper_defaults
 from vmmecap.dists import Dist
 from vmmecap.errors import ParameterError
 
@@ -22,7 +24,7 @@ RNG = lambda s=0: np.random.default_rng(s)
 # Table-style reference laws used throughout
 MAIN_OBJ = dists.trunc_lognormal(15.098, 4.390e-5, 100.0, 6e6)
 EMB_OBJ = dists.trunc_lognormal(6.17, 2.36, 50.0, 2e6)
-EMB_COUNT = dists.trunc_pareto(1.1, 5.363082609966364, 550.0)
+EMB_COUNT = Dist.from_dict(paper_defaults()["traffic"]["apps"][0]["model"]["n_embedded"])
 HOLD = dists.gpd(-0.39, 69.33, 0.0)
 
 
@@ -37,9 +39,12 @@ class TestMeans:
     def test_trunc_pareto_embedded_count(self):
         assert dists.mean(EMB_COUNT) == pytest.approx(22.0, rel=1e-9)
 
-    def test_solve_trunc_pareto_lo(self):
-        lo = dists.solve_trunc_pareto_lo(1.1, 550.0, 22.0)
-        assert lo == pytest.approx(5.363082609966364, rel=1e-8)
+    def test_default_embedded_count_mean(self):
+        # the law is given only by shape 1.1 and mean 22 (hi fixed at 550);
+        # the defaults hold the solved lower bound as a literal
+        law = load_config().mix.apps[0].model.n_embedded
+        assert (law.shape, law.hi) == (1.1, 550.0)
+        assert dists.mean(law) == pytest.approx(22.0, rel=1e-12)
 
     def test_gpd_mean(self):
         assert dists.mean(HOLD) == pytest.approx(69.33 / 1.39, rel=1e-12)

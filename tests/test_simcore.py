@@ -9,6 +9,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy import stats  # an oracle here; the package imports only scipy.special
 
 from vmmecap import dists, mmpp
 from vmmecap.config import load_config
@@ -1062,6 +1063,16 @@ class TestStats:
         assert nb == 20
         assert mean == pytest.approx(2.0, abs=3 * half)
         assert half < 0.1
+
+    @pytest.mark.parametrize("n_batches", [2, 5, 20, 50])
+    def test_batch_means_t_quantile(self, n_batches):
+        n = 1003  # no multiple of any batch count here, so a tail is dropped
+        x = np.random.default_rng(n_batches).exponential(2.0, n)
+        means = x[:n // n_batches * n_batches].reshape(n_batches, -1).mean(axis=1)
+        se = means.std(ddof=1) / math.sqrt(n_batches)
+        mean, half, nb = batch_means(x, n_batches)
+        assert (mean, nb) == (pytest.approx(means.mean(), rel=1e-14), n_batches)
+        assert half == pytest.approx(stats.t.ppf(0.975, n_batches - 1) * se, rel=1e-14)
 
     def test_batch_means_too_few(self):
         with pytest.raises(ParameterError):
