@@ -125,7 +125,7 @@ def cmd_rates(cfg: ToolConfig, args) -> None:
     rows = []
     for ti in tis:
         u_sr, u_srr, u_hr = htc_rates(cfg.mix, cfg.geom, ti)
-        s_sr, _ = mtc_rates(cfg.mmpp, ti, method=args.mtc_method)
+        s_sr, _ = mtc_rates(cfg.mmpp, ti)
         row = {
             "t_i_s": ti,
             "lam_u_sr_per_s": u_sr,
@@ -281,9 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default scenario.t_i_s)")
     p.add_argument("--simulate", action="store_true",
                    help="append simulated rates and an RMSE footer")
-    p.add_argument("--mtc-method", choices=("approx", "exact"), default="approx",
-                   help="MTC rate: the paper's per-state approximation (default) or "
-                        "the exact slotted-MMPP gap law")
     p.set_defaults(func=cmd_rates)
 
     p = sub.add_parser("dimension", parents=[common, timer],

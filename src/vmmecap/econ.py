@@ -44,10 +44,13 @@ class CostSchedule:
                 raise FieldError(name, ">= 0", v)
         if not self.seconds_per_month > 0:  # every monthly charge divides by it
             raise FieldError("seconds_per_month", "> 0", self.seconds_per_month)
-        if any(w <= 0 or usd < 0 for w, usd in self.egress_tiers_gb_usd):
+        tiers = self.egress_tiers_gb_usd
+        if not tiers or any(w <= 0 or usd < 0 for w, usd in tiers):
             raise FieldError("egress_tiers_gb_usd",
-                             "brackets of width > 0 and price >= 0",
-                             self.egress_tiers_gb_usd)
+                             "one or more brackets of width > 0 and price >= 0", tiers)
+        prices = [v for name, v in self.__dict__.items() if "_usd_" in name]
+        if not any(prices + [usd for _, usd in tiers]):  # productivity divides by the cost
+            raise ParameterError("every price and fee is 0, so nothing is billed")
 
 
 def tiered_egress_cost(monthly_gb: float, sched: CostSchedule) -> float:
@@ -59,7 +62,6 @@ def tiered_egress_cost(monthly_gb: float, sched: CostSchedule) -> float:
         raise ParameterError(f"egress volume must be >= 0, got {monthly_gb}")
     rem = monthly_gb
     cost = 0.0
-    rate = 0.0
     for width, rate in sched.egress_tiers_gb_usd:
         take = min(rem, width)
         cost += take * rate

@@ -51,8 +51,8 @@ class MmppParams:
         for name in ("lambda1", "lambda2"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise FieldError(name, "finite and >= 0", getattr(self, name))
-        if not self.delta_t > 0:
-            raise FieldError("delta_t", "> 0", self.delta_t)
+        if not 0 < self.delta_t < math.inf:
+            raise FieldError("delta_t", "finite and > 0", self.delta_t)
 
 
 def mmpp_stationary(params: MmppParams) -> tuple[float, float, float]:
@@ -94,16 +94,16 @@ def gap_survival(params: MmppParams, t: float) -> float:
     t / delta_t = n + phi, k is n - 1 for u < 1 - phi and n from there on
     (k = -1: the gap ends inside the packet's own slot). Each piece is then a
     sum of e^{c u} terms, integrated in closed form. The stream must not be
-    silent; P is 0 at t = inf.
+    silent; P is 0 wherever t / delta_t is inf, also for a finite t.
     """
     pi1, pi2, mean_rate = mmpp_stationary(params)
     if not t >= 0:
         raise ParameterError(f"gap length must be >= 0, got {t}")
     if mean_rate == 0:
         raise ParameterError("a silent stream has no packets, so no gap law")
-    if t == math.inf:
-        return 0.0
     d = params.delta_t
+    if t / d == math.inf:  # also a finite t past every slot count a float holds
+        return 0.0
     lam = np.array([params.lambda1, params.lambda2])
     share = np.array([pi1, pi2]) * lam / mean_rate  # a typical packet's state
     switch = np.array([[1.0 - params.p, params.p], [params.q, 1.0 - params.q]])

@@ -100,8 +100,6 @@ def run_queue_sim(
     pool = [-math.inf] * m
     busy_fe = busy_sl = busy_db = busy_oi = 0.0
     responses: list[float] = []
-    t_first = math.inf
-    t_last = -math.inf
     # (OI arrival, seq) per message inside the chain. OI arrivals are SDB
     # departures, which strictly increase (every service takes time), so the
     # FIFO stays sorted.
@@ -131,8 +129,6 @@ def run_queue_sim(
             backlog += 1
             if backlog > max_backlog:
                 max_backlog = backlog
-            if t < t_first:
-                t_first = t
             fe_arr = t
             svc = means[proc][msg_idx]
             s = draw(svc[0]) if exp else svc[0]
@@ -156,14 +152,13 @@ def run_queue_sim(
         free_oi = t
         busy_oi += s
         responses.append(t - fe_arr)
-        if t > t_last:
-            t_last = t
         if msg_idx + 1 < len(means[proc]):
             follow.append((t + params.t_im, seq, proc, msg_idx + 1))
             seq += 1
 
     n_msgs = len(responses)
-    span = max(t_last - t_first, 0.0)
+    # the first FE arrival is the first trigger's, and OI departures never decrease
+    span = max(free_oi - arrivals[0], 0.0)
     util = {s.key: (b / span / s.servers if span > 0 else 0.0)
             for s, b in zip(chain, (busy_fe, busy_sl, busy_db, busy_oi))}
 

@@ -246,30 +246,20 @@ def htc_rates(mix: TrafficMix, geom: CellGeometry, t_i: float) -> tuple[float, f
 # per-MTCD rates
 # ---------------------------------------------------------------------------
 
-def mtc_rates(params: MmppParams, t_i: float, method: str = "approx") -> tuple[float, float]:
+def mtc_rates(params: MmppParams, t_i: float) -> tuple[float, float]:
     """(lam_s_sr, lam_s_srr) per MTCD, procedures/s.
 
     A packet triggers an SR iff the preceding inter-packet gap exceeded the
     inactivity timer, so both rates are the mean packet rate times
-    P(gap > t_i). `approx` is the paper's formula: the packet-share-weighted
-    mixture of per-state exponential tails, which ignores state switches
-    inside a gap (valid when dwell times are much longer than t_i). `exact`
-    takes the gap tail under the slotted chain's Palm law
+    P(gap > t_i), the gap tail under the slotted chain's Palm law
     (`mmpp.gap_survival`).
     """
     if t_i < 0:
         raise ParameterError(f"inactivity timer must be >= 0, got {t_i}")
-    pi1, pi2, mean_rate = mmpp_stationary(params)
-    if mean_rate == 0:
+    mean_rate = mmpp_stationary(params)[2]
+    if mean_rate == 0:  # a silent stream has no gaps
         return 0.0, 0.0
-    if method == "approx":  # a state that sends nothing has no share (and 0 * inf is NaN)
-        shares = ((params.lambda1 * pi1, params.lambda1), (params.lambda2 * pi2, params.lambda2))
-        p_gap = sum(w / mean_rate * math.exp(-lam * t_i) for w, lam in shares if w > 0)
-    elif method == "exact":
-        p_gap = gap_survival(params, t_i)
-    else:
-        raise ParameterError(f"unknown mtc_rates method {method!r}")
-    lam = p_gap * mean_rate
+    lam = gap_survival(params, t_i) * mean_rate
     return lam, lam
 
 

@@ -85,7 +85,7 @@ def test_criterion_2_theory_vs_simulation_rates(cfg, acceptance):
     for ti in grid:
         u_sr, _, u_hr = htc_rates(cfg.mix, cfg.geom, ti)
         # MTC theory: the exact gap law of the slotted MMPP the traces are drawn from
-        s_sr, _ = mtc_rates(cfg.mmpp, ti, "exact")
+        s_sr, _ = mtc_rates(cfg.mmpp, ti)
         trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, n_u, n_d, ti,
                                   horizon, seed=7, speed_dist=cfg.speed_dist)
         emp = measured_rates(trace, n_u, n_d, horizon)

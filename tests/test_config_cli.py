@@ -16,6 +16,7 @@ from vmmecap.cli import _parse_grid, main
 from vmmecap.config import config_digest, deep_merge, load_config
 from vmmecap.defaults import paper_defaults
 from vmmecap.errors import ConfigError
+from vmmecap.workload import aggregate_rates
 
 
 def _scalar_leaves(tree: dict, path: str = ""):
@@ -100,6 +101,12 @@ def _rename(spec: dict, old: str, new: str) -> None:
     spec[new] = spec.pop(old)
 
 
+# every price and fee of the cost schedule at 0
+_COST = paper_defaults()["cost"]
+_FREE = {**{k: 0.0 for k in _COST if "_usd_" in k},
+         "egress_tiers_gb_usd": [[w, 0.0] for w, _ in _COST["egress_tiers_gb_usd"]]}
+
+
 WALLS = ("generate_s", "queue_s", "stats_s")  # phase wall times in `simulate`'s meta
 
 
@@ -134,7 +141,7 @@ class TestCli:
         header, row = rows[0], rows[1]
         vals = dict(zip(header, row))
         assert float(vals["lam_u_sr_per_s"]) == pytest.approx(0.0045394, rel=1e-4)
-        assert float(vals["lam_s_sr_per_s"]) == pytest.approx(0.0116909, rel=1e-4)
+        assert float(vals["lam_s_sr_per_s"]) == pytest.approx(0.0116969, rel=1e-4)
 
     def test_rates_ti_zero_mtc_limit(self, tmp_path):
         code, text = run_cli(["rates", "--ti", "0"], tmp_path)
@@ -169,7 +176,7 @@ class TestCli:
     def test_capacity_row(self, tmp_path):
         code, text = run_cli(["capacity", "--m", "10,12"], tmp_path, fmt="json")
         rows = json.loads(text)["rows"]
-        assert rows[0]["n_u_max"] == pytest.approx(978021, abs=3)
+        assert rows[0]["n_u_max"] == pytest.approx(977666, abs=3)
         assert rows[1]["n_u_max"] >= rows[0]["n_u_max"]
 
     def test_scalability_reference_row(self, tmp_path):
@@ -317,6 +324,10 @@ class TestCli:
         (["rates"], {"mmpp": {"lambda1": float("inf")}}, "mmpp.lambda1"),  # rates would be NaN
         (["scalability"], {"cost": {"egress_tiers_gb_usd": [[1.0, -5.0]]}},
          "cost.egress_tiers_gb_usd"),
+        (["scalability"], {"cost": {"egress_tiers_gb_usd": []}}, "cost.egress_tiers_gb_usd"),
+        # a schedule that bills nothing: productivity would divide by a zero cost
+        (["scalability"], {"cost": _FREE}, "cost:"),
+        (["rates"], {"mmpp": {"delta_t": float("inf")}}, "mmpp.delta_t"),  # rates would be NaN
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_bad_value_exit_code(self, argv, overlay, key, tmp_path, capsys):
         if overlay is not None:
@@ -338,12 +349,30 @@ class TestCli:
 
     def test_exact_rates_ignore_the_seed(self, tmp_path):
         def row(seed):
-            _, text = run_cli(["rates", "--ti", "10", "--mtc-method", "exact",
-                               "--seed", seed], tmp_path, fmt="json")
+            _, text = run_cli(["rates", "--ti", "10", "--seed", seed], tmp_path, fmt="json")
             return json.loads(text)["rows"]
 
         assert row("5") == row("7")
         assert row("5")[0]["lam_s_sr_per_s"] == pytest.approx(0.01169692524554546, rel=1e-12)
+
+    def test_timer_past_every_slot_count(self, tmp_path, capsys):
+        # t / delta_t overflows to inf: no gap outlasts the timer
+        p = tmp_path / "slots.yaml"
+        p.write_text("mmpp: {delta_t: 0.001}\n")
+        code, text = run_cli(["rates", "--ti", "1.7e308", "--config", str(p)], tmp_path,
+                             fmt="json")
+        assert code == 0 and capsys.readouterr().err == ""
+        assert json.loads(text)["rows"][0]["lam_s_sr_per_s"] == 0.0
+
+    def test_commands_use_the_same_rates(self, tmp_path):
+        # `dimension` plans on the per-device rates that `rates` reports
+        _, text = run_cli(["rates", "--ti", "10"], tmp_path, fmt="json")
+        r = json.loads(text)["rows"][0]
+        _, text = run_cli(["dimension", "--ti", "10", "--users", "20000"], tmp_path, fmt="json")
+        d = json.loads(text)["rows"][0]
+        want = aggregate_rates((r["lam_u_sr_per_s"], r["lam_u_sr_per_s"], r["lam_u_hr_per_s"]),
+                               (r["lam_s_sr_per_s"], r["lam_s_sr_per_s"]), d["n_u"], d["n_d"])
+        assert d["lambda_msgs_per_s"] == pytest.approx(want.lam_total_msgs, rel=1e-12)
 
     @pytest.mark.parametrize("spec", [
         "{kind: uniform, lo: 0.0, hi: 4.2, hgih: 9.0}",  # misspelt parameter

@@ -44,6 +44,8 @@ class TestStationary:
             MmppParams(p=0.1, q=0.1, lambda1=-1.0, lambda2=1.0)
         with pytest.raises(ParameterError):
             MmppParams(p=0.1, q=0.1, lambda1=1.0, lambda2=1.0, delta_t=0.0)
+        with pytest.raises(ParameterError):
+            MmppParams(p=0.1, q=0.1, lambda1=1.0, lambda2=1.0, delta_t=math.inf)
 
 
 class TestGapSurvival:
@@ -52,6 +54,9 @@ class TestGapSurvival:
         assert gap_survival(TABLE, math.inf) == 0.0
         # over many slots the tail is that of the slower state, and it underflows
         assert gap_survival(TABLE, 1e6) == 0.0
+        # t / delta_t overflows to inf although t is finite
+        assert gap_survival(MmppParams(TABLE.p, TABLE.q, TABLE.lambda1, TABLE.lambda2, 1e-3),
+                            1.7e308) == 0.0
 
     def test_continuous_across_slot_edges(self):
         # the split point 1 - frac(t / delta_t) moves to 0 as t reaches a slot

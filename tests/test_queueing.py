@@ -223,11 +223,13 @@ class TestDimension:
 
 
 class TestCapacity:
+    # n_u: the largest whole count of UE + MTCD pairs within the budget, by a
+    # 100-step bisection of the message rate at the pair's exact rates
     @pytest.mark.parametrize("m,n_u,lam,procs", [
-        (1, 90283, 9052, 3061),
-        (2, 190450, 19095, 6457),
-        (9, 891868, 89422, 30236),
-        (10, 978021, 98060, 33157),
+        (1, 90250, 9052, 3061),
+        (2, 190380, 19095, 6457),
+        (9, 891544, 89422, 30236),
+        (10, 977666, 98060, 33157),
     ])
     def test_reference_points(self, cfg, m, n_u, lam, procs):
         res = capacity(m, cfg.queue, cfg.mix, cfg.geom, cfg.mmpp, 10.0, 1.0)
