@@ -26,6 +26,7 @@ from .errors import (
     DegenerateChainError,
     InfeasibleError,
     InstabilityError,
+    ParameterError,
     VmmeCapError,
 )
 from .queueing import capacity, dimension, stages, system_response
@@ -195,7 +196,10 @@ def cmd_scalability(cfg: ToolConfig, args) -> None:
     points = []
     for res in _capacity_points(cfg, list(range(1, args.kmax + 1))):
         points.append((res.m, res.n_u_max, res.lam_msgs, res.t_mean_s))
-    table = scalability_table(points, cfg.cost, cfg.t_hat_s, cfg.gamma)
+    try:
+        table = scalability_table(points, cfg.cost, cfg.t_hat_s, cfg.gamma)
+    except ParameterError as e:  # a schedule that bills nothing
+        raise ConfigError(f"cost: {e}") from e
     rows = [{
         "k": p.k,
         "n_u": p.n_u,

@@ -7,6 +7,8 @@ functions below call into it. Sampling of the truncated laws uses inverse-CDF
 restricted to the quantile range [F(lo), F(hi)], so draws are exact and cost
 one uniform each; each truncated law computes that range once, when it is
 built. `tail_prob` and `expected_truncated` are closed-form for all kinds.
+The normal CDF is a scalar port of Cephes `ndtr`; SciPy is imported only
+where a truncated lognormal is sampled.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass, fields
 from typing import ClassVar, Mapping
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import FieldError, ParameterError
 
@@ -261,6 +262,71 @@ class _Truncated(Dist):
         return t * self._tail(t) + self._partial(t)
 
 
+# Cephes ndtr.c (Moshier), the code behind scipy.special.ndtr: erf's rational
+# function on |x| < 1, erfc's on [1, 8) and [8, inf), with the same
+# coefficients and Horner order, so ndtr below equals SciPy's bit for bit
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2  # log of the largest double
+_SQRT1_2 = 0.70710678118654752440
+
+
+def _polevl(x, coef):
+    y = coef[0]
+    for c in coef[1:]:
+        y = y * x + c
+    return y
+
+
+def _p1evl(x, coef):
+    """_polevl with a leading coefficient of 1 left out of `coef`."""
+    y = x + coef[0]
+    for c in coef[1:]:
+        y = y * x + c
+    return y
+
+
+def _erf(x):
+    """erf(x) for |x| < 1."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+
+
+def _erfc(x):
+    """erfc(x) for x >= 0."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    if -x * x < -_MAXLOG:
+        return 0.0  # exp underflows
+    if x < 8.0:
+        p, q = _polevl(x, _ERFC_P), _p1evl(x, _ERFC_Q)
+    else:
+        p, q = _polevl(x, _ERFC_R), _p1evl(x, _ERFC_S)
+    return math.exp(-x * x) * p / q
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF of a scalar (NaN for NaN)."""
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
 @dataclass(frozen=True)
 class TruncLognormal(_Truncated):
     kind = "trunc_lognormal"
@@ -277,23 +343,26 @@ class TruncLognormal(_Truncated):
     def _cdf(self, x):
         # NumPy's log on an array, whose last bit can differ from math.log's;
         # F(lo) and F(hi) set every seeded draw
-        return float(ndtr((np.log(np.array([x], dtype=float)) - self.mu) / self.sigma)[0])
+        return _ndtr(float((np.log(np.array([x], dtype=float))[0] - self.mu) / self.sigma))
 
     def _quantile(self, u):
+        # imported here: scipy.special costs about 0.3 s and 24 MB, and only
+        # trace sampling needs it
+        from scipy.special import ndtri
         return np.exp(self.mu + self.sigma * ndtri(u))
 
     def _mean(self):
         mu, s = self.mu, self.sigma
         a = (math.log(self.lo) - mu) / s
         b = (math.log(self.hi) - mu) / s
-        # its own ndtr(b) - ndtr(a), which can differ from _fhi - _flo in the last bit
-        return math.exp(mu + 0.5 * s * s) * (ndtr(b - s) - ndtr(a - s)) / (ndtr(b) - ndtr(a))
+        # its own _ndtr(b) - _ndtr(a), which can differ from _fhi - _flo in the last bit
+        return math.exp(mu + 0.5 * s * s) * (_ndtr(b - s) - _ndtr(a - s)) / (_ndtr(b) - _ndtr(a))
 
     def _partial(self, t):
         mu, s = self.mu, self.sigma
         a = (math.log(self.lo) - mu) / s
         bt = (math.log(t) - mu) / s
-        return math.exp(mu + 0.5 * s * s) * (ndtr(bt - s) - ndtr(a - s)) / (self._fhi - self._flo)
+        return math.exp(mu + 0.5 * s * s) * (_ndtr(bt - s) - _ndtr(a - s)) / (self._fhi - self._flo)
 
 
 @dataclass(frozen=True)

@@ -48,9 +48,6 @@ class CostSchedule:
         if not tiers or any(w <= 0 or usd < 0 for w, usd in tiers):
             raise FieldError("egress_tiers_gb_usd",
                              "one or more brackets of width > 0 and price >= 0", tiers)
-        prices = [v for name, v in self.__dict__.items() if "_usd_" in name]
-        if not any(prices + [usd for _, usd in tiers]):  # productivity divides by the cost
-            raise ParameterError("every price and fee is 0, so nothing is billed")
 
 
 def tiered_egress_cost(monthly_gb: float, sched: CostSchedule) -> float:
@@ -169,11 +166,15 @@ def scalability_table(
 
     Each point should be the system dimensioned at scale k and loaded to its
     delay-budget capacity; k=1 (or the smallest k given) is the reference.
+    A point that the schedule bills at 0 $/s raises ParameterError.
     """
     out = []
     f_ref = None
     for k, n_u, lam, t_mean in points:
         cost, _ = cost_per_second(k, lam, n_u, sched)
+        if not cost > 0:  # whether it bills depends on the sizes and the load
+            raise ParameterError(f"the schedule bills nothing at k = {k} "
+                                 f"({n_u} UEs, {lam:g} msgs/s), so productivity is undefined")
         f, big_f = productivity(lam, t_mean, cost, t_hat_s)
         if f_ref is None:
             f_ref = big_f

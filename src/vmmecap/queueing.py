@@ -105,11 +105,14 @@ def weighted_sl_service_time(rates: ProcedureRates, times: SlServiceTimes) -> fl
     lam = rates.lam_total_msgs
     if lam <= 0:
         raise ParameterError("total message rate is zero: service-time mix undefined")
+    # every rate scaled by one power of two, which is exact, so that subnormal
+    # rates times the service times do not underflow to a zero mean
+    k = -math.frexp(lam)[1]
     return (
-        rates.lam_sr * times.sr_total
-        + rates.lam_srr * times.srr_total
-        + rates.lam_hr * times.hr_total
-    ) / lam
+        math.ldexp(rates.lam_sr, k) * times.sr_total
+        + math.ldexp(rates.lam_srr, k) * times.srr_total
+        + math.ldexp(rates.lam_hr, k) * times.hr_total
+    ) / math.ldexp(lam, k)
 
 
 class Stage(NamedTuple):

@@ -328,6 +328,10 @@ class TestCli:
         # a schedule that bills nothing: productivity would divide by a zero cost
         (["scalability"], {"cost": _FREE}, "cost:"),
         (["rates"], {"mmpp": {"delta_t": float("inf")}}, "mmpp.delta_t"),  # rates would be NaN
+        # one price, on a volume of 0 bytes: nothing is billed at any load
+        (["scalability", "--kmax", "2"],
+         {"cost": {**_FREE, "lb_usd_per_gb": 0.008, "i_size_bytes": 0, "o_size_bytes": 0}},
+         "cost:"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_bad_value_exit_code(self, argv, overlay, key, tmp_path, capsys):
         if overlay is not None:
@@ -428,6 +432,23 @@ class TestCli:
             "from vmmecap.config import load_config\n"
             "load_config()\n"
             "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+        )])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_no_scipy_unless_ue_traces_are_drawn(self):
+        # scipy.special alone costs about 0.3 s and 24 MB of a run's start;
+        # only the truncated lognormal's quantile, drawn for UE traces, needs it
+        proc = _run_child(["-c", (
+            "import os, sys, vmmecap.cli, vmmecap.simcore\n"
+            "from vmmecap.config import load_config\n"
+            "cfg = load_config()\n"
+            "for argv in (['dimension'], ['capacity'], ['scalability']):\n"
+            "    assert vmmecap.cli.main(argv + ['--out', os.devnull]) == 0\n"
+            "trace = vmmecap.simcore.generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 0, 2000,\n"
+            "                                          10.0, 200.0, 1, speed_dist=cfg.speed_dist)\n"
+            "vmmecap.simcore.run_queue_sim(trace, cfg.queue)\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
         )])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

@@ -226,6 +226,32 @@ class TestTruncatedBounds:
             assert dists.sample(d, RNG(22)) == want[0]
 
 
+class TestNormalCdf:
+    """The package's Cephes port equals scipy.special.ndtr bit for bit, so
+    every F(lo), F(hi) and lognormal mean is unchanged."""
+
+    def test_equals_scipy_on_a_grid(self):
+        rng = RNG(31)
+        a = np.concatenate([rng.normal(0.0, 3.0, 50_000), rng.uniform(-40.0, 40.0, 50_000),
+                            rng.uniform(-1.5, 1.5, 20_000)])
+        got = np.array([dists._ndtr(float(x)) for x in a])
+        assert np.array_equal(got, ndtr(a))
+
+    # the branch points: |a|/sqrt(2) against 1/sqrt(2), 1 and 8, and the exp underflow
+    @pytest.mark.parametrize("edge", [1.0, math.sqrt(2), 8 * math.sqrt(2), 37.5, 38.5])
+    def test_branch_edges(self, edge):
+        for a in (edge, -edge):
+            for x in (np.nextafter(a, -np.inf), a, np.nextafter(a, np.inf)):
+                assert dists._ndtr(float(x)) == ndtr(x)
+
+    @pytest.mark.parametrize("a", [0.0, -0.0, math.inf, -math.inf])
+    def test_special_values(self, a):
+        assert dists._ndtr(a) == ndtr(a)
+
+    def test_nan(self):
+        assert math.isnan(dists._ndtr(math.nan))
+
+
 class TestValidation:
     def test_bad_parameters_rejected(self):
         with pytest.raises(ParameterError):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vmmecap.config import load_config
@@ -310,6 +310,8 @@ class TestProperties:
     @PROPERTY
     @given(lam_sr=st.floats(0.0, 8000.0), lam_srr=st.floats(0.0, 8000.0),
            lam_hr=st.floats(0.0, 4000.0), t_max=st.floats(0.3e-3, 2e-3))
+    # a subnormal rate, whose product with a service time underflows to 0
+    @example(lam_sr=0.0, lam_srr=0.0, lam_hr=5e-324, t_max=0.001953125)
     def test_dimension_is_minimal(self, cfg, lam_sr, lam_srr, lam_hr, t_max):
         r = _rates(lam_sr, lam_srr, lam_hr)
         m = dimension(r, cfg.queue, t_max)
