@@ -20,6 +20,7 @@ from dataclasses import replace
 
 from . import __version__
 from .config import ToolConfig, load_config
+from .dists import load_ndtri
 from .econ import scalability_table
 from .errors import (
     ConfigError,
@@ -118,11 +119,22 @@ def _sim_cols(n_u: int, n_d: int) -> list[str]:
     return [c for c, n in (("lam_u_sr", n_u), ("lam_u_hr", n_u), ("lam_s_sr", n_d)) if n]
 
 
+def _timed(walls: dict, phase: str, fn, *fn_args, **kw):
+    """fn(*fn_args, **kw), its wall seconds added to walls[phase]."""
+    t0 = time.perf_counter()
+    out = fn(*fn_args, **kw)
+    walls[phase] = walls.get(phase, 0.0) + time.perf_counter() - t0
+    return out
+
+
 def cmd_rates(cfg: ToolConfig, args) -> None:
     tis = [cfg.scenario["t_i_s"]] if args.ti is None else _parse_grid(args.ti, "--ti")
     n_u, n_d = _scenario_counts(cfg, "rates --simulate" if args.simulate else None)
     horizon, seed = cfg.scenario["horizon_s"], cfg.scenario["seed"]
     sim_cols = _sim_cols(n_u, n_d) if args.simulate else []
+    walls = {}  # wall seconds of each phase over the grid, for the output's meta
+    if args.simulate and n_u:
+        load_ndtri()  # UE draws import SciPy once: before, not inside, generate_s
     rows = []
     for ti in tis:
         u_sr, u_srr, u_hr = htc_rates(cfg.mix, cfg.geom, ti)
@@ -134,9 +146,9 @@ def cmd_rates(cfg: ToolConfig, args) -> None:
             "lam_s_sr_per_s": s_sr,
         }
         if args.simulate:
-            trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, n_u, n_d, ti, horizon,
-                                      seed, speed_dist=cfg.speed_dist)
-            emp = measured_rates(trace, n_u, n_d, horizon)
+            trace = _timed(walls, "generate_s", generate_triggers, cfg.mix, cfg.geom,
+                           cfg.mmpp, n_u, n_d, ti, horizon, seed, speed_dist=cfg.speed_dist)
+            emp = _timed(walls, "stats_s", measured_rates, trace, n_u, n_d, horizon)
             row.update({f"sim_{c}_per_s": getattr(emp, c) for c in sim_cols})
         rows.append(row)
     meta = _meta(cfg, seed=seed)
@@ -144,7 +156,7 @@ def cmd_rates(cfg: ToolConfig, args) -> None:
         theory = {c: [r[f"{c}_per_s"] for r in rows] for c in sim_cols}
         sim = {c: [r[f"sim_{c}_per_s"] for r in rows] for c in sim_cols}
         meta.update({f"rmse_{k}": v for k, v in compare(theory, sim).items()})
-    _emit(rows, meta, args)
+    _emit(rows, {**meta, **walls}, args)
 
 
 def cmd_dimension(cfg: ToolConfig, args) -> None:
@@ -218,20 +230,16 @@ def cmd_simulate(cfg: ToolConfig, args) -> None:
     ti, horizon, seed = (cfg.scenario[k] for k in ("t_i_s", "horizon_s", "seed"))
     n_u, n_d = _scenario_counts(cfg, "simulate")
     walls = {}  # wall seconds of each phase, for the output's meta
-
-    def timed(phase, fn, *fn_args, **kw):
-        t0 = time.perf_counter()
-        out = fn(*fn_args, **kw)
-        walls[phase] = time.perf_counter() - t0
-        return out
-
-    trace = timed("generate_s", generate_triggers, cfg.mix, cfg.geom, cfg.mmpp, n_u, n_d,
-                  ti, horizon, seed, speed_dist=cfg.speed_dist)
+    if n_u:
+        load_ndtri()  # UE draws import SciPy once: before, not inside, generate_s
+    trace = _timed(walls, "generate_s", generate_triggers, cfg.mix, cfg.geom, cfg.mmpp,
+                   n_u, n_d, ti, horizon, seed, speed_dist=cfg.speed_dist)
     if args.trace_out:
         trace.to_csv(args.trace_out)
     law = cfg.scenario["service_law"]
-    stats = timed("queue_s", run_queue_sim, trace, cfg.queue, service_law=law, seed=seed)
-    emp = timed("stats_s", measured_rates, trace, n_u, n_d, horizon)
+    stats = _timed(walls, "queue_s", run_queue_sim, trace, cfg.queue, service_law=law,
+                   seed=seed)
+    emp = _timed(walls, "stats_s", measured_rates, trace, n_u, n_d, horizon)
     rows = [{
         "n_u": n_u,
         "n_d": n_d,

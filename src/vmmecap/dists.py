@@ -8,11 +8,12 @@ restricted to the quantile range [F(lo), F(hi)], so draws are exact and cost
 one uniform each; each truncated law computes that range once, when it is
 built. `tail_prob` and `expected_truncated` are closed-form for all kinds.
 The normal CDF is a scalar port of Cephes `ndtr`; SciPy is imported only
-where a truncated lognormal is sampled.
+by `load_ndtri`, which a truncated lognormal's draws call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -327,6 +328,14 @@ def _ndtr(a: float) -> float:
     return 1.0 - y if x > 0 else y
 
 
+@functools.cache
+def load_ndtri():
+    """SciPy's normal quantile `ndtri`, imported on the first call: scipy.special
+    costs about 0.3 s and 24 MB, and only a truncated lognormal's draws need it."""
+    from scipy.special import ndtri
+    return ndtri
+
+
 @dataclass(frozen=True)
 class TruncLognormal(_Truncated):
     kind = "trunc_lognormal"
@@ -346,10 +355,7 @@ class TruncLognormal(_Truncated):
         return _ndtr(float((np.log(np.array([x], dtype=float))[0] - self.mu) / self.sigma))
 
     def _quantile(self, u):
-        # imported here: scipy.special costs about 0.3 s and 24 MB, and only
-        # trace sampling needs it
-        from scipy.special import ndtri
-        return np.exp(self.mu + self.sigma * ndtri(u))
+        return np.exp(self.mu + self.sigma * load_ndtri()(u))
 
     def _mean(self):
         mu, s = self.mu, self.sigma

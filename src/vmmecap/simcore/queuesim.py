@@ -6,32 +6,50 @@ message arrives one inter-message round trip after the previous message
 finishes vMME processing (closed loop). All four stages are FCFS; the SL
 pool shares one queue across its m servers.
 
-A stage serves a message by the Lindley recursion: start when the earliest
-server frees up, finish one service time later (for the pool, the
-Kiefer-Wolfowitz recursion over a heap of m server-free times). FE, SDB and
-OI are single servers and hold one float each. A stage must see its
-arrivals in time order, so messages are served in the order of their
-(time, seq) events, taken from three sources that are each already in that
-order:
+The eight (procedure, message) pairs are numbered as message types. Each
+type carries its mean service time at the four stages and the type of the
+message after it, so the loop follows a procedure by one list index per
+message; the trace's procedures become first-message types in one NumPy
+gather.
 
-- first messages, read in order from the sorted trace;
+A stage serves a message by the Lindley recursion: start when the earliest
+server frees up, finish one service time later. Every single server (FE,
+SDB, OI, and the SL stage when m = 1) holds one float, its free time; a pool
+of m > 1 is a heap of m server-free times (the Kiefer-Wolfowitz recursion).
+A stage must see its arrivals in time order, so messages are served in the
+order of their (time, seq) events, taken from three sources that are each
+already in that order:
+
+- first messages, read in order from the sorted trace; a trigger's seq is
+  its index;
 - follow-up messages, made at an OI departure plus the round trip. The OI
-  serves in time order, so they are made in time order and a FIFO holds
-  them;
+  serves in time order, so they are made in time order and a FIFO of
+  (FE arrival, type) holds them, its head's time kept in a float. They are
+  numbered after every trigger in the order they are made, which is the
+  order they leave the FIFO, so a follow-up's seq is a count of pops;
 - pool departures. Only a pool of more than one server can let a later
   message overtake, so only such a pool sends its departures back to the
   event sources, through a heap; with m = 1 that heap stays empty and a
   message walks through all four stages at once.
 
+The backlog a message finds counts the messages that reached the FE before
+it and have not yet left the SDB. When the SDB freed up strictly before
+the arrival and no message waits in the pool's departure heap, every
+earlier message has left the SDB, so the backlog is the arrival alone and
+the FIFO of SDB departures is dropped unread. At a tie (`free_db == t`)
+the seqs decide, so the FIFO is walked.
+
 Response time per message covers the four stages only — the propagation
 delay and inter-message gap shape arrival timing but are not vMME
-processing time.
+processing time. Responses are kept as doubles in an `array`, 8 bytes
+each.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -75,31 +93,40 @@ def run_queue_sim(
         raise ParameterError("trigger times must be finite and sorted")
     st = params.sl_times
     chain = stages(params, st.t_sr1)  # in the loop's order; its SL rate goes unused
-    # per procedure, each message's mean service time at each of the four stages
-    means = {proc: [tuple(t_sl if s.key == "sl" else 1.0 / s.mu for s in chain)
-                    for t_sl in sl]
-             for proc, sl in ((PROC_SR, (st.t_sr1, st.t_sr2, st.t_sr3)),
-                              (PROC_SRR, (st.t_srr1, st.t_srr2, st.t_srr3)),
-                              (PROC_HR, (st.t_hr1, st.t_hr2)))}
+    # message types: per (procedure, message), the mean service time at each
+    # of the four stages and the next message's type (-1 after the last)
+    svcs, nexts, first = [], [], [0] * 3
+    for proc, sl in ((PROC_SR, (st.t_sr1, st.t_sr2, st.t_sr3)),
+                     (PROC_SRR, (st.t_srr1, st.t_srr2, st.t_srr3)),
+                     (PROC_HR, (st.t_hr1, st.t_hr2))):
+        first[proc] = len(svcs)
+        for k, t_sl in enumerate(sl):
+            svcs.append(tuple(t_sl if s.key == "sl" else 1.0 / s.mu for s in chain))
+            nexts.append(len(svcs) if k + 1 < len(sl) else -1)
     m = params.m
     pooled = m > 1
     rng = np.random.default_rng(seed)
     exp = service_law == "exponential"
     draw = rng.exponential
+    t_im = params.t_im
+    inf = math.inf  # a local: the loop reads it for every message
 
     # first messages in trace order, then a sentinel; a trigger's seq is its index
-    arrivals = (trace.time_s + params.prop_delay).tolist() + [math.inf]
-    procs = trace.procedure.tolist() + [0]
+    n_trig = len(trace)
+    arrivals = (trace.time_s + params.prop_delay).tolist() + [inf]
+    firsts = np.array(first)[trace.procedure].tolist()
     i = 0
     t_trig = arrivals[0]
-    seq = len(trace)  # follow-ups are numbered after every trigger
-    follow: deque = deque()  # (FE arrival, seq, proc, msg_idx)
-    departed: list = []  # pool departures: (time, seq, proc, msg_idx, fe_arrival)
+    follow: deque = deque()  # (FE arrival, type)
+    t_fol = inf  # the head's FE arrival
+    sq_fol = n_trig  # the head's seq: follow-ups leave in the order they were made
+    departed: list = []  # pool departures: (time, seq, type, fe_arrival)
 
-    free_fe = free_db = free_oi = -math.inf  # server-free times
-    pool = [-math.inf] * m
+    free_fe = free_sl = free_db = free_oi = -inf  # single servers' free times
+    pool = [-inf] * m
     busy_fe = busy_sl = busy_db = busy_oi = 0.0
-    responses: list[float] = []
+    responses = array("d")
+    respond = responses.append
     # (OI arrival, seq) per message inside the chain. OI arrivals are SDB
     # departures, which strictly increase (every service takes time), so the
     # FIFO stays sorted.
@@ -108,53 +135,68 @@ def run_queue_sim(
 
     while True:
         # the next FE arrival: a trigger wins a tie, its seq being the smaller
-        if follow and follow[0][0] < t_trig:
-            t, sq, proc, msg_idx = follow[0]
+        if t_fol < t_trig:
+            t, sq = t_fol, sq_fol
         else:
-            t, sq, proc, msg_idx = t_trig, i, procs[i], 0
-        if departed and departed[0][:2] < (t, sq):
-            t, sq, proc, msg_idx, fe_arr = heapq.heappop(departed)
-            svc = means[proc][msg_idx]
+            t, sq = t_trig, i
+        if departed and departed[0] < (t, sq):  # seqs are unique: (time, seq) decides
+            t, sq, typ, fe_arr = heapq.heappop(departed)
+            s_db, s_oi = svcs[typ][2:]
         else:
-            if t == math.inf:
+            if t == inf:
                 break
-            if msg_idx:
-                follow.popleft()
-            else:
+            if sq < n_trig:
+                typ = firsts[i]
                 i += 1
                 t_trig = arrivals[i]
-            while in_chain and in_chain[0] < (t, sq):
-                in_chain.popleft()
-                backlog -= 1
-            backlog += 1
+            else:
+                typ = follow.popleft()[1]
+                sq_fol += 1
+                t_fol = follow[0][0] if follow else inf
+            if free_db < t and not departed:
+                # every earlier message has left the SDB: the chain holds this one
+                in_chain.clear()
+                backlog = 1
+            else:
+                while in_chain and in_chain[0] < (t, sq):
+                    in_chain.popleft()
+                    backlog -= 1
+                backlog += 1
             if backlog > max_backlog:
                 max_backlog = backlog
             fe_arr = t
-            svc = means[proc][msg_idx]
-            s = draw(svc[0]) if exp else svc[0]
-            t = (free_fe if free_fe > t else t) + s
+            s_fe, s_sl, s_db, s_oi = svcs[typ]
+            if exp:
+                s_fe = draw(s_fe)
+                s_sl = draw(s_sl)
+            t = (free_fe if free_fe > t else t) + s_fe
             free_fe = t
-            busy_fe += s
-            s = draw(svc[1]) if exp else svc[1]
-            t = (pool[0] if pool[0] > t else t) + s
-            heapq.heapreplace(pool, t)
-            busy_sl += s
+            busy_fe += s_fe
+            busy_sl += s_sl
             if pooled:  # a pool may reorder messages: back to the event sources
-                heapq.heappush(departed, (t, sq, proc, msg_idx, fe_arr))
+                t = (pool[0] if pool[0] > t else t) + s_sl
+                heapq.heapreplace(pool, t)
+                heapq.heappush(departed, (t, sq, typ, fe_arr))
                 continue
-        s = draw(svc[2]) if exp else svc[2]
-        t = (free_db if free_db > t else t) + s
+            t = (free_sl if free_sl > t else t) + s_sl
+            free_sl = t
+        if exp:
+            s_db = draw(s_db)
+            s_oi = draw(s_oi)
+        t = (free_db if free_db > t else t) + s_db
         free_db = t
-        busy_db += s
+        busy_db += s_db
         in_chain.append((t, sq))
-        s = draw(svc[3]) if exp else svc[3]
-        t = (free_oi if free_oi > t else t) + s
+        t = (free_oi if free_oi > t else t) + s_oi
         free_oi = t
-        busy_oi += s
-        responses.append(t - fe_arr)
-        if msg_idx + 1 < len(means[proc]):
-            follow.append((t + params.t_im, seq, proc, msg_idx + 1))
-            seq += 1
+        busy_oi += s_oi
+        respond(t - fe_arr)
+        typ = nexts[typ]
+        if typ >= 0:
+            t += t_im
+            if not follow:
+                t_fol = t
+            follow.append((t, typ))
 
     n_msgs = len(responses)
     # the first FE arrival is the first trigger's, and OI departures never decrease
@@ -162,7 +204,7 @@ def run_queue_sim(
     util = {s.key: (b / span / s.servers if span > 0 else 0.0)
             for s, b in zip(chain, (busy_fe, busy_sl, busy_db, busy_oi))}
 
-    resp = np.asarray(responses)
+    resp = np.frombuffer(responses)
     kept = resp[int(len(resp) * WARMUP_FRACTION):]
     if len(kept) >= 2 * MIN_BATCHES:
         mean, half, n_b = batch_means(kept, MIN_BATCHES)

@@ -202,6 +202,14 @@ class TestCli:
         assert [r[0] for r in csv.reader(text.splitlines()) if r[0].startswith("#")][-3:] \
             == [f"# {k}" for k in WALLS]
 
+    def test_rates_simulate_phase_walls(self, tmp_path):
+        # `simulate`'s phases but the queue, each summed over the T_I grid
+        _, text = run_cli(["rates", "--simulate", "--users", "20", "--ti", "10,30",
+                           "--duration-s", "200"], tmp_path)
+        meta = [r for r in csv.reader(text.splitlines()) if r[0].startswith("#")]
+        assert [k for k, _ in meta[-2:]] == ["# generate_s", "# stats_s"]
+        assert all(float(v) >= 0.0 for _, v in meta[-2:])
+
     @pytest.mark.parametrize("ratio, rates", [
         ("1", ["lam_u_sr", "lam_u_hr", "lam_s_sr"]),
         ("0", ["lam_u_sr", "lam_u_hr"]),  # a kind the population lacks is not reported
@@ -435,6 +443,24 @@ class TestCli:
         )])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command", [["simulate"], ["rates", "--simulate"]])
+    def test_scipy_loaded_before_ue_traces_are_timed(self, command):
+        # the one-time scipy.special import (about 0.3 s) must not land in generate_s
+        proc = _run_child(["-c", (
+            "import os, sys, vmmecap.cli\n"
+            "seen = []\n"
+            "generate = vmmecap.cli.generate_triggers\n"
+            "def spy(*args, **kw):\n"
+            "    seen.append('scipy.special' in sys.modules)\n"
+            "    return generate(*args, **kw)\n"
+            "vmmecap.cli.generate_triggers = spy\n"
+            f"argv = {command!r} + ['--users', '20', '--duration-s', '200', '--out', os.devnull]\n"
+            "assert vmmecap.cli.main(argv) == 0\n"
+            "print(seen)"
+        )])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[True]"
 
     def test_no_scipy_unless_ue_traces_are_drawn(self):
         # scipy.special alone costs about 0.3 s and 24 MB of a run's start;

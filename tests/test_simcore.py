@@ -5,6 +5,7 @@ import bisect
 import csv
 import heapq
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -904,10 +905,38 @@ def _tie_trace(params, law, seed):
                         np.array(procs, dtype=np.uint8), 1.0, 5, 0)
 
 
+def _idle_tie_trace(params, law, seed):
+    """An HR trigger that reaches the FE exactly when an SR's last message
+    leaves the SDB.
+
+    With no propagation delay, an SR at 0 has the chain to itself, so its
+    three messages take the kernel's first service draws (replayed here from
+    the same seed) and never wait. The HR arrives at the third message's SDB
+    departure `x`, when `free_db == x` and nothing else is in the chain. That
+    message's seq is larger than the HR's, so it is still inside: the HR sees
+    a backlog of 2, and no other message sees more than 1.
+    """
+    t_fe, t_db, t_oi = 1.0 / params.mu_fe, 1.0 / params.mu_sdb, 1.0 / params.mu_oi
+    st = params.sl_times
+    means = [s for t_sl in (st.t_sr1, st.t_sr2, st.t_sr3) for s in (t_fe, t_sl, t_db, t_oi)]
+    if law == "exponential":
+        rng = np.random.default_rng(seed)
+        means = [rng.exponential(s) for s in means]
+    x = 0.0
+    for k, s in enumerate(means[:-1]):  # up to the last message's SDB departure
+        x = x + s
+        if k % 4 == 3:  # an OI departure: the next message reaches the FE
+            x = x + params.t_im
+    return TriggerTrace(np.array([0.0, x]), np.arange(2, dtype=np.int64),
+                        np.full(2, KIND_UE, dtype=np.uint8),
+                        np.array([PROC_SR, PROC_HR], dtype=np.uint8), 1.0, 2, 0)
+
+
 class TestQueueSim:
     @pytest.mark.parametrize("law", ["deterministic", "exponential"])
     @pytest.mark.parametrize("m", [1, 2, 3])
-    @pytest.mark.parametrize("shape", ["generated", "overloaded", "ties"])
+    @pytest.mark.parametrize("shape", ["generated", "overloaded", "ties", "mtcd_burst",
+                                       "idle_tie"])
     def test_matches_reference_kernel(self, cfg, shape, m, law):
         params = replace(cfg.queue, m=m)
         if shape == "generated":
@@ -915,14 +944,22 @@ class TestQueueSim:
                                       3000.0, 7, speed_dist=cfg.speed_dist)
         elif shape == "overloaded":  # about 110 % of two SL servers
             trace = poisson_triggers(3500.0, 3500.0, 1500.0, 0.5, 17)
-        else:
+        elif shape == "mtcd_burst":  # `simulate_mtc`'s bursty MMPP input at 1/10 scale
+            trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 0, 2000, 10.0,
+                                      200.0, 7, speed_dist=cfg.speed_dist)
+        elif shape == "ties":
             params = replace(params, prop_delay=0.0)
             trace = _tie_trace(params, law, seed=9)
+        else:
+            params = replace(params, prop_delay=0.0)
+            trace = _idle_tie_trace(params, law, seed=9)
         got = run_queue_sim(trace, params, law, seed=9)
         want = _reference_queue_sim(trace, params, law, seed=9)
         assert got.n_messages == trace.n_messages
-        if shape == "ties":
+        if shape in ("ties", "idle_tie"):
             assert not got.valid  # too few messages for batches: the mean is plain
+        if shape == "idle_tie":
+            assert got.max_backlog == 2
         for f in fields(SimStats):
             a, b = getattr(got, f.name), getattr(want, f.name)
             assert a == b or (a != a and b != b), f.name  # NaN != NaN
@@ -1010,6 +1047,25 @@ class TestQueueSim:
             "db": 0.2281432883827241, "oi": 0.004562865767654604}
         assert st.empirical_lam_msgs == 22814.32883827509
         assert (st.warmup_fraction, st.seed, st.valid) == (0.1, 5, True)
+
+    @pytest.mark.parametrize("law", ["deterministic", "exponential"])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_memory_per_message(self, cfg, m, law):
+        # The kernel's traced peak is the trace's times as a float list, the
+        # first message types, and one double per response: about 22 B per
+        # message. With the responses in a list of float objects it was 54.
+        # 1000 MTCDs over 200 s at T_I = 10 s send about 13k messages.
+        trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 0, 1000, 10.0, 200.0, 5,
+                                  speed_dist=cfg.speed_dist)
+        params = replace(cfg.queue, m=m)
+        tracemalloc.start()
+        try:
+            st = run_queue_sim(trace, params, law, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st.n_messages > 10000
+        assert peak / st.n_messages <= 24
 
     def test_reproducible(self, cfg, small_trace):
         a = run_queue_sim(small_trace, cfg.queue, "exponential", seed=11)
