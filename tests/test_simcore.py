@@ -1054,7 +1054,10 @@ class TestQueueSim:
         # The kernel's traced peak is the trace's times as a float list, the
         # first message types, and one double per response: about 22 B per
         # message. With the responses in a list of float objects it was 54.
-        # 1000 MTCDs over 200 s at T_I = 10 s send about 13k messages.
+        # 1000 MTCDs over 200 s at T_I = 10 s send about 13k messages; the
+        # bound of 24 B was set against 22.0-22.2 B read at this size, and
+        # 21.7 B at 2000 MTCDs over 2000 s (about 295k messages), a size
+        # tracemalloc makes too slow to test (14-49 s per run).
         trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 0, 1000, 10.0, 200.0, 5,
                                   speed_dist=cfg.speed_dist)
         params = replace(cfg.queue, m=m)
