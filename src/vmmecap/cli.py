@@ -22,14 +22,7 @@ from . import __version__
 from .config import ToolConfig, load_config
 from .dists import load_ndtri
 from .econ import scalability_table
-from .errors import (
-    ConfigError,
-    DegenerateChainError,
-    InfeasibleError,
-    InstabilityError,
-    ParameterError,
-    VmmeCapError,
-)
+from .errors import ConfigError, InfeasibleError, InstabilityError, ParameterError, VmmeCapError
 from .queueing import capacity, dimension, stages, system_response
 from .simcore import compare, generate_triggers, measured_rates, run_queue_sim
 from .workload import aggregate_rates, htc_rates, mtc_rates
@@ -329,7 +322,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (InstabilityError, InfeasibleError, DegenerateChainError) as e:
+    except (InstabilityError, InfeasibleError) as e:
         print(f"infeasible model: {e}", file=sys.stderr)
         return 3
     except (VmmeCapError, OSError) as e:

@@ -26,14 +26,7 @@ from .econ import CostSchedule
 from .errors import ConfigError, FieldError, ParameterError
 from .mmpp import MmppParams
 from .queueing import QueueParams, SlServiceTimes
-from .workload import (
-    AppProfile,
-    CallModel,
-    CellGeometry,
-    TrafficMix,
-    VideoModel,
-    WebModel,
-)
+from .workload import AAP_MODELS, AppProfile, CellGeometry, TrafficMix
 from . import dists
 
 
@@ -131,7 +124,7 @@ def _app(spec, where: str) -> AppProfile:
         where_m = f"{where}.model"
         mspec = dict(_typed(spec["model"], {}, where_m))
         mtype = _typed(mspec.pop("type"), "", f"{where_m}.type")
-        model_cls = {"web": WebModel, "video": VideoModel, "call": CallModel}.get(mtype)
+        model_cls = AAP_MODELS.get(mtype)
         if model_cls is None:
             raise ConfigError(f"{where_m}.type: unknown model type {mtype!r}")
         _check_keys(mspec, model_cls, where_m)

@@ -3,7 +3,9 @@
 `paper_defaults()` returns a plain nested dict; the config module turns it
 (or a user file deep-merged over it) into typed model objects. This is the
 only copy of the reference values: the model dataclasses have no defaults
-of their own. Every number here is overridable from the configuration file.
+of their own, apart from `MmppParams.delta_t` (1 s slots), which a caller
+building the class directly may omit and the config always sets. Every
+number here is overridable from the configuration file.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Toolkit exception hierarchy.
 
-Exit-code mapping used by the CLI: ConfigError -> 2, model infeasibility
-(InstabilityError, InfeasibleError, DegenerateChainError) -> 3, anything
-else -> 4.
+Exit-code mapping used by the CLI: ConfigError -> 2 (a model class's
+ParameterError met while building the configuration is reported as one),
+model infeasibility (InstabilityError, InfeasibleError) -> 3, any other
+toolkit error or an OSError -> 4.
 """
 
 
@@ -36,10 +37,6 @@ class InfeasibleError(VmmeCapError):
     def __init__(self, msg: str, stage: str | None = None):
         self.stage = stage
         super().__init__(msg)
-
-
-class DegenerateChainError(VmmeCapError):
-    """Markov chain has no unique stationary distribution."""
 
 
 class FieldError(ParameterError):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateChainError, FieldError, ParameterError
+from .errors import FieldError, ParameterError
 
 CHUNK = 1 << 16  # expected packets plus state segments held at once
 
@@ -48,6 +48,8 @@ class MmppParams:
         for name in ("p", "q"):
             if not 0 <= getattr(self, name) <= 1:
                 raise FieldError(name, "in [0, 1]", getattr(self, name))
+        if not self.p + self.q > 0:  # a chain that never moves has no stationary law
+            raise FieldError("q", "> 0 when p is 0", self.q)
         for name in ("lambda1", "lambda2"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise FieldError(name, "finite and >= 0", getattr(self, name))
@@ -58,10 +60,6 @@ class MmppParams:
 def mmpp_stationary(params: MmppParams) -> tuple[float, float, float]:
     """(pi1, pi2, mean packet rate in packets/s) of the modulating chain."""
     p, q = params.p, params.q
-    if p + q == 0:
-        raise DegenerateChainError(
-            "p = q = 0: the chain never moves, stationary split is undefined"
-        )
     pi1 = q / (p + q)
     pi2 = p / (p + q)
     return pi1, pi2, pi1 * params.lambda1 + pi2 * params.lambda2
@@ -121,11 +119,6 @@ def gap_survival(params: MmppParams, t: float) -> float:
     return float(share @ (within + beyond))
 
 
-def _state1_share(params: MmppParams) -> float:
-    """The stationary share of state 1; 1 for a chain that never moves, which starts there."""
-    return mmpp_stationary(params)[0] if params.p + params.q > 0 else 1.0
-
-
 def _slots(params: MmppParams, horizon_s: float) -> int:
     if not 0 < horizon_s < math.inf:
         raise ParameterError(f"horizon must be finite and > 0, got {horizon_s}")
@@ -139,7 +132,7 @@ def _expected_segments(params: MmppParams, n_slots: int) -> float:
     is a switch with probability pi1 p + pi2 q = 2pq / (p + q).
     """
     p, q = params.p, params.q
-    return 1.0 + (n_slots - 1) * (2.0 * p * q / (p + q) if p + q > 0 else 0.0)
+    return 1.0 + (n_slots - 1) * (2.0 * p * q / (p + q))
 
 
 def mmpp_packet_streams(
@@ -150,7 +143,7 @@ def mmpp_packet_streams(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(times, stream index) of the packets of `n` independent streams in [0, horizon).
 
-    Each stream starts in the stationary state (in state 1 if p = q = 0).
+    Each stream starts in the stationary state.
     The packets are sorted by stream and then by time, and the times of one
     stream are strictly increasing.
     """
@@ -159,7 +152,7 @@ def mmpp_packet_streams(
         return np.empty(0), np.empty(0, dtype=np.int64)
     leave = np.array([params.p, params.q])  # per-slot switch probability, by state
     per_slot = np.array([params.lambda1, params.lambda2]) * params.delta_t
-    state = (rng.random(n) >= _state1_share(params)).astype(np.intp)  # 0 is state 1
+    state = (rng.random(n) >= mmpp_stationary(params)[0]).astype(np.intp)  # 0 is state 1
 
     # state segments, in rounds: a block of `per_round` (the mean count plus
     # three of its Poisson sd) per unfinished stream, at most CHUNK in all
@@ -224,7 +217,7 @@ def mmpp_stream_chunks(params: MmppParams, horizon_s: float, n: int,
     indices run over all n streams.
     """
     n_slots = _slots(params, horizon_s)
-    pi1 = _state1_share(params)
+    pi1 = mmpp_stationary(params)[0]
     rate = pi1 * params.lambda1 + (1.0 - pi1) * params.lambda2
     per_stream = rate * n_slots * params.delta_t + _expected_segments(params, n_slots)
     size = max(1, int(CHUNK // per_stream))

@@ -45,16 +45,10 @@ class SlServiceTimes:
                 raise ParameterError(f"service time {name} must be > 0, got {v}")
 
     @property
-    def sr_total(self) -> float:
-        return self.t_sr1 + self.t_sr2 + self.t_sr3
-
-    @property
-    def srr_total(self) -> float:
-        return self.t_srr1 + self.t_srr2 + self.t_srr3
-
-    @property
-    def hr_total(self) -> float:
-        return self.t_hr1 + self.t_hr2
+    def per_procedure(self) -> tuple[tuple[float, ...], ...]:
+        """The per-message times of SR, SRR and HR, indexed by the trace's procedure codes."""
+        return ((self.t_sr1, self.t_sr2, self.t_sr3), (self.t_srr1, self.t_srr2, self.t_srr3),
+                (self.t_hr1, self.t_hr2))
 
 
 @dataclass(frozen=True)
@@ -108,11 +102,8 @@ def weighted_sl_service_time(rates: ProcedureRates, times: SlServiceTimes) -> fl
     # every rate scaled by one power of two, which is exact, so that subnormal
     # rates times the service times do not underflow to a zero mean
     k = -math.frexp(lam)[1]
-    return (
-        math.ldexp(rates.lam_sr, k) * times.sr_total
-        + math.ldexp(rates.lam_srr, k) * times.srr_total
-        + math.ldexp(rates.lam_hr, k) * times.hr_total
-    ) / math.ldexp(lam, k)
+    per_proc = zip((rates.lam_sr, rates.lam_srr, rates.lam_hr), times.per_procedure)
+    return sum(math.ldexp(r, k) * sum(t) for r, t in per_proc) / math.ldexp(lam, k)
 
 
 class Stage(NamedTuple):
@@ -224,7 +215,9 @@ def capacity(
         raise ParameterError(f"mtcd_per_ue must be >= 0, got {mtcd_per_ue}")
     t_max = params.t_max if t_max is None else t_max
     per_ue = htc_rates(mix, geom, t_i)
-    per_mtcd = mtc_rates(mmpp, t_i) if mmpp is not None and mtcd_per_ue > 0 else (0.0, 0.0)
+    if mtcd_per_ue > 0 and mmpp is None:
+        raise ParameterError("MTCDs requested but no MMPP parameters given")
+    per_mtcd = mtc_rates(mmpp, t_i) if mtcd_per_ue > 0 else (0.0, 0.0)
 
     unit = aggregate_rates(per_ue, per_mtcd, 1.0, mtcd_per_ue)
     msgs_per_ue = unit.lam_total_msgs

@@ -57,7 +57,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..queueing import QueueParams, stages
-from .triggers import PROC_HR, PROC_SR, PROC_SRR, TriggerTrace
+from .triggers import TriggerTrace
 from .stats import batch_means
 
 WARMUP_FRACTION = 0.10  # leading share of responses dropped before batch means
@@ -95,11 +95,9 @@ def run_queue_sim(
     chain = stages(params, st.t_sr1)  # in the loop's order; its SL rate goes unused
     # message types: per (procedure, message), the mean service time at each
     # of the four stages and the next message's type (-1 after the last)
-    svcs, nexts, first = [], [], [0] * 3
-    for proc, sl in ((PROC_SR, (st.t_sr1, st.t_sr2, st.t_sr3)),
-                     (PROC_SRR, (st.t_srr1, st.t_srr2, st.t_srr3)),
-                     (PROC_HR, (st.t_hr1, st.t_hr2))):
-        first[proc] = len(svcs)
+    svcs, nexts, first = [], [], []
+    for sl in st.per_procedure:  # by procedure code
+        first.append(len(svcs))
         for k, t_sl in enumerate(sl):
             svcs.append(tuple(t_sl if s.key == "sl" else 1.0 / s.mu for s in chain))
             nexts.append(len(svcs) if k + 1 < len(sl) else -1)

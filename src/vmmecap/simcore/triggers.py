@@ -35,16 +35,7 @@ from .. import dists
 from ..dists import Dist
 from ..errors import ParameterError
 from ..mmpp import MmppParams, mmpp_stream_chunks
-from ..workload import (
-    MSGS_PER_PROC,
-    CallModel,
-    CellGeometry,
-    TrafficMix,
-    VideoModel,
-    WebModel,
-    app_session_moments,
-    standby_dist,
-)
+from ..workload import MSGS_PER_PROC, CellGeometry, TrafficMix, app_session_moments, standby_dist
 
 PROC_SR, PROC_SRR, PROC_HR = 0, 1, 2
 KIND_UE, KIND_MTCD = 0, 1
@@ -102,30 +93,6 @@ def population_rng(seed: int, kind: int) -> np.random.Generator:
 # UE activity: sessions of AAPs, drawn for a population at once
 # ---------------------------------------------------------------------------
 
-def _aap_durations(model, link_rate_bps: float, n: int, rng) -> np.ndarray:
-    """Durations of `n` AAPs of one app (simulation-side counterpart of the analytic means)."""
-    if isinstance(model, WebModel):
-        k = np.rint(dists.sample(model.n_embedded, rng, n)).astype(np.int64)
-        total = dists.sample(model.main_obj_bytes, rng, n)
-        # each AAP's sum of k embedded objects, by cumsum differences (k may be 0)
-        emb = np.zeros(k.sum() + 1)
-        np.cumsum(dists.sample(model.embedded_obj_bytes, rng, k.sum()), out=emb[1:])
-        last = np.cumsum(k)
-        total += emb[last] - emb[last - k]
-        return total * 8.0 / link_rate_bps + dists.sample(model.parsing_time_s, rng, n)
-    if isinstance(model, VideoModel):
-        choices = model.encoding_rate_choices
-        pick = (rng.random(n) * len(choices)).astype(np.int64)
-        enc = np.stack([dists.sample(law, rng, n) for law in choices])[pick, np.arange(n)]
-        dur = dists.sample(model.duration_s, rng, n)
-        burst = np.minimum(dur, model.burst_media_s)
-        return (burst * enc / link_rate_bps
-                + np.maximum(dur - model.burst_media_s, 0.0) / model.throttle_factor)
-    if isinstance(model, CallModel):
-        return dists.sample(model.holding_time_s, rng, n)
-    raise ParameterError(f"unknown AAP model {type(model).__name__}")
-
-
 @dataclass(frozen=True)
 class _UePlan:
     """What every UE of a trace shares, worked out once per trace."""
@@ -181,7 +148,7 @@ def _ue_intervals(plan: _UePlan, n: int, horizon_s: float, settle_s: float,
         gap = np.zeros(aap_app.size)
         for a, spec in enumerate(apps):
             sel = np.flatnonzero(aap_app == a)
-            dur[sel] = _aap_durations(spec.model, plan.mix.link_rate_bps, sel.size, rng)
+            dur[sel] = spec.model.durations(plan.mix.link_rate_bps, sel.size, rng)
             if spec.reading_time_s is not None:
                 gap[sel] = dists.sample(spec.reading_time_s, rng, sel.size)
         gap[np.cumsum(n_aap) - n_aap] = standby

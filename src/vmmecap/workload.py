@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,20 +27,48 @@ MSGS_PER_PROC = (3, 3, 2)  # messages of one SR, SRR and HR procedure, in that o
 # traffic-mix types
 # ---------------------------------------------------------------------------
 
+# An AAP (application activity period) model owns its duration law, the mean
+# for the analytic side (`mean_duration`) and the sampler for the simulator
+# (`durations`); `type` is its name in the configuration.
+
 @dataclass(frozen=True)
 class WebModel:
     """Page download: main object, then embedded objects, sequentially at link
     rate, then one parsing time per page."""
+
+    type: ClassVar[str] = "web"
 
     main_obj_bytes: Dist
     embedded_obj_bytes: Dist
     n_embedded: Dist
     parsing_time_s: Dist
 
+    def mean_duration(self, link_rate_bps: float) -> float:
+        """Mean duration of one AAP, in seconds."""
+        n_emb = dists.mean(self.n_embedded)
+        xfer_bytes = dists.mean(self.main_obj_bytes) + n_emb * dists.mean(self.embedded_obj_bytes)
+        return xfer_bytes * 8.0 / link_rate_bps + dists.mean(self.parsing_time_s)
+
+    def durations(self, link_rate_bps: float, n: int, rng) -> np.ndarray:
+        """Durations of `n` AAPs, in seconds; the embedded-object count rounds
+        to a whole number."""
+        k = np.rint(dists.sample(self.n_embedded, rng, n)).astype(np.int64)
+        total = dists.sample(self.main_obj_bytes, rng, n)
+        # each AAP's sum of k embedded objects, by cumsum differences (k may be 0)
+        emb = np.zeros(k.sum() + 1)
+        np.cumsum(dists.sample(self.embedded_obj_bytes, rng, k.sum()), out=emb[1:])
+        last = np.cumsum(k)
+        total += emb[last] - emb[last - k]
+        return total * 8.0 / link_rate_bps + dists.sample(self.parsing_time_s, rng, n)
+
 
 @dataclass(frozen=True)
 class VideoModel:
-    """Two-phase streaming: initial burst at link rate, then throttled delivery."""
+    """Two-phase streaming: the first `burst_media_s` of media at link rate,
+    the rest throttled to play out at `throttle_factor` times real time. An
+    AAP picks one encoding rate law uniformly and draws its rate from it."""
+
+    type: ClassVar[str] = "video"
 
     duration_s: Dist
     encoding_rate_choices: tuple[Dist, ...]  # bit/s, picked uniformly per AAP
@@ -54,12 +83,43 @@ class VideoModel:
         if not self.throttle_factor > 0:
             raise FieldError("throttle_factor", "> 0", self.throttle_factor)
 
+    def mean_duration(self, link_rate_bps: float) -> float:
+        """Mean duration of one AAP, in seconds."""
+        enc = float(np.mean([dists.mean(d) for d in self.encoding_rate_choices]))
+        dur = dists.mean(self.duration_s)
+        burst_dl = self.burst_media_s * enc / link_rate_bps
+        served_in_burst = dists.expected_truncated(self.duration_s, self.burst_media_s)
+        return burst_dl + (dur - served_in_burst) / self.throttle_factor
+
+    def durations(self, link_rate_bps: float, n: int, rng) -> np.ndarray:
+        """Durations of `n` AAPs, in seconds."""
+        choices = self.encoding_rate_choices
+        pick = (rng.random(n) * len(choices)).astype(np.int64)
+        enc = np.stack([dists.sample(law, rng, n) for law in choices])[pick, np.arange(n)]
+        dur = dists.sample(self.duration_s, rng, n)
+        burst = np.minimum(dur, self.burst_media_s)
+        return (burst * enc / link_rate_bps
+                + np.maximum(dur - self.burst_media_s, 0.0) / self.throttle_factor)
+
 
 @dataclass(frozen=True)
 class CallModel:
     """Conversational app: the AAP lasts the call holding time."""
 
+    type: ClassVar[str] = "call"
+
     holding_time_s: Dist
+
+    def mean_duration(self, link_rate_bps: float) -> float:
+        """Mean duration of one AAP, in seconds."""
+        return dists.mean(self.holding_time_s)
+
+    def durations(self, link_rate_bps: float, n: int, rng) -> np.ndarray:
+        """Durations of `n` AAPs, in seconds."""
+        return dists.sample(self.holding_time_s, rng, n)
+
+
+AAP_MODELS = {c.type: c for c in (WebModel, VideoModel, CallModel)}  # by config name
 
 
 @dataclass(frozen=True)
@@ -105,7 +165,7 @@ class TrafficMix:
 class CellGeometry:
     cell_width_m: float
     cell_height_m: float
-    mean_speed_mps: float = 0.0
+    mean_speed_mps: float
 
     def __post_init__(self):
         for name in ("cell_width_m", "cell_height_m"):
@@ -152,30 +212,9 @@ class SessionMoments:
     mean_t_sd_s: float  # whole session duration
 
 
-def mean_encoding_rate(model: VideoModel) -> float:
-    return float(np.mean([dists.mean(d) for d in model.encoding_rate_choices]))
-
-
-def mean_aap_duration(model, link_rate_bps: float) -> float:
-    """Mean duration of one application activity period, in seconds."""
-    if isinstance(model, WebModel):
-        n_emb = dists.mean(model.n_embedded)
-        xfer_bytes = dists.mean(model.main_obj_bytes) + n_emb * dists.mean(model.embedded_obj_bytes)
-        return xfer_bytes * 8.0 / link_rate_bps + dists.mean(model.parsing_time_s)
-    if isinstance(model, VideoModel):
-        enc = mean_encoding_rate(model)
-        dur = dists.mean(model.duration_s)
-        burst_dl = model.burst_media_s * enc / link_rate_bps
-        served_in_burst = dists.expected_truncated(model.duration_s, model.burst_media_s)
-        return burst_dl + (dur - served_in_burst) / model.throttle_factor
-    if isinstance(model, CallModel):
-        return dists.mean(model.holding_time_s)
-    raise ParameterError(f"unknown AAP model {type(model).__name__}")
-
-
 def app_session_moments(app: AppProfile, link_rate_bps: float) -> SessionMoments:
     mean_n = dists.mean(app.n_aap)
-    mean_t_on = mean_aap_duration(app.model, link_rate_bps)
+    mean_t_on = app.model.mean_duration(link_rate_bps)
     mean_d = dists.mean(app.reading_time_s) if app.reading_time_s is not None else 0.0
     mean_t_sd = mean_n * mean_t_on + (mean_n - 1.0) * mean_d
     return SessionMoments(mean_n, mean_t_on, mean_d, mean_t_sd)

@@ -340,6 +340,9 @@ class TestCli:
         (["scalability", "--kmax", "2"],
          {"cost": {**_FREE, "lb_usd_per_gb": 0.008, "i_size_bytes": 0, "o_size_bytes": 0}},
          "cost:"),
+        # a chain that never moves has no stationary law to start from
+        (["dimension"], {"mmpp": {"p": 0, "q": 0}}, "mmpp.q"),
+        (["simulate"], {"mmpp": {"p": 0, "q": 0}}, "mmpp.q"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_bad_value_exit_code(self, argv, overlay, key, tmp_path, capsys):
         if overlay is not None:

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from vmmecap import mmpp
-from vmmecap.errors import DegenerateChainError, ParameterError
+from vmmecap.errors import FieldError, ParameterError
 from vmmecap.mmpp import (
     MmppParams,
     gap_survival,
@@ -34,8 +34,10 @@ class TestStationary:
         assert pi2 == pytest.approx(0.5)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateChainError):
-            mmpp_stationary(MmppParams(0.0, 0.0, 1.0, 2.0))
+        # a chain that never moves has no stationary law, so it cannot be built
+        with pytest.raises(FieldError) as e:
+            MmppParams(0.0, 0.0, 1.0, 2.0)
+        assert e.value.field == "q"
 
     def test_invalid_params(self):
         with pytest.raises(ParameterError):
@@ -71,8 +73,6 @@ class TestGapSurvival:
             gap_survival(TABLE, -1.0)
         with pytest.raises(ParameterError):
             gap_survival(MmppParams(0.1, 0.1, 0.0, 0.0), 1.0)
-        with pytest.raises(DegenerateChainError):
-            gap_survival(MmppParams(0.0, 0.0, 1.0, 2.0), 1.0)
 
 
 class TestPacketStream:
@@ -157,7 +157,6 @@ class TestPopulation:
     @pytest.mark.parametrize("p, q, rate", [
         (0.0, 0.5, 0.02),  # p = 0: the stationary law is all state 1
         (0.5, 0.0, 0.3),  # q = 0: all state 2
-        (0.0, 0.0, 0.02),  # the chain never moves and starts in state 1
     ])
     def test_chains_that_never_leave_a_state(self, p, q, rate):
         params = MmppParams(p, q, 0.02, 0.3)
@@ -176,10 +175,11 @@ class TestPopulation:
         assert len(mmpp_packet_streams(TABLE, 10.0, 0, rng)[0]) == 0
 
     def test_arrivals_uniform_within_a_segment(self):
-        # a chain that never moves is one segment per stream: its packets are
-        # the order statistics of uniforms, laid out by exponential spacings
+        # with p = 0 every stream starts in state 1 and stays there, one segment
+        # per stream: its packets are the order statistics of uniforms, laid
+        # out by exponential spacings
         horizon = 50.0
-        times, stream = mmpp_packet_streams(MmppParams(0.0, 0.0, 0.4, 0.4), horizon, 2000,
+        times, stream = mmpp_packet_streams(MmppParams(0.0, 0.5, 0.4, 0.4), horizon, 2000,
                                             np.random.default_rng(12))
         assert stats.kstest(times / horizon, "uniform").pvalue > 1e-3
         # the k-th of n order statistics of U(0, 1) has mean k / (n + 1)

@@ -20,7 +20,7 @@ from vmmecap.queueing import (
     system_response,
     weighted_sl_service_time,
 )
-from vmmecap.workload import aggregate_rates, htc_rates, mtc_rates
+from vmmecap.workload import MSGS_PER_PROC, aggregate_rates, htc_rates, mtc_rates
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +110,11 @@ class TestWeightedServiceTime:
     def test_only_sr(self, cfg):
         r = _rates(1000.0, 0.0, 0.0)
         st = cfg.queue.sl_times
-        assert weighted_sl_service_time(r, st) == pytest.approx(st.sr_total / 3.0)
+        assert weighted_sl_service_time(r, st) == pytest.approx(sum(st.per_procedure[0]) / 3.0)
+
+    def test_per_procedure_message_counts(self, cfg):
+        # one SL time per message of each procedure, in the trace's code order
+        assert tuple(map(len, cfg.queue.sl_times.per_procedure)) == MSGS_PER_PROC
 
     def test_uniform_times(self):
         st = SlServiceTimes(*([5e-5] * 8))
@@ -237,6 +241,13 @@ class TestCapacity:
         assert res.lam_msgs == pytest.approx(lam, rel=1e-3)
         assert res.procedures_per_s == pytest.approx(procs, rel=1e-3)
         assert res.t_mean_s <= cfg.queue.t_max
+
+    def test_mtcds_need_an_mmpp(self, cfg):
+        # MTCDs without a packet law would be counted but send nothing
+        with pytest.raises(ParameterError):
+            capacity(1, cfg.queue, cfg.mix, cfg.geom, None, 10.0, 1.0)
+        alone = capacity(1, cfg.queue, cfg.mix, cfg.geom, None, 10.0, 0.0)
+        assert alone.n_d == 0 and alone.n_u_max > 90250
 
     def test_non_decreasing_and_saturating(self, cfg):
         caps = [capacity(m, cfg.queue, cfg.mix, cfg.geom, cfg.mmpp, 10.0, 1.0).n_u_max

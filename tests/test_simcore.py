@@ -725,7 +725,6 @@ class TestMtcdTriggers:
     @pytest.mark.parametrize("p, q, lambda1, lambda2", [
         (0.0, 0.01, 0.05, 0.5),  # never leaves state 1
         (0.01, 0.0, 0.05, 0.5),  # never leaves state 2
-        (0.0, 0.0, 0.05, 0.5),  # never moves: starts in state 1
         (0.01, 0.02, 0.0, 0.5),  # a silent state
         (0.01, 0.02, 0.0, 0.0),  # no packets at all
     ])

@@ -9,6 +9,7 @@ from vmmecap.config import load_config
 from vmmecap.errors import InfeasibleError
 from vmmecap.mmpp import MmppParams, mmpp_packet_stream, mmpp_stationary
 from vmmecap.workload import (
+    AAP_MODELS,
     CellGeometry,
     aggregate_rates,
     app_session_moments,
@@ -49,6 +50,22 @@ class TestSessionMoments:
         call = next(a for a in cfg.mix.apps if a.name == "call")
         mom = app_session_moments(call, cfg.mix.link_rate_bps)
         assert mom.mean_t_sd_s == mom.mean_t_on_s
+
+
+class TestAapModels:
+    @pytest.mark.parametrize("name", ["web", "video", "call"])
+    def test_sampler_matches_mean(self, cfg, name):
+        # the simulator's draws and the rates' mean are one law: the sample
+        # mean is within 4 standard errors of `mean_duration`
+        model = next(a.model for a in cfg.mix.apps if a.name == name)
+        link, n = cfg.mix.link_rate_bps, 50_000
+        d = model.durations(link, n, np.random.default_rng(31))
+        assert len(d) == n
+        assert abs(d.mean() - model.mean_duration(link)) <= 4 * d.std(ddof=1) / math.sqrt(n)
+
+    def test_models_by_config_name(self):
+        assert {name: cls.type for name, cls in AAP_MODELS.items()} == {
+            "web": "web", "video": "video", "call": "call"}
 
 
 class TestHtcRates:
