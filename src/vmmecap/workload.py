@@ -86,10 +86,11 @@ class VideoModel:
     def mean_duration(self, link_rate_bps: float) -> float:
         """Mean duration of one AAP, in seconds."""
         enc = float(np.mean([dists.mean(d) for d in self.encoding_rate_choices]))
-        dur = dists.mean(self.duration_s)
-        burst_dl = self.burst_media_s * enc / link_rate_bps
+        # E[min(D, B)] of media goes at link rate, the rest is throttled; the
+        # encoding rate is drawn apart from the duration
         served_in_burst = dists.expected_truncated(self.duration_s, self.burst_media_s)
-        return burst_dl + (dur - served_in_burst) / self.throttle_factor
+        burst_dl = served_in_burst * enc / link_rate_bps
+        return burst_dl + (dists.mean(self.duration_s) - served_in_burst) / self.throttle_factor
 
     def durations(self, link_rate_bps: float, n: int, rng) -> np.ndarray:
         """Durations of `n` AAPs, in seconds."""
