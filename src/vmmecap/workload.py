@@ -65,8 +65,8 @@ class WebModel:
 @dataclass(frozen=True)
 class VideoModel:
     """Two-phase streaming: the first `burst_media_s` of media at link rate,
-    the rest throttled to play out at `throttle_factor` times real time. An
-    AAP picks one encoding rate law uniformly and draws its rate from it."""
+    the rest delivered at `throttle_factor` times its playback rate. An AAP
+    picks one encoding-rate law uniformly and draws its rate from it."""
 
     type: ClassVar[str] = "video"
 

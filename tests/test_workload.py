@@ -11,7 +11,6 @@ from vmmecap.config import load_config
 from vmmecap.errors import InfeasibleError
 from vmmecap.mmpp import MmppParams, mmpp_packet_stream, mmpp_stationary
 from vmmecap.workload import (
-    AAP_MODELS,
     CellGeometry,
     aggregate_rates,
     app_session_moments,
@@ -66,10 +65,6 @@ class TestAapModels:
         d = model.durations(link, n, np.random.default_rng(31))
         assert len(d) == n
         assert abs(d.mean() - model.mean_duration(link)) <= 4 * d.std(ddof=1) / math.sqrt(n)
-
-    def test_models_by_config_name(self):
-        assert {name: cls.type for name, cls in AAP_MODELS.items()} == {
-            "web": "web", "video": "video", "call": "call"}
 
 
 class TestHtcRates:
