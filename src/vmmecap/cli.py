@@ -20,7 +20,6 @@ from dataclasses import replace
 
 from . import __version__
 from .config import ToolConfig, load_config
-from .dists import load_ndtri
 from .econ import scalability_table
 from .errors import ConfigError, InfeasibleError, InstabilityError, ParameterError, VmmeCapError
 from .queueing import capacity, dimension, stages, system_response
@@ -126,8 +125,6 @@ def cmd_rates(cfg: ToolConfig, args) -> None:
     horizon, seed = cfg.scenario["horizon_s"], cfg.scenario["seed"]
     sim_cols = _sim_cols(n_u, n_d) if args.simulate else []
     walls = {}  # wall seconds of each phase over the grid, for the output's meta
-    if args.simulate and n_u:
-        load_ndtri()  # UE draws import SciPy once: before, not inside, generate_s
     rows = []
     for ti in tis:
         u_sr, u_srr, u_hr = htc_rates(cfg.mix, cfg.geom, ti)
@@ -223,8 +220,6 @@ def cmd_simulate(cfg: ToolConfig, args) -> None:
     ti, horizon, seed = (cfg.scenario[k] for k in ("t_i_s", "horizon_s", "seed"))
     n_u, n_d = _scenario_counts(cfg, "simulate")
     walls = {}  # wall seconds of each phase, for the output's meta
-    if n_u:
-        load_ndtri()  # UE draws import SciPy once: before, not inside, generate_s
     trace = _timed(walls, "generate_s", generate_triggers, cfg.mix, cfg.geom, cfg.mmpp,
                    n_u, n_d, ti, horizon, seed, speed_dist=cfg.speed_dist)
     if args.trace_out:

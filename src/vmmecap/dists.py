@@ -7,13 +7,12 @@ functions below call into it. Sampling of the truncated laws uses inverse-CDF
 restricted to the quantile range [F(lo), F(hi)], so draws are exact and cost
 one uniform each; each truncated law computes that range once, when it is
 built. `tail_prob` and `expected_truncated` are closed-form for all kinds.
-The normal CDF is a scalar port of Cephes `ndtr`; SciPy is imported only
-by `load_ndtri`, which a truncated lognormal's draws call.
+The normal CDF comes from `math.erfc` and its quantile from Wichura's AS241,
+so the module needs no SciPy.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -263,77 +262,72 @@ class _Truncated(Dist):
         return t * self._tail(t) + self._partial(t)
 
 
-# Cephes ndtr.c (Moshier), the code behind scipy.special.ndtr: erf's rational
-# function on |x| < 1, erfc's on [1, 8) and [8, inf), with the same
-# coefficients and Horner order, so ndtr below equals SciPy's bit for bit
-_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-          7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-          2.26290000613890934246e4, 4.92673942608635921086e4)
-_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-           1.65666309194161350182e3, 5.57535340817727675546e2)
-_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-_MAXLOG = 7.09782712893383996843e2  # log of the largest double
 _SQRT1_2 = 0.70710678118654752440
 
-
-def _polevl(x, coef):
-    y = coef[0]
-    for c in coef[1:]:
-        y = y * x + c
-    return y
-
-
-def _p1evl(x, coef):
-    """_polevl with a leading coefficient of 1 left out of `coef`."""
-    y = x + coef[0]
-    for c in coef[1:]:
-        y = y * x + c
-    return y
-
-
-def _erf(x):
-    """erf(x) for |x| < 1."""
-    z = x * x
-    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
-
-
-def _erfc(x):
-    """erfc(x) for x >= 0."""
-    if x < 1.0:
-        return 1.0 - _erf(x)
-    if -x * x < -_MAXLOG:
-        return 0.0  # exp underflows
-    if x < 8.0:
-        p, q = _polevl(x, _ERFC_P), _p1evl(x, _ERFC_Q)
-    else:
-        p, q = _polevl(x, _ERFC_R), _p1evl(x, _ERFC_S)
-    return math.exp(-x * x) * p / q
+# Wichura's AS241 (Applied Statistics 37, 1988), the rational functions behind
+# statistics.NormalDist.inv_cdf, highest power first with the denominators'
+# trailing 1.0 left out: the central one in r = 0.180625 - q^2 for
+# |q| = |p - 1/2| <= 0.425, the tail ones in s = sqrt(-log(min(p, 1 - p)))
+# shifted by 1.6 for s <= 5 and by 5 beyond
+_CENTRAL = ((2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+             4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+             1.3314166789178437745e2, 3.3871328727963666080e0),
+            (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+             2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+             4.2313330701600911252e1))
+_NEAR = ((7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+          1.2704582524523683826e0, 3.6478483247632045981e0, 5.7694972214606914055e0,
+          4.6303378461565452959e0, 1.4234371107496835773e0),
+         (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+          1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e0,
+          2.0531916266377588219e0))
+_FAR = ((2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+         2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e0,
+         5.4637849111641143699e0, 6.6579046435011037772e0),
+        (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+         7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
+         5.9983220655588793769e-1))
 
 
 def _ndtr(a: float) -> float:
     """Standard normal CDF of a scalar (NaN for NaN)."""
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(z)
-    return 1.0 - y if x > 0 else y
+    return 0.5 * math.erfc(-a * _SQRT1_2)
 
 
-@functools.cache
-def load_ndtri():
-    """SciPy's normal quantile `ndtri`, imported on the first call: scipy.special
-    costs about 0.3 s and 24 MB, and only a truncated lognormal's draws need it."""
-    from scipy.special import ndtri
-    return ndtri
+def _rational(r: np.ndarray, coef) -> np.ndarray:
+    """num(r) / den(r) for one of the AS241 pairs, by in-place Horner steps."""
+    num, den = (c[0] * r for c in coef)
+    for c in coef[0][1:-1]:
+        num += c
+        num *= r
+    num += coef[0][-1]
+    for c in coef[1][1:]:
+        den += c
+        den *= r
+    den += 1.0
+    num /= den
+    return num
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of an array by AS241: -inf at 0, +inf at 1."""
+    # each full-size temporary costs fresh pages, so r is built in place
+    q = p - 0.5
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    x = _rational(r, _CENTRAL)
+    x *= q
+    tail = np.flatnonzero(r < 0.0)  # |q| > 0.425
+    if tail.size:
+        pt = p[tail]
+        with np.errstate(divide="ignore"):  # log(0) at p = 0 and p = 1
+            s = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+        xt = np.full_like(s, np.inf)
+        near, far = s <= 5.0, (s > 5.0) & (s < np.inf)
+        xt[near] = _rational(s[near] - 1.6, _NEAR)
+        xt[far] = _rational(s[far] - 5.0, _FAR)
+        x[tail] = np.copysign(xt, q[tail])
+    return x
 
 
 @dataclass(frozen=True)
@@ -350,12 +344,10 @@ class TruncLognormal(_Truncated):
         super().__post_init__()
 
     def _cdf(self, x):
-        # NumPy's log on an array, whose last bit can differ from math.log's;
-        # F(lo) and F(hi) set every seeded draw
-        return _ndtr(float((np.log(np.array([x], dtype=float))[0] - self.mu) / self.sigma))
+        return _ndtr((math.log(x) - self.mu) / self.sigma)
 
     def _quantile(self, u):
-        return np.exp(self.mu + self.sigma * load_ndtri()(u))
+        return np.exp(self.mu + self.sigma * _ndtri(u))
 
     def _mean(self):
         mu, s = self.mu, self.sigma

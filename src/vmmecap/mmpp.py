@@ -217,8 +217,7 @@ def mmpp_stream_chunks(params: MmppParams, horizon_s: float, n: int,
     indices run over all n streams.
     """
     n_slots = _slots(params, horizon_s)
-    pi1 = mmpp_stationary(params)[0]
-    rate = pi1 * params.lambda1 + (1.0 - pi1) * params.lambda2
+    rate = mmpp_stationary(params)[2]
     per_stream = rate * n_slots * params.delta_t + _expected_segments(params, n_slots)
     size = max(1, int(CHUNK // per_stream))
     for lo in range(0, n, size):

@@ -435,48 +435,14 @@ class TestCli:
         proc = _run_child(["-m", "vmmecap.cli", "--version"])
         assert proc.returncode == 0
 
-    def test_run_time_imports_only_scipy_special(self):
-        # a planner's every run pays for the import; scipy.stats and
-        # scipy.optimize would cost about 1 s of it
-        proc = _run_child(["-c", (
-            "import sys, vmmecap.cli, vmmecap.simcore\n"
-            "from vmmecap.config import load_config\n"
-            "load_config()\n"
-            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
-        )])
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
-
-    @pytest.mark.parametrize("command", [["simulate"], ["rates", "--simulate"]])
-    def test_scipy_loaded_before_ue_traces_are_timed(self, command):
-        # the one-time scipy.special import (about 0.3 s) must not land in generate_s
+    def test_no_command_imports_scipy(self):
+        # scipy.special alone would cost about 0.3 s and 24 MB of a run's start;
+        # the package draws even the truncated lognormal without it
         proc = _run_child(["-c", (
             "import os, sys, vmmecap.cli\n"
-            "seen = []\n"
-            "generate = vmmecap.cli.generate_triggers\n"
-            "def spy(*args, **kw):\n"
-            "    seen.append('scipy.special' in sys.modules)\n"
-            "    return generate(*args, **kw)\n"
-            "vmmecap.cli.generate_triggers = spy\n"
-            f"argv = {command!r} + ['--users', '20', '--duration-s', '200', '--out', os.devnull]\n"
-            "assert vmmecap.cli.main(argv) == 0\n"
-            "print(seen)"
-        )])
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[True]"
-
-    def test_no_scipy_unless_ue_traces_are_drawn(self):
-        # scipy.special alone costs about 0.3 s and 24 MB of a run's start;
-        # only the truncated lognormal's quantile, drawn for UE traces, needs it
-        proc = _run_child(["-c", (
-            "import os, sys, vmmecap.cli, vmmecap.simcore\n"
-            "from vmmecap.config import load_config\n"
-            "cfg = load_config()\n"
-            "for argv in (['dimension'], ['capacity'], ['scalability']):\n"
+            "for argv in (['dimension'], ['capacity'], ['scalability'],\n"
+            "             ['simulate', '--users', '20'], ['rates', '--simulate', '--users', '20']):\n"
             "    assert vmmecap.cli.main(argv + ['--out', os.devnull]) == 0\n"
-            "trace = vmmecap.simcore.generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 0, 2000,\n"
-            "                                          10.0, 200.0, 1, speed_dist=cfg.speed_dist)\n"
-            "vmmecap.simcore.run_queue_sim(trace, cfg.queue)\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
         )])
         assert proc.returncode == 0, proc.stderr

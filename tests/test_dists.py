@@ -5,6 +5,7 @@ high-precision script (scipy-based closed forms and brentq root finds).
 """
 
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -210,10 +211,10 @@ class TestTruncatedBounds:
     def test_trunc_lognormal_block(self):
         for d in (MAIN_OBJ, EMB_OBJ, self.VIDEO_DURATION):
             mu, s, lo, hi = d.mu, d.sigma, d.lo, d.hi
-            flo = ndtr((np.log(lo) - mu) / s)
-            fhi = ndtr((np.log(hi) - mu) / s)
+            flo = dists._ndtr((math.log(lo) - mu) / s)
+            fhi = dists._ndtr((math.log(hi) - mu) / s)
             u = flo + RNG(21).random(64) * (fhi - flo)
-            want = np.clip(np.exp(mu + s * ndtri(u)), lo, hi)
+            want = np.clip(np.exp(mu + s * dists._ndtri(u)), lo, hi)
             assert np.array_equal(dists.sample(d, RNG(21), size=64), want)
             assert dists.sample(d, RNG(21)) == want[0]
 
@@ -227,22 +228,28 @@ class TestTruncatedBounds:
 
 
 class TestNormalCdf:
-    """The package's Cephes port equals scipy.special.ndtr bit for bit, so
-    every F(lo), F(hi) and lognormal mean is unchanged."""
+    """`_ndtr` (from math.erfc) within a relative 1e-12 of scipy.special.ndtr
+    wherever the CDF is a normal double, and equal at the special values.
+    Below that, ndtr cuts to 0 from a = -37.7 on and erfc keeps subnormals."""
 
-    def test_equals_scipy_on_a_grid(self):
-        rng = RNG(31)
-        a = np.concatenate([rng.normal(0.0, 3.0, 50_000), rng.uniform(-40.0, 40.0, 50_000),
-                            rng.uniform(-1.5, 1.5, 20_000)])
+    @staticmethod
+    def assert_close(a):
+        want = ndtr(a)
         got = np.array([dists._ndtr(float(x)) for x in a])
-        assert np.array_equal(got, ndtr(a))
+        normal = want >= 2.2e-308
+        assert np.all(np.abs(got - want)[normal] <= 1e-12 * want[normal])
 
-    # the branch points: |a|/sqrt(2) against 1/sqrt(2), 1 and 8, and the exp underflow
+    def test_close_to_scipy_on_a_grid(self):
+        rng = RNG(31)
+        self.assert_close(np.concatenate([rng.normal(0.0, 3.0, 50_000),
+                                          rng.uniform(-40.0, 40.0, 50_000),
+                                          rng.uniform(-1.5, 1.5, 20_000)]))
+
+    # the body, the far tail and the last normal doubles
     @pytest.mark.parametrize("edge", [1.0, math.sqrt(2), 8 * math.sqrt(2), 37.5, 38.5])
     def test_branch_edges(self, edge):
         for a in (edge, -edge):
-            for x in (np.nextafter(a, -np.inf), a, np.nextafter(a, np.inf)):
-                assert dists._ndtr(float(x)) == ndtr(x)
+            self.assert_close(np.array([np.nextafter(a, -np.inf), a, np.nextafter(a, np.inf)]))
 
     @pytest.mark.parametrize("a", [0.0, -0.0, math.inf, -math.inf])
     def test_special_values(self, a):
@@ -250,6 +257,37 @@ class TestNormalCdf:
 
     def test_nan(self):
         assert math.isnan(dists._ndtr(math.nan))
+
+
+class TestNormalQuantile:
+    """`_ndtri` (AS241) within 8 ulp of scipy.special.ndtri, with -inf at 0
+    and +inf at 1 as ndtri has, and no warning there."""
+
+    @staticmethod
+    def assert_close(p):
+        want = ndtri(p)
+        ulps = np.abs(dists._ndtri(p) - want) / np.spacing(np.abs(want))
+        assert np.max(ulps) <= 8
+
+    def test_uniforms(self):
+        self.assert_close(RNG(32).random(200_000))
+
+    def test_tails(self):
+        low = 10.0 ** -RNG(33).uniform(1.0, 300.0, 50_000)
+        self.assert_close(low)
+        self.assert_close(1.0 - 10.0 ** -RNG(34).uniform(1.0, 15.9, 50_000))
+        self.assert_close(np.array([5e-324]))
+
+    # the central rational holds for |p - 1/2| <= 0.425, the tail ones beyond
+    @pytest.mark.parametrize("edge", [0.075, 0.925])
+    def test_branch_edges(self, edge):
+        self.assert_close(np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]))
+
+    def test_ends(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dists._ndtri(np.array([0.0, 1.0]))
+        assert got.tolist() == [-math.inf, math.inf]
 
 
 class TestValidation:

@@ -10,7 +10,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from scipy import stats  # an oracle here; the package imports SciPy only to draw UE traces
+from scipy import stats  # an oracle here; the package itself imports no SciPy
 
 from vmmecap import dists, mmpp
 from vmmecap.config import load_config

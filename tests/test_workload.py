@@ -44,7 +44,7 @@ class TestSessionMoments:
     def test_video_profile(self, cfg):
         vid = next(a for a in cfg.mix.apps if a.name == "video")
         mom = app_session_moments(vid, cfg.mix.link_rate_bps)
-        assert mom.mean_t_on_s == pytest.approx(137.6041001435421, rel=1e-4)
+        assert mom.mean_t_on_s == pytest.approx(137.59753571789958, rel=1e-6)
         assert mom.mean_n == pytest.approx(2.5)
 
     def test_single_aap_means_no_reading_terms(self, cfg):
