@@ -23,7 +23,7 @@ from .config import ToolConfig, load_config
 from .econ import scalability_table
 from .errors import ConfigError, InfeasibleError, InstabilityError, ParameterError, VmmeCapError
 from .queueing import capacity, dimension, stages, system_response
-from .simcore import compare, generate_triggers, measured_rates, run_queue_sim
+from .simcore import generate_triggers, measured_rates, rmse, run_queue_sim
 from .workload import aggregate_rates, htc_rates, mtc_rates
 
 
@@ -143,9 +143,9 @@ def cmd_rates(cfg: ToolConfig, args) -> None:
         rows.append(row)
     meta = _meta(cfg, seed=seed)
     if args.simulate:
-        theory = {c: [r[f"{c}_per_s"] for r in rows] for c in sim_cols}
-        sim = {c: [r[f"sim_{c}_per_s"] for r in rows] for c in sim_cols}
-        meta.update({f"rmse_{k}": v for k, v in compare(theory, sim).items()})
+        meta.update({f"rmse_{c}": rmse([r[f"{c}_per_s"] for r in rows],
+                                        [r[f"sim_{c}_per_s"] for r in rows])
+                     for c in sorted(sim_cols)})
     _emit(rows, {**meta, **walls}, args)
 
 

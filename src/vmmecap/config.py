@@ -39,13 +39,11 @@ def _typed(value, default, where: str):
     """`value` checked against the type of `default` and returned as that type.
 
     A float takes an int or a float, never a bool or NaN, and is stored as a
-    float; an int takes an integer or an integral float. A bool, str, mapping
-    or list takes only its own type.
+    float; an int takes an integer or an integral float. A str, mapping or
+    list takes only its own type.
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if isinstance(default, bool):
-        ok = isinstance(value, bool)
-    elif isinstance(default, int):
+    if isinstance(default, int):
         ok = number and (isinstance(value, int) or value.is_integer())
         value = int(value) if ok else value
     elif isinstance(default, float):

@@ -126,7 +126,6 @@ def paper_defaults() -> dict:
             "o_size_bytes": 200.0,
             "per_user_state_bytes": 1024.0,
             "seconds_per_month": 2_628_000.0,
-            "egress_per_instance": True,
             "t_hat_s": 1e-3,
             "gamma": 0.8,
         },

@@ -153,8 +153,6 @@ class GeometricCount(Dist):
 
     def _emin(self, t):
         pc = self.p_continue
-        if pc == 0.0:
-            return min(t, 1.0)
         j = math.floor(t)
         whole = (1.0 - pc**j) / (1.0 - pc)
         return whole + (t - j) * pc**j
@@ -241,6 +239,9 @@ class _Truncated(Dist):
                                  f"mass: F(lo) = {flo}, F(hi) = {fhi}")
         object.__setattr__(self, "_flo", flo)
         object.__setattr__(self, "_fhi", fhi)
+
+    def _mean(self):
+        return self._partial(self.hi)
 
     def _draw(self, rng, n):
         u = self._flo + rng.random(n) * (self._fhi - self._flo)
@@ -349,13 +350,6 @@ class TruncLognormal(_Truncated):
     def _quantile(self, u):
         return np.exp(self.mu + self.sigma * _ndtri(u))
 
-    def _mean(self):
-        mu, s = self.mu, self.sigma
-        a = (math.log(self.lo) - mu) / s
-        b = (math.log(self.hi) - mu) / s
-        # its own _ndtr(b) - _ndtr(a), which can differ from _fhi - _flo in the last bit
-        return math.exp(mu + 0.5 * s * s) * (_ndtr(b - s) - _ndtr(a - s)) / (_ndtr(b) - _ndtr(a))
-
     def _partial(self, t):
         mu, s = self.mu, self.sigma
         a = (math.log(self.lo) - mu) / s
@@ -381,9 +375,6 @@ class TruncPareto(_Truncated):
 
     def _quantile(self, u):
         return self.lo * (1.0 - u) ** (-1.0 / self.shape)
-
-    def _mean(self):
-        return self._partial(self.hi)
 
     def _partial(self, t):
         a, lo, c = self.shape, self.lo, self._fhi

@@ -34,11 +34,10 @@ class CostSchedule:
     o_size_bytes: float  # mean outbound message
     per_user_state_bytes: float
     seconds_per_month: float
-    egress_per_instance: bool  # bill egress on each instance's own meter
 
     def __post_init__(self):
         for name, v in self.__dict__.items():
-            if name in ("egress_tiers_gb_usd", "egress_per_instance"):
+            if name == "egress_tiers_gb_usd":
                 continue
             if v < 0:
                 raise FieldError(name, ">= 0", v)
@@ -78,13 +77,10 @@ def cost_per_second(
 ) -> tuple[float, dict]:
     """Total running cost in $/s and its itemized breakdown.
 
-    Total = balancer + m * per-compute-instance + database. With
-    `egress_per_instance` set (the reference schedule sets it) each of the m
+    Total = balancer + m * per-compute-instance + database. Each of the m
     compute instances has its own egress meter, and each meter is billed on
     the whole outbound volume (lam_msgs * o_size_bytes), so egress costs m
-    times the tiered cost of that volume. Set `egress_per_instance=False` to
-    bill the volume once, on one pooled meter. The billing schedule does not
-    settle which reading applies; the per-instance one is the larger charge.
+    times the tiered cost of that volume.
     """
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
@@ -100,10 +96,7 @@ def cost_per_second(
         + sched.ci_optimized_access_usd_per_h / 3600.0
         + sched.ci_storage_gb * sched.ci_storage_usd_per_gb_month / spm
     )
-    if sched.egress_per_instance:
-        egress = m * tiered_egress_cost(out_gb_month, sched) / spm
-    else:
-        egress = tiered_egress_cost(out_gb_month, sched) / spm
+    egress = m * tiered_egress_cost(out_gb_month, sched) / spm
 
     db = (
         sched.db_type_usd_per_h / 3600.0

@@ -84,8 +84,6 @@ def erlang_c(m: int, a: float) -> float:
         raise ParameterError(f"m must be an integer >= 1, got {m}")
     if a < 0:
         raise ParameterError(f"offered load must be >= 0, got {a}")
-    if a == 0:
-        return 0.0
     if a >= m:
         raise InstabilityError("SL", a, float(m))
     b = 1.0

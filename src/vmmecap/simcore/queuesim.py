@@ -73,9 +73,7 @@ class SimStats:
     utilization: dict  # stage -> busy fraction over the measured span
     empirical_lam_msgs: float
     max_backlog: int
-    n_batches: int
     warmup_fraction: float
-    seed: int
     valid: bool  # False when the trace was too small for batch statistics
 
 
@@ -205,12 +203,11 @@ def run_queue_sim(
     resp = np.frombuffer(responses)
     kept = resp[int(len(resp) * WARMUP_FRACTION):]
     if len(kept) >= 2 * MIN_BATCHES:
-        mean, half, n_b = batch_means(kept, MIN_BATCHES)
+        mean, half = batch_means(kept, MIN_BATCHES)
         valid = True
     else:
         mean = float(kept.mean()) if len(kept) else float("nan")
         half = float("nan")
-        n_b = 0
         valid = False
     return SimStats(
         mean_response_s=mean,
@@ -220,8 +217,6 @@ def run_queue_sim(
         utilization=util,
         empirical_lam_msgs=(n_msgs / span if span > 0 else 0.0),
         max_backlog=max_backlog,
-        n_batches=n_b,
         warmup_fraction=WARMUP_FRACTION,
-        seed=seed,
         valid=valid,
     )

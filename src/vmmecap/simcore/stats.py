@@ -11,7 +11,7 @@ from ..workload import ProcedureRates, aggregate_rates
 
 
 def batch_means(samples, n_batches: int = 20):
-    """(mean, 95% CI half-width, batches used) from correlated output samples.
+    """(mean, 95% CI half-width) from correlated output samples.
 
     Splits the series into equal batches and treats batch averages as
     approximately independent; the half-width uses the Student t quantile.
@@ -27,7 +27,7 @@ def batch_means(samples, n_batches: int = 20):
     means = x[:usable].reshape(n_batches, -1).mean(axis=1)
     grand = float(means.mean())
     se = float(means.std(ddof=1)) / math.sqrt(n_batches)
-    return grand, _t_quantile(0.975, n_batches - 1) * se, n_batches
+    return grand, _t_quantile(0.975, n_batches - 1) * se
 
 
 def _t_upper(t: float, df: int) -> float:
@@ -91,12 +91,3 @@ def rmse(theory, observed) -> float:
     if a.shape != b.shape:
         raise ParameterError(f"grid mismatch: {a.shape} vs {b.shape}")
     return float(np.sqrt(np.mean((a - b) ** 2)))
-
-
-def compare(theory: dict, observed: dict) -> dict:
-    """Per-quantity RMSE between two dicts of equally shaped sweeps."""
-    if set(theory) != set(observed):
-        raise ParameterError(
-            f"quantity mismatch: {sorted(theory)} vs {sorted(observed)}"
-        )
-    return {key: rmse(theory[key], observed[key]) for key in sorted(theory)}

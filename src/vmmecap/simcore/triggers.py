@@ -47,11 +47,14 @@ CHUNK = 1 << 13  # expected UE activity periods (AAPs) in the sessions one round
 
 @dataclass(frozen=True)
 class TriggerTrace:
-    """Column-oriented trigger trace, sorted by time."""
+    """Column-oriented trigger trace, sorted by time.
+
+    UEs are numbered 0..n_u-1 and MTCDs from n_u on; a trigger of no device
+    has id -1 and counts as a UE's.
+    """
 
     time_s: np.ndarray
     device_id: np.ndarray
-    device_kind: np.ndarray  # 0 = UE, 1 = MTCD
     procedure: np.ndarray  # 0 = SR, 1 = SRR, 2 = HR
     horizon_s: float
     n_u: int
@@ -59,6 +62,11 @@ class TriggerTrace:
 
     def __len__(self) -> int:
         return len(self.time_s)
+
+    @property
+    def device_kind(self) -> np.ndarray:
+        """0 = UE, 1 = MTCD, per trigger."""
+        return (self.device_id >= self.n_u).astype(np.uint8)
 
     def counts(self) -> dict:
         """Per (device kind, procedure) trigger counts."""
@@ -334,9 +342,17 @@ def generate_triggers(
             pk -= lead_s
             parts.append(_interval_triggers(pk, pk, stream + n_u, t_i, horizon_s))
 
-    # each column's parts are dropped once joined, so few full-size copies coexist
+    return _pack(parts, horizon_s, n_u, n_d)
+
+
+def _pack(parts: list, horizon_s: float, n_u: int, n_d: int) -> TriggerTrace:
+    """The trace of (times, devices, procs) parts, stably sorted by time, then device.
+
+    `parts` is emptied, and each column's parts are dropped once joined, so
+    few full-size copies coexist.
+    """
     all_t, all_d, all_p = (list(c) for c in zip(*parts))
-    del parts
+    parts.clear()
     time_s = np.concatenate(all_t)
     del all_t
     dev_id = np.concatenate(all_d)
@@ -345,8 +361,7 @@ def generate_triggers(
     time_s = time_s[order]
     dev_id = dev_id[order]
     proc = np.concatenate(all_p)[order]
-    return TriggerTrace(time_s, dev_id, (dev_id >= n_u).astype(np.uint8), proc,
-                        horizon_s, n_u, n_d)
+    return TriggerTrace(time_s, dev_id, proc, horizon_s, n_u, n_d)
 
 
 def poisson_triggers(
@@ -364,18 +379,11 @@ def poisson_triggers(
     if not 0 < horizon_s < math.inf:
         raise ParameterError(f"horizon must be finite and > 0, got {horizon_s}")
     rng = np.random.default_rng(seed)
-    parts, procs = [], []
+    parts = []
     for lam, code in ((lam_sr, PROC_SR), (lam_srr, PROC_SRR), (lam_hr, PROC_HR)):
         if lam < 0:
             raise ParameterError("rates must be >= 0")
         n = rng.poisson(lam * horizon_s)
-        t = np.sort(rng.uniform(0.0, horizon_s, n))
-        parts.append(t)
-        procs.append(np.full(n, code, dtype=np.uint8))
-    time_s = np.concatenate(parts)
-    proc = np.concatenate(procs)
-    order = np.argsort(time_s, kind="stable")
-    n_tot = len(time_s)
-    return TriggerTrace(time_s[order], np.zeros(n_tot, dtype=np.int64),
-                        np.zeros(n_tot, dtype=np.uint8), proc[order],
-                        horizon_s, 0, 0)
+        parts.append((rng.uniform(0.0, horizon_s, n), np.full(n, -1, dtype=np.int64),
+                      np.full(n, code, dtype=np.uint8)))
+    return _pack(parts, horizon_s, 0, 0)

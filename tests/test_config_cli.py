@@ -25,12 +25,12 @@ def _scalar_leaves(tree: dict, path: str = ""):
         here = f"{path}.{key}" if path else key
         if isinstance(val, dict) and "kind" not in val:
             yield from _scalar_leaves(val, here)
-        elif isinstance(val, (bool, int, float, str)):
+        elif isinstance(val, (int, float, str)):
             yield here, val
 
 
 # a value of the wrong type for a key whose default has the given type
-_WRONG_TYPE = {bool: "maybe", int: 2.5, float: "1e3", str: 1.0}
+_WRONG_TYPE = {int: 2.5, float: "1e3", str: 1.0}
 
 
 class TestConfig:
@@ -257,9 +257,12 @@ class TestCli:
          "traffic.apps[0].reding_time_s"),
         ({"queue": {"mu_oi": None}}, None),  # no longer means "derive from o_bw"
         ({"geometry": {"grid_cols": 4}}, "geometry.grid_cols"),  # cells wrap around
+        # egress is always billed on each instance's own meter
+        ({"cost": {"egress_per_instance": True}}, "cost.egress_per_instance"),
     ], ids=["nonsense", "mmpp.packet_size_bytes", "queue.o_bw", "queue.o_size_bytes",
             "scenario.n_d", "parsing_per_object", "misspelt-model-key",
-            "misspelt-app-key", "queue.mu_oi-null", "geometry.grid_cols"])
+            "misspelt-app-key", "queue.mu_oi-null", "geometry.grid_cols",
+            "cost.egress_per_instance"])
     def test_unknown_key_exit_code(self, overlay, path, tmp_path, capsys):
         p = tmp_path / "bad.yaml"
         p.write_text(yaml.safe_dump(overlay))
@@ -300,8 +303,7 @@ class TestCli:
         (["dimension"], {"queue": {"m": 1.5}}, "queue.m"),
         (["dimension"], {"geometry": {"cell_width_m": 0.0}}, "geometry.cell_width_m"),
         (["dimension"], {"scenario": {"seed": 1.7}}, "scenario.seed"),
-        (["scalability"], {"cost": {"egress_per_instance": "maybe"}},
-         "cost.egress_per_instance"),
+        (["scalability"], {"cost": {"gamma": True}}, "cost.gamma"),  # a bool is no number
         (["scalability"], {"cost": {"t_hat_s": 0}}, "cost.t_hat_s"),
         (["rates"], {"scenario": {"t_i_s": -1}}, "scenario.t_i_s"),
         (["dimension"], {"queue": {"mu_fe": None}}, "queue.mu_fe"),

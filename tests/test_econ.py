@@ -71,8 +71,7 @@ class TestCost:
         # pick rates whose monthly egress stays inside one bracket
         # second differences cancel the fixed charges and the free-GB offset,
         # so equal rate steps within one bracket cost exactly the same
-        sched = replace(SCHED, egress_per_instance=False)
-        c1, c2, c3 = (cost_per_second(1, lam, 0.0, sched)[0]
+        c1, c2, c3 = (cost_per_second(1, lam, 0.0, SCHED)[0]
                       for lam in (200.0, 400.0, 600.0))
         assert (c3 - c2) == pytest.approx(c2 - c1, rel=1e-9)
 

@@ -20,7 +20,6 @@ from vmmecap.queueing import response_at, weighted_sl_service_time
 from vmmecap.simcore import (
     TriggerTrace,
     batch_means,
-    compare,
     generate_triggers,
     measured_rates,
     poisson_triggers,
@@ -107,6 +106,21 @@ class TestTraceInvariants:
 
     def test_no_mtcd_handover(self, small_trace):
         assert small_trace.counts()["MTCD_HR"] == 0
+
+    def test_device_kind_follows_device_id(self, small_trace):
+        kind = small_trace.device_kind
+        assert np.array_equal(kind, small_trace.device_id >= small_trace.n_u)
+        assert set(kind.tolist()) == {KIND_UE, KIND_MTCD}
+
+    def test_poisson_triggers_have_no_device(self):
+        trace = poisson_triggers(50.0, 40.0, 10.0, 20.0, 3)
+        assert np.all(np.diff(trace.time_s) >= 0)
+        assert np.all(trace.device_id == -1)
+        per_proc = np.bincount(trace.procedure, minlength=3)
+        assert trace.counts() == {
+            **{f"UE_{p}": int(n) for p, n in zip(PROC_NAMES, per_proc)},
+            **{f"MTCD_{p}": 0 for p in PROC_NAMES}}
+        assert per_proc.min() > 0
 
     def test_deterministic(self, cfg, small_trace):
         again = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 200, 200, 10.0,
@@ -751,7 +765,6 @@ class TestMeasuredRates:
         trace = TriggerTrace(
             np.array([1.0, 2.0, 3.0]),
             np.array([0, 0, 1], dtype=np.int64),
-            np.array([KIND_UE, KIND_UE, KIND_UE], dtype=np.uint8),
             np.array([PROC_SR, PROC_SRR, PROC_SR], dtype=np.uint8),
             10.0, 2, 0,
         )
@@ -866,14 +879,14 @@ def _reference_queue_sim(trace, params, service_law, seed):
     resp = np.asarray(responses)
     kept = resp[int(len(resp) * WARMUP_FRACTION):]
     if len(kept) >= 2 * MIN_BATCHES:
-        mean, half, n_b = batch_means(kept, MIN_BATCHES)
+        mean, half = batch_means(kept, MIN_BATCHES)
         valid = True
     else:
         mean = float(kept.mean()) if len(kept) else float("nan")
-        half, n_b, valid = float("nan"), 0, False
+        half, valid = float("nan"), False
     return SimStats(mean, half, len(responses), len(trace), util,
-                    len(responses) / span if span > 0 else 0.0, max_backlog, n_b,
-                    WARMUP_FRACTION, seed, valid)
+                    len(responses) / span if span > 0 else 0.0, max_backlog,
+                    WARMUP_FRACTION, valid)
 
 
 def _tie_trace(params, law, seed):
@@ -900,7 +913,6 @@ def _tie_trace(params, law, seed):
     times = [0.0, left_pool, f, f, f + 0.5e-3]
     procs = [PROC_SR, PROC_HR, PROC_SR, PROC_SR, PROC_SRR]  # SR: first message differs
     return TriggerTrace(np.array(times), np.arange(5, dtype=np.int64),
-                        np.full(5, KIND_UE, dtype=np.uint8),
                         np.array(procs, dtype=np.uint8), 1.0, 5, 0)
 
 
@@ -927,7 +939,6 @@ def _idle_tie_trace(params, law, seed):
         if k % 4 == 3:  # an OI departure: the next message reaches the FE
             x = x + params.t_im
     return TriggerTrace(np.array([0.0, x]), np.arange(2, dtype=np.int64),
-                        np.full(2, KIND_UE, dtype=np.uint8),
                         np.array([PROC_SR, PROC_HR], dtype=np.uint8), 1.0, 2, 0)
 
 
@@ -965,7 +976,6 @@ class TestQueueSim:
 
     def test_empty_trace(self, cfg):
         trace = TriggerTrace(np.empty(0), np.empty(0, dtype=np.int64),
-                             np.empty(0, dtype=np.uint8),
                              np.empty(0, dtype=np.uint8), 10.0, 0, 0)
         st = run_queue_sim(trace, cfg.queue)
         assert st.n_messages == 0
@@ -973,7 +983,6 @@ class TestQueueSim:
 
     def test_single_sr_deterministic_walk(self, cfg):
         trace = TriggerTrace(np.array([0.0]), np.array([0], dtype=np.int64),
-                             np.array([KIND_UE], dtype=np.uint8),
                              np.array([PROC_SR], dtype=np.uint8), 1.0, 1, 0)
         params = replace(cfg.queue, m=1)
         st = run_queue_sim(trace, params, "deterministic")
@@ -992,7 +1001,6 @@ class TestQueueSim:
         # pool after 94 us, before the SR's first message (127.4 us), so it
         # must reach the SDB first and never wait there.
         trace = TriggerTrace(np.array([0.0, 1e-6]), np.array([0, 1], dtype=np.int64),
-                             np.array([KIND_UE, KIND_UE], dtype=np.uint8),
                              np.array([PROC_SR, PROC_HR], dtype=np.uint8), 1.0, 2, 0)
         params = replace(cfg.queue, m=2)
         st = run_queue_sim(trace, params, "deterministic")
@@ -1026,26 +1034,24 @@ class TestQueueSim:
         st = run_queue_sim(small, replace(cfg.queue, m=1), "deterministic", seed=3)
         assert (st.mean_response_s, st.ci_halfwidth_s) == (
             0.00011778520303289705, 6.399815211363021e-08)
-        assert (st.n_messages, st.n_triggers, st.max_backlog, st.n_batches) == (
-            12131, 4118, 2, 20)
+        assert (st.n_messages, st.n_triggers, st.max_backlog) == (12131, 4118, 2)
         assert st.utilization == {
             "fe": 3.3715739425908515e-05, "sl": 0.00040149370653114625,
             "db": 4.0458887311088914e-05, "oi": 8.09177746221802e-07}
         assert st.empirical_lam_msgs == 4.04588873110937
-        assert (st.warmup_fraction, st.seed, st.valid) == (0.1, 3, True)
+        assert (st.warmup_fraction, st.valid) == (0.1, True)
 
         # m = 3 pool at about 75 % load, where messages queue and overtake
         pool = poisson_triggers(3500.0, 3500.0, 1500.0, 0.5, 17)
         st = run_queue_sim(pool, replace(cfg.queue, m=3), "deterministic", seed=5)
         assert (st.mean_response_s, st.ci_halfwidth_s) == (
             0.00015801191006490766, 7.99625192858154e-06)
-        assert (st.n_messages, st.n_triggers, st.max_backlog, st.n_batches) == (
-            12098, 4275, 16, 20)
+        assert (st.n_messages, st.n_triggers, st.max_backlog) == (12098, 4275, 16)
         assert st.utilization == {
             "fe": 0.19011940698560942, "sl": 0.7517182432097299,
             "db": 0.2281432883827241, "oi": 0.004562865767654604}
         assert st.empirical_lam_msgs == 22814.32883827509
-        assert (st.warmup_fraction, st.seed, st.valid) == (0.1, 5, True)
+        assert (st.warmup_fraction, st.valid) == (0.1, True)
 
     @pytest.mark.parametrize("law", ["deterministic", "exponential"])
     @pytest.mark.parametrize("m", [1, 3])
@@ -1109,8 +1115,7 @@ class TestQueueSim:
     def test_unsorted_or_infinite_trace(self, cfg, times):
         # the first messages are read in trace order, never re-sorted
         trace = TriggerTrace(np.array(times), np.zeros(2, dtype=np.int64),
-                             np.zeros(2, dtype=np.uint8), np.zeros(2, dtype=np.uint8),
-                             10.0, 1, 0)
+                             np.zeros(2, dtype=np.uint8), 10.0, 1, 0)
         with pytest.raises(ParameterError):
             run_queue_sim(trace, cfg.queue)
 
@@ -1119,8 +1124,7 @@ class TestStats:
     def test_batch_means_iid(self):
         rng = np.random.default_rng(0)
         x = rng.exponential(2.0, 40000)
-        mean, half, nb = batch_means(x, 20)
-        assert nb == 20
+        mean, half = batch_means(x, 20)
         assert mean == pytest.approx(2.0, abs=3 * half)
         assert half < 0.1
 
@@ -1130,8 +1134,8 @@ class TestStats:
         x = np.random.default_rng(n_batches).exponential(2.0, n)
         means = x[:n // n_batches * n_batches].reshape(n_batches, -1).mean(axis=1)
         se = means.std(ddof=1) / math.sqrt(n_batches)
-        mean, half, nb = batch_means(x, n_batches)
-        assert (mean, nb) == (pytest.approx(means.mean(), rel=1e-14), n_batches)
+        mean, half = batch_means(x, n_batches)
+        assert mean == pytest.approx(means.mean(), rel=1e-14)
         assert half == pytest.approx(stats.t.ppf(0.975, n_batches - 1) * se, rel=1e-14)
 
     def test_batch_means_too_few(self):
@@ -1143,9 +1147,3 @@ class TestStats:
         assert rmse([1, 2, 3], [1.5, 2.5, 3.5]) == pytest.approx(0.5)
         with pytest.raises(ParameterError):
             rmse([1, 2], [1, 2, 3])
-
-    def test_compare_keys(self):
-        out = compare({"a": [1, 2]}, {"a": [1, 2]})
-        assert out == {"a": 0.0}
-        with pytest.raises(ParameterError):
-            compare({"a": [1]}, {"b": [1]})
