@@ -184,22 +184,26 @@ def mmpp_packet_streams(
     count = rng.poisson(per_slot[seg_state] * length)
     has = count > 0
     stream, start, length, count = stream[has], start[has], length[has], count[has]
-    seg = np.repeat(np.arange(len(count)), count)
-    sums = np.concatenate(([0.0], np.cumsum(rng.standard_exponential(count.sum() + len(count)))))
+    sums = np.empty(count.sum() + len(count) + 1)
+    sums[0] = 0.0
+    np.cumsum(rng.standard_exponential(len(sums) - 1), out=sums[1:])
     first = np.cumsum(count + 1) - (count + 1)  # a segment's first spacing
     base = sums[first]
     total = sums[first + count + 1] - base
-    pos_in = np.arange(1, len(seg) + 1)
-    pos_in += seg  # a packet's spacing sum, past the one each earlier segment ends with
-    times = sums[pos_in]  # in place from here, to hold few per-packet arrays at once
-    del pos_in, sums
-    times -= base[seg]
-    times /= total[seg]
-    times *= length[seg]
-    times += start[seg]
+    packet = np.ones(len(sums), dtype=bool)
+    packet[0] = False
+    packet[first + count + 1] = False  # each segment's closing sum
+    times = sums[packet]  # in place from here, to hold few per-packet arrays at once
+    del packet, sums
+    times -= np.repeat(base, count)
+    times /= np.repeat(total, count)
+    times *= np.repeat(length, count)
+    times += np.repeat(start, count)
     times *= params.delta_t
+    stream = np.repeat(stream, count)
     keep = times < horizon_s
-    times, stream = times[keep], stream[seg][keep]
+    if not keep.all():
+        times, stream = times[keep], stream[keep]
     # enforce strictly increasing times within a stream (float ties are
     # astronomically rare, but downstream event ordering assumes strictness)
     while True:

@@ -348,8 +348,10 @@ def generate_triggers(
 def _pack(parts: list, horizon_s: float, n_u: int, n_d: int) -> TriggerTrace:
     """The trace of (times, devices, procs) parts, stably sorted by time, then device.
 
-    `parts` is emptied, and each column's parts are dropped once joined, so
-    few full-size copies coexist.
+    The order is `np.lexsort((device, time))`'s: an unstable sort on time,
+    then each run of equal times put in order of device, then of position
+    in `parts` (`_repair_ties`). `parts` is emptied, and each column's parts
+    are dropped once joined, so few full-size copies coexist.
     """
     all_t, all_d, all_p = (list(c) for c in zip(*parts))
     parts.clear()
@@ -357,11 +359,38 @@ def _pack(parts: list, horizon_s: float, n_u: int, n_d: int) -> TriggerTrace:
     del all_t
     dev_id = np.concatenate(all_d)
     del all_d
-    order = np.lexsort((dev_id, time_s))
+    order = np.argsort(time_s)
     time_s = time_s[order]
     dev_id = dev_id[order]
+    _repair_ties(order, time_s, dev_id)
     proc = np.concatenate(all_p)[order]
     return TriggerTrace(time_s, dev_id, proc, horizon_s, n_u, n_d)
+
+
+def _repair_ties(order: np.ndarray, time_s: np.ndarray, dev_id: np.ndarray) -> None:
+    """Put each run of equal times by device, then by input position, in place.
+
+    `order` sorts the input by time, and `time_s` and `dev_id` are already
+    in that order; `order` and `dev_id` are permuted together. A run of two,
+    the common one (an MTCD's SR and SRR at T_I = 0), is one vectorised
+    compare-and-swap; longer runs are sorted by a `lexsort` over their
+    members only, so no run costs more than its own sort.
+    """
+    tie = np.flatnonzero(time_s[1:] == time_s[:-1])  # time_s[i] == time_s[i + 1]
+    chained = np.diff(tie) == 1  # a tie that shares a member with the next
+    pair = np.ones(tie.size, dtype=bool)
+    pair[1:] &= ~chained
+    pair[:-1] &= ~chained
+    i = tie[pair]
+    a, b, da, db = order[i], order[i + 1], dev_id[i], dev_id[i + 1]
+    swap = (da > db) | ((da == db) & (a > b))
+    order[i], order[i + 1] = np.where(swap, b, a), np.where(swap, a, b)
+    dev_id[i], dev_id[i + 1] = np.minimum(da, db), np.maximum(da, db)
+    long_run = tie[~pair]
+    at = np.union1d(long_run, long_run + 1)  # every member of a run of three or more
+    sub, dev = order[at], dev_id[at]
+    k = np.lexsort((sub, dev, time_s[at]))
+    order[at], dev_id[at] = sub[k], dev[k]
 
 
 def poisson_triggers(

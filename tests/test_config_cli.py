@@ -295,57 +295,97 @@ class TestCli:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
 
+    # Each id is written out, so deleting a case renames no other; the
+    # "overlayN" tags are the ids these cases first ran under.
     @pytest.mark.parametrize("argv, overlay, key", [
-        (["dimension"], {"scenario": {"seed": "abc"}}, "scenario.seed"),
-        (["simulate", "--seed", "-1"], None, "scenario.seed"),
-        (["scalability"], {"cost": {"seconds_per_month": 0}}, "cost.seconds_per_month"),
-        (["simulate", "--duration-s", "inf"], None, "scenario.horizon_s"),
-        (["dimension"], {"queue": {"m": 1.5}}, "queue.m"),
-        (["dimension"], {"geometry": {"cell_width_m": 0.0}}, "geometry.cell_width_m"),
-        (["dimension"], {"scenario": {"seed": 1.7}}, "scenario.seed"),
-        (["scalability"], {"cost": {"gamma": True}}, "cost.gamma"),  # a bool is no number
-        (["scalability"], {"cost": {"t_hat_s": 0}}, "cost.t_hat_s"),
-        (["rates"], {"scenario": {"t_i_s": -1}}, "scenario.t_i_s"),
-        (["dimension"], {"queue": {"mu_fe": None}}, "queue.mu_fe"),
-        (["dimension"], {"traffic": {"apps": [1]}}, "traffic.apps[0]"),
-        (["scalability"], {"cost": {"egress_tiers_gb_usd": [[1.0]]}},
-         "cost.egress_tiers_gb_usd[0]"),
-        (["dimension"], {"scenario": {"mtcd_per_ue": -1}}, "scenario.mtcd_per_ue"),
-        (["dimension", "--users", "-5"], None, "scenario.n_u"),
+        pytest.param(["dimension"], {"scenario": {"seed": "abc"}}, "scenario.seed",
+                     id="dimension-overlay0-scenario.seed"),
+        pytest.param(["simulate", "--seed", "-1"], None, "scenario.seed",
+                     id="simulate --seed -1-None-scenario.seed"),
+        pytest.param(["scalability"], {"cost": {"seconds_per_month": 0}},
+                     "cost.seconds_per_month",
+                     id="scalability-overlay2-cost.seconds_per_month"),
+        pytest.param(["simulate", "--duration-s", "inf"], None, "scenario.horizon_s",
+                     id="simulate --duration-s inf-None-scenario.horizon_s"),
+        pytest.param(["dimension"], {"queue": {"m": 1.5}}, "queue.m",
+                     id="dimension-overlay4-queue.m"),
+        pytest.param(["dimension"], {"geometry": {"cell_width_m": 0.0}},
+                     "geometry.cell_width_m", id="dimension-overlay5-geometry.cell_width_m"),
+        pytest.param(["dimension"], {"scenario": {"seed": 1.7}}, "scenario.seed",
+                     id="dimension-overlay6-scenario.seed"),
+        pytest.param(["scalability"], {"cost": {"gamma": True}}, "cost.gamma",
+                     id="scalability-overlay7-cost.gamma"),  # a bool is no number
+        pytest.param(["scalability"], {"cost": {"t_hat_s": 0}}, "cost.t_hat_s",
+                     id="scalability-overlay8-cost.t_hat_s"),
+        pytest.param(["rates"], {"scenario": {"t_i_s": -1}}, "scenario.t_i_s",
+                     id="rates-overlay9-scenario.t_i_s"),
+        pytest.param(["dimension"], {"queue": {"mu_fe": None}}, "queue.mu_fe",
+                     id="dimension-overlay10-queue.mu_fe"),
+        pytest.param(["dimension"], {"traffic": {"apps": [1]}}, "traffic.apps[0]",
+                     id="dimension-overlay11-traffic.apps[0]"),
+        pytest.param(["scalability"], {"cost": {"egress_tiers_gb_usd": [[1.0]]}},
+                     "cost.egress_tiers_gb_usd[0]",
+                     id="scalability-overlay12-cost.egress_tiers_gb_usd[0]"),
+        pytest.param(["dimension"], {"scenario": {"mtcd_per_ue": -1}},
+                     "scenario.mtcd_per_ue", id="dimension-overlay13-scenario.mtcd_per_ue"),
+        pytest.param(["dimension", "--users", "-5"], None, "scenario.n_u",
+                     id="dimension --users -5-None-scenario.n_u"),
         # checked by the model classes, reported under the key they check
-        (["simulate", "--m", "0"], None, "queue.m"),
-        (["dimension", "--tmax-us", "0"], None, "queue.t_max_s"),
-        (["dimension"], {"queue": {"t_im_s": -1.0}}, "queue.t_im_s"),
-        (["dimension"], {"mmpp": {"p": 1.5}}, "mmpp.p"),
-        (["scalability"], {"cost": {"egress_tiers_gb_usd": [[0, 1.0]]}},
-         "cost.egress_tiers_gb_usd"),
-        (["dimension"], {"geometry": {"cell_height_m": float("nan")}}, "geometry.cell_height_m"),
-        (["dimension"], {"traffic": {"link_rate_bps": 0.0}}, "traffic.link_rate_bps"),
-        (["dimension"], _apps(lambda a: a[1]["model"].update(throttle_factor=0.0)),
-         "traffic.apps[1].model.throttle_factor"),
-        (["dimension"], {"geometry": {"speed_dist": {"kind": "constant", "value": True}}},
-         "geometry.speed_dist.value"),
-        (["dimension"], {"geometry": {"speed_dist": {"kind": "uniform", "lo": 0, "hi": "x"}}},
-         "geometry.speed_dist.hi"),
+        pytest.param(["simulate", "--m", "0"], None, "queue.m",
+                     id="simulate --m 0-None-queue.m"),
+        pytest.param(["dimension", "--tmax-us", "0"], None, "queue.t_max_s",
+                     id="dimension --tmax-us 0-None-queue.t_max_s"),
+        pytest.param(["dimension"], {"queue": {"t_im_s": -1.0}}, "queue.t_im_s",
+                     id="dimension-overlay17-queue.t_im_s"),
+        pytest.param(["dimension"], {"mmpp": {"p": 1.5}}, "mmpp.p",
+                     id="dimension-overlay18-mmpp.p"),
+        pytest.param(["scalability"], {"cost": {"egress_tiers_gb_usd": [[0, 1.0]]}},
+                     "cost.egress_tiers_gb_usd",
+                     id="scalability-overlay19-cost.egress_tiers_gb_usd"),
+        pytest.param(["dimension"], {"geometry": {"cell_height_m": float("nan")}},
+                     "geometry.cell_height_m", id="dimension-overlay20-geometry.cell_height_m"),
+        pytest.param(["dimension"], {"traffic": {"link_rate_bps": 0.0}},
+                     "traffic.link_rate_bps", id="dimension-overlay21-traffic.link_rate_bps"),
+        pytest.param(["dimension"], _apps(lambda a: a[1]["model"].update(throttle_factor=0.0)),
+                     "traffic.apps[1].model.throttle_factor",
+                     id="dimension-overlay22-traffic.apps[1].model.throttle_factor"),
+        pytest.param(["dimension"],
+                     {"geometry": {"speed_dist": {"kind": "constant", "value": True}}},
+                     "geometry.speed_dist.value",
+                     id="dimension-overlay23-geometry.speed_dist.value"),
+        pytest.param(["dimension"],
+                     {"geometry": {"speed_dist": {"kind": "uniform", "lo": 0, "hi": "x"}}},
+                     "geometry.speed_dist.hi", id="dimension-overlay24-geometry.speed_dist.hi"),
         # mean 1, but it rounds to 2 AAPs at times, and calls have no reading time
-        (["dimension"], _apps(lambda a: a[2].update(n_aap={"kind": "uniform", "lo": 0.2,
-                                                           "hi": 1.8})),
-         "traffic.apps[2].reading_time_s"),
-        (["rates"], {"mmpp": {"lambda1": float("inf")}}, "mmpp.lambda1"),  # rates would be NaN
-        (["scalability"], {"cost": {"egress_tiers_gb_usd": [[1.0, -5.0]]}},
-         "cost.egress_tiers_gb_usd"),
-        (["scalability"], {"cost": {"egress_tiers_gb_usd": []}}, "cost.egress_tiers_gb_usd"),
+        pytest.param(["dimension"],
+                     _apps(lambda a: a[2].update(n_aap={"kind": "uniform", "lo": 0.2,
+                                                        "hi": 1.8})),
+                     "traffic.apps[2].reading_time_s",
+                     id="dimension-overlay25-traffic.apps[2].reading_time_s"),
+        pytest.param(["rates"], {"mmpp": {"lambda1": float("inf")}}, "mmpp.lambda1",
+                     id="rates-overlay26-mmpp.lambda1"),  # rates would be NaN
+        pytest.param(["scalability"], {"cost": {"egress_tiers_gb_usd": [[1.0, -5.0]]}},
+                     "cost.egress_tiers_gb_usd",
+                     id="scalability-overlay27-cost.egress_tiers_gb_usd"),
+        pytest.param(["scalability"], {"cost": {"egress_tiers_gb_usd": []}},
+                     "cost.egress_tiers_gb_usd",
+                     id="scalability-overlay28-cost.egress_tiers_gb_usd"),
         # a schedule that bills nothing: productivity would divide by a zero cost
-        (["scalability"], {"cost": _FREE}, "cost:"),
-        (["rates"], {"mmpp": {"delta_t": float("inf")}}, "mmpp.delta_t"),  # rates would be NaN
+        pytest.param(["scalability"], {"cost": _FREE}, "cost:",
+                     id="scalability-overlay29-cost:"),
+        pytest.param(["rates"], {"mmpp": {"delta_t": float("inf")}}, "mmpp.delta_t",
+                     id="rates-overlay30-mmpp.delta_t"),  # rates would be NaN
         # one price, on a volume of 0 bytes: nothing is billed at any load
-        (["scalability", "--kmax", "2"],
-         {"cost": {**_FREE, "lb_usd_per_gb": 0.008, "i_size_bytes": 0, "o_size_bytes": 0}},
-         "cost:"),
+        pytest.param(["scalability", "--kmax", "2"],
+                     {"cost": {**_FREE, "lb_usd_per_gb": 0.008, "i_size_bytes": 0,
+                               "o_size_bytes": 0}},
+                     "cost:", id="scalability --kmax 2-overlay31-cost:"),
         # a chain that never moves has no stationary law to start from
-        (["dimension"], {"mmpp": {"p": 0, "q": 0}}, "mmpp.q"),
-        (["simulate"], {"mmpp": {"p": 0, "q": 0}}, "mmpp.q"),
-    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+        pytest.param(["dimension"], {"mmpp": {"p": 0, "q": 0}}, "mmpp.q",
+                     id="dimension-overlay32-mmpp.q"),
+        pytest.param(["simulate"], {"mmpp": {"p": 0, "q": 0}}, "mmpp.q",
+                     id="simulate-overlay33-mmpp.q"),
+    ])
     def test_bad_value_exit_code(self, argv, overlay, key, tmp_path, capsys):
         if overlay is not None:
             p = tmp_path / "bad.yaml"

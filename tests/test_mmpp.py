@@ -134,6 +134,23 @@ class TestPopulation:
         assert times.min() >= 0.0 and times.max() < 2e4
         assert stream.min() >= 0 and stream.max() < 500
 
+    @pytest.mark.parametrize("delta_t", [1.0, 0.3])
+    def test_horizon_off_the_slot_grid(self, delta_t):
+        # 100.37 s ends inside a slot: the draws are those of the whole-slot
+        # horizon that covers it, less the packets of the slot's tail
+        params = MmppParams(0.05, 0.1, 0.5, 4.0, delta_t)
+        times, stream = mmpp_packet_streams(params, 100.37, 300, np.random.default_rng(15))
+        n_slots = math.ceil(100.37 / delta_t)
+        on_grid = n_slots * delta_t
+        assert math.ceil(on_grid / delta_t) == n_slots
+        all_t, all_s = mmpp_packet_streams(params, on_grid, 300, np.random.default_rng(15))
+        inside = all_t < 100.37
+        assert not inside.all()
+        assert np.array_equal(times, all_t[inside]) and np.array_equal(stream, all_s[inside])
+        assert times.min() >= 0.0 and times.max() < 100.37
+        assert np.all(np.diff(stream) >= 0)
+        assert np.all(np.diff(times)[stream[1:] == stream[:-1]] > 0)
+
     def test_rounds_continue_each_stream(self, monkeypatch):
         # A tiny CHUNK caps each round at an odd number of segments per
         # stream (15 // 5, 15 // 4, ...), so a stream takes many rounds, and

@@ -174,6 +174,74 @@ class TestTraceInvariants:
             [PROC_NAMES[p] for p in small_trace.procedure]
 
 
+def _lexsorted(parts):
+    """Reference for `_pack`: the joined parts in `np.lexsort((device, time))` order."""
+    t, d, p = (np.concatenate(c) for c in zip(*parts))
+    order = np.lexsort((d, t))
+    return t[order], d[order], p[order]
+
+
+class TestPack:
+    """`_pack` gives the order of a stable sort by time, then device."""
+
+    def check(self, parts):
+        want = _lexsorted(parts)
+        trace = triggers._pack(list(parts), 100.0, 0, 0)
+        _assert_same((trace.time_s, trace.device_id, trace.procedure), want)
+
+    def packed_parts(self, monkeypatch):
+        """Record the parts every `_pack` call in the test receives."""
+        seen, pack = [], triggers._pack
+
+        def record(parts, *args):
+            seen.append([tuple(c.copy() for c in part) for part in parts])
+            return pack(parts, *args)
+
+        monkeypatch.setattr(triggers, "_pack", record)
+        return seen
+
+    @pytest.mark.parametrize("n_dev", [1, 3])
+    def test_runs_of_equal_times(self, n_dev):
+        # runs of 2, 3 and 1000 equal times, split over two parts, among
+        # distinct times; the procedure column numbers each trigger's position
+        rng = np.random.default_rng(n_dev)
+        t = np.concatenate([[5.0] * 2, [7.0] * 3, [9.0] * 1000, rng.uniform(0, 20, 500)])
+        rng.shuffle(t)
+        d = rng.integers(0, n_dev, t.size)
+        p = (np.arange(t.size) % 251).astype(np.uint8)
+        cut = t.size // 3
+        self.check([(t[:cut], d[:cut], p[:cut]), (t[cut:], d[cut:], p[cut:])])
+
+    def test_one_long_run(self):
+        # a run of 1e5 equal times is sorted over its members only, not pair by pair
+        rng = np.random.default_rng(4)
+        d = rng.integers(0, 40, 100_000)
+        self.check([(np.zeros(d.size), d, rng.integers(0, 3, d.size).astype(np.uint8))])
+
+    def test_empty_parts(self):
+        empty = (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8))
+        self.check([empty])
+        self.check([empty, (np.array([2.0, 1.0, 2.0]), np.array([4, 3, 1]),
+                            np.array([0, 1, 2], dtype=np.uint8)), empty])
+
+    @pytest.mark.parametrize("t_i", [0.0, np.inf])
+    def test_generated_trace(self, cfg, monkeypatch, t_i):
+        seen = self.packed_parts(monkeypatch)
+        trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 20, 200, t_i, 2000.0, 5,
+                                  speed_dist=cfg.speed_dist)
+        _assert_same((trace.time_s, trace.device_id, trace.procedure), _lexsorted(seen[0]))
+        # at T_I = 0 each MTCD packet is an SR and an SRR at one time, SR first
+        tie = (np.diff(trace.time_s) == 0) & (np.diff(trace.device_id) == 0)
+        assert tie.any() == (t_i == 0.0)
+        assert np.all(trace.procedure[:-1][tie] == PROC_SR)
+        assert np.all(trace.procedure[1:][tie] == PROC_SRR)
+
+    def test_poisson_trace(self, monkeypatch):
+        seen = self.packed_parts(monkeypatch)
+        trace = poisson_triggers(50.0, 40.0, 10.0, 200.0, 6)
+        _assert_same((trace.time_s, trace.device_id, trace.procedure), _lexsorted(seen[0]))
+
+
 def _axis_crossings(x0, v, size, t_a, t_b):
     """Reference: times in (t_a, t_b] when the coordinate hits a whole multiple of `size`.
 
