@@ -18,8 +18,6 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
-import yaml
-
 from .defaults import paper_defaults
 from .dists import Dist
 from .econ import CostSchedule
@@ -208,6 +206,8 @@ def load_config(path: str | None = None, overlay: dict | None = None) -> ToolCon
     """Defaults, overlaid with a YAML file and then with `overlay` (the CLI flags)."""
     cfg = paper_defaults()
     if path is not None:
+        import yaml  # here, not at the top: a run without a file never pays for it
+
         try:
             with open(path) as fh:
                 user = yaml.safe_load(fh) or {}

@@ -223,6 +223,9 @@ class Gpd(Dist):
         return m + s / (k - 1.0) * (base ** ((k - 1.0) / k) - 1.0)
 
 
+QUANTILE_BLOCK = 1 << 14  # draws per quantile evaluation, 128 KB per temporary
+
+
 class _Truncated(Dist):
     """A parent law restricted to [lo, hi]; F(lo) and F(hi) are computed once.
 
@@ -244,9 +247,15 @@ class _Truncated(Dist):
         return self._partial(self.hi)
 
     def _draw(self, rng, n):
-        u = self._flo + rng.random(n) * (self._fhi - self._flo)
-        out = self._quantile(u)
-        return np.minimum(np.maximum(out, self.lo, out=out), self.hi, out=out)  # np.clip, cheaper
+        u = rng.random(n)
+        u *= self._fhi - self._flo
+        u += self._flo
+        # The quantile's temporaries are block-sized: full-size ones come as
+        # fresh pages from malloc on every call, which cost more than the math.
+        for lo in range(0, n, QUANTILE_BLOCK):
+            block = u[lo:lo + QUANTILE_BLOCK]
+            block[:] = self._quantile(block)
+        return np.minimum(np.maximum(u, self.lo, out=u), self.hi, out=u)  # np.clip, cheaper
 
     def _tail(self, t):
         if t <= self.lo:

@@ -14,7 +14,11 @@ All UEs of a trace draw from one random stream and all MTCDs from another
 not grow with the population. UEs are drawn in rounds over the devices whose
 timeline has not yet reached the horizon: a block of sessions each, with one
 vectorised call per law across all of them (`_ue_intervals`). MTCD packets
-come from one MMPP pass (`mmpp.mmpp_stream_chunks`).
+come from one MMPP pass (`mmpp.mmpp_stream_chunks`). The two populations
+share nothing until the final sort (`_pack`), so a trace of both builds its
+MTCDs on a worker thread while the calling thread builds its UEs; NumPy
+releases the GIL in its bulk work, and the parts join in the same order as
+when built one after the other, so the trace is the same.
 
 Devices are warmed up over a lead-in interval before time zero: `settle_s`
 for a UE, one timer length for an MTCD (`_mtcd_lead_in`). Triggers before
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +48,7 @@ PROC_NAMES = ("SR", "SRR", "HR")
 KIND_NAMES = ("UE", "MTCD")
 
 CHUNK = 1 << 13  # expected UE activity periods (AAPs) in the sessions one round draws
+MAX_DEVICES = 2**31 - 1  # device ids are int32
 
 
 @dataclass(frozen=True)
@@ -50,7 +56,7 @@ class TriggerTrace:
     """Column-oriented trigger trace, sorted by time.
 
     UEs are numbered 0..n_u-1 and MTCDs from n_u on; a trigger of no device
-    has id -1 and counts as a UE's.
+    has id -1 and counts as a UE's. Ids are int32, so a trigger takes 13 bytes.
     """
 
     time_s: np.ndarray
@@ -326,23 +332,65 @@ def generate_triggers(
         raise ParameterError(f"inactivity timer must be >= 0, got {t_i}")
     if n_d > 0 and mmpp is None:
         raise ParameterError("MTCDs requested but no MMPP parameters given")
+    if n_u + n_d > MAX_DEVICES:
+        raise ParameterError(f"at most {MAX_DEVICES} devices fit int32 ids, "
+                             f"got {n_u} UEs + {n_d} MTCDs")
 
-    # the (times, devices, procs) of each chunk of devices
-    parts = [(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8))]
-    if n_u:
+    def ue_parts():
         plan = _UePlan.build(mix, geom, speed_dist)
         rng = population_rng(seed, KIND_UE)
         for lo, (start, end, dev), motion in _ue_chunks(plan, n_u, horizon_s, settle_s, rng):
-            t, d, p = _interval_triggers(start, end, dev, t_i, horizon_s, motion)
-            parts.append((t, d + lo, p))
-    if n_d:
+            t, d, p = _interval_triggers(start, end, dev.astype(np.int32), t_i, horizon_s,
+                                         motion)
+            d += lo
+            yield t, d, p
+
+    def mtcd_parts():
         lead_s = _mtcd_lead_in(mmpp, t_i, settle_s)
         rng = population_rng(seed, KIND_MTCD)
         for pk, stream in mmpp_stream_chunks(mmpp, lead_s + horizon_s, n_d, rng):
             pk -= lead_s
-            parts.append(_interval_triggers(pk, pk, stream + n_u, t_i, horizon_s))
+            dev = stream.astype(np.int32)
+            dev += n_u
+            yield _interval_triggers(pk, pk, dev, t_i, horizon_s)
 
+    # the (times, devices, procs) of each chunk of devices, UEs first
+    parts = [(np.empty(0), np.empty(0, dtype=np.int32), np.empty(0, dtype=np.uint8))]
+    if n_u and n_d:
+        ues, mtcds = _alongside(lambda: list(ue_parts()), lambda: list(mtcd_parts()))
+        parts += ues + mtcds
+        del ues, mtcds  # so that `_pack` frees each column's parts once joined
+    elif n_u:
+        parts.extend(ue_parts())
+    elif n_d:
+        parts.extend(mtcd_parts())
     return _pack(parts, horizon_s, n_u, n_d)
+
+
+def _alongside(main, side):
+    """(main(), side()), `side` run on a worker thread while this thread runs `main`.
+
+    The worker is joined before this returns or raises. An error of `main`
+    propagates as is; otherwise an error of `side` is raised here.
+    """
+    out = []
+
+    def work():
+        try:
+            out.append((True, side()))
+        except BaseException as e:  # handed to the calling thread
+            out.append((False, e))
+
+    worker = threading.Thread(target=work, name="vmmecap-alongside", daemon=True)
+    worker.start()
+    try:
+        first = main()
+    finally:
+        worker.join()
+    (ok, second), = out
+    if not ok:
+        raise second
+    return first, second
 
 
 def _pack(parts: list, horizon_s: float, n_u: int, n_d: int) -> TriggerTrace:
@@ -413,6 +461,6 @@ def poisson_triggers(
         if lam < 0:
             raise ParameterError("rates must be >= 0")
         n = rng.poisson(lam * horizon_s)
-        parts.append((rng.uniform(0.0, horizon_s, n), np.full(n, -1, dtype=np.int64),
+        parts.append((rng.uniform(0.0, horizon_s, n), np.full(n, -1, dtype=np.int32),
                       np.full(n, code, dtype=np.uint8)))
     return _pack(parts, horizon_s, 0, 0)

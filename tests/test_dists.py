@@ -204,26 +204,31 @@ class TestGpdEdges:
 
 class TestTruncatedBounds:
     """Each truncated law keeps F(lo) and F(hi) from its construction; its
-    draws must be bit-identical to the formula that recomputed them per draw."""
+    draws must be bit-identical to the formula that recomputed them per draw,
+    over the whole array at once, also when the draw spans several of the
+    quantile's blocks."""
 
     VIDEO_DURATION = dists.trunc_lognormal(5.102108, 0.7, 1e-3, 1e6)
+    SIZES = (64, 2 * dists.QUANTILE_BLOCK + 3)
 
     def test_trunc_lognormal_block(self):
         for d in (MAIN_OBJ, EMB_OBJ, self.VIDEO_DURATION):
             mu, s, lo, hi = d.mu, d.sigma, d.lo, d.hi
             flo = dists._ndtr((math.log(lo) - mu) / s)
             fhi = dists._ndtr((math.log(hi) - mu) / s)
-            u = flo + RNG(21).random(64) * (fhi - flo)
-            want = np.clip(np.exp(mu + s * dists._ndtri(u)), lo, hi)
-            assert np.array_equal(dists.sample(d, RNG(21), size=64), want)
+            for n in self.SIZES:
+                u = flo + RNG(21).random(n) * (fhi - flo)
+                want = np.clip(np.exp(mu + s * dists._ndtri(u)), lo, hi)
+                assert np.array_equal(dists.sample(d, RNG(21), size=n), want)
             assert dists.sample(d, RNG(21)) == want[0]
 
     def test_trunc_pareto_block(self):
         for d in (EMB_COUNT, dists.trunc_pareto(2.5, 1.0, 40.0)):
             a, lo, hi = d.shape, d.lo, d.hi
-            u = RNG(22).random(64) * (1.0 - (lo / hi) ** a)
-            want = np.clip(lo * (1.0 - u) ** (-1.0 / a), lo, hi)
-            assert np.array_equal(dists.sample(d, RNG(22), size=64), want)
+            for n in self.SIZES:
+                u = RNG(22).random(n) * (1.0 - (lo / hi) ** a)
+                want = np.clip(lo * (1.0 - u) ** (-1.0 / a), lo, hi)
+                assert np.array_equal(dists.sample(d, RNG(22), size=n), want)
             assert dists.sample(d, RNG(22)) == want[0]
 
 

@@ -5,6 +5,7 @@ import bisect
 import csv
 import heapq
 import math
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -818,6 +819,75 @@ class TestMtcdTriggers:
         want = _reference_population(pk - 10.0, dev, 50, 10.0, 500.0)
         _assert_same(_by_device(trace), want)
         assert (len(trace) > 0) == (lambda1 + lambda2 > 0)
+
+
+class TestTwoPopulations:
+    """A trace of both kinds builds its MTCDs on a worker thread, its UEs on the caller's."""
+
+    def generate(self, cfg, n_u, n_d, t_i=30.0):
+        return generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, n_u, n_d, t_i, 2000.0, 9,
+                                 speed_dist=cfg.speed_dist)
+
+    @pytest.mark.parametrize("t_i", [0.0, 30.0, np.inf])
+    def test_merge_of_one_population_traces(self, cfg, t_i):
+        n_u, n_d = 20, 200
+        both = self.generate(cfg, n_u, n_d, t_i)
+        ues = self.generate(cfg, n_u, 0, t_i)
+        mtcds = self.generate(cfg, 0, n_d, t_i)
+        assert len(ues) > 0 and len(mtcds) > 0
+        want = _lexsorted([(ues.time_s, ues.device_id, ues.procedure),
+                           (mtcds.time_s, mtcds.device_id + n_u, mtcds.procedure)])
+        _assert_same((both.time_s, both.device_id, both.procedure), want)
+        assert both.device_id.dtype == np.int32
+
+    @pytest.mark.parametrize("n_u, n_d", [(5, 20), (5, 0), (0, 20)])
+    def test_threads_of_each_population(self, cfg, monkeypatch, n_u, n_d):
+        # only a trace of both kinds starts a worker, and it draws the MTCDs
+        seen = {}
+
+        def record(kind, fn):
+            def wrapped(*args):
+                seen[kind] = threading.get_ident()
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(triggers, "_ue_chunks", record(KIND_UE, triggers._ue_chunks))
+        monkeypatch.setattr(triggers, "mmpp_stream_chunks",
+                            record(KIND_MTCD, triggers.mmpp_stream_chunks))
+        self.generate(cfg, n_u, n_d)
+        assert set(seen) == {k for k, n in ((KIND_UE, n_u), (KIND_MTCD, n_d)) if n}
+        main = threading.get_ident()
+        assert seen.get(KIND_UE, main) == main
+        assert (seen.get(KIND_MTCD) == main) == (n_u == 0)
+
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    @pytest.mark.parametrize("failing", ["_ue_chunks", "mmpp_stream_chunks"])
+    def test_error_on_either_thread(self, cfg, monkeypatch, failing):
+        # the error surfaces once, from the call, and no thread outlives it
+        def fail(*args):
+            raise RuntimeError(f"{failing} failed")
+            yield
+
+        monkeypatch.setattr(triggers, failing, fail)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"^{failing} failed$"):
+            self.generate(cfg, 5, 20)
+        assert threading.active_count() == threads
+
+    def test_device_ids_must_fit_int32(self, cfg, monkeypatch):
+        # raised before any work: a population that starts reaches population_rng
+        class Started(Exception):
+            pass
+
+        def started(seed, kind):
+            raise Started
+
+        monkeypatch.setattr(triggers, "population_rng", started)
+        for n_u, n_d in ((2**31 - 1, 1), (1, 2**31 - 1), (0, 2**31)):
+            with pytest.raises(ParameterError, match="int32"):
+                self.generate(cfg, n_u, n_d)
+        with pytest.raises(Started):
+            self.generate(cfg, 2**31 - 2, 1)
 
 
 class TestMeasuredRates:
