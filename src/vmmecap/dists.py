@@ -3,12 +3,14 @@
 Every law is a small frozen dataclass, one class per kind, on the base
 :class:`Dist`. Its fields are the law's parameters, checked when it is built,
 and it carries its own mean, draw, tail and E[min(X, t)] formulas; the module
-functions below call into it. Sampling of the truncated laws uses inverse-CDF
-restricted to the quantile range [F(lo), F(hi)], so draws are exact and cost
-one uniform each; each truncated law computes that range once, when it is
-built. `tail_prob` and `expected_truncated` are closed-form for all kinds.
-The normal CDF comes from `math.erfc` and its quantile from Wichura's AS241,
-so the module needs no SciPy.
+functions below call into it. A truncated law computes its mass on [lo, hi]
+once, when it is built. A truncated Pareto is drawn by its inverse CDF, at one
+uniform a draw; a truncated lognormal draws its log, a truncated normal, by
+exact rejection from the proposal that accepts most for its interval
+(`_rejection_rule`), at most a few proposals a draw. Both work in blocks of
+SAMPLE_BLOCK variates. `tail_prob` and `expected_truncated` are closed-form
+for all kinds. The normal CDF comes from `math.erfc`, so the module needs no
+SciPy.
 """
 
 from __future__ import annotations
@@ -223,46 +225,34 @@ class Gpd(Dist):
         return m + s / (k - 1.0) * (base ** ((k - 1.0) / k) - 1.0)
 
 
-QUANTILE_BLOCK = 1 << 14  # draws per quantile evaluation, 128 KB per temporary
+SAMPLE_BLOCK = 1 << 14  # variates per generator call or formula pass, 128 KB each
 
 
 class _Truncated(Dist):
-    """A parent law restricted to [lo, hi]; F(lo) and F(hi) are computed once.
+    """A parent law restricted to [lo, hi]; its mass there is computed once.
 
-    A subclass gives the parent's CDF `_cdf`, its quantile `_quantile`, and
-    `_partial(t)`, the integral of x f(x) over [lo, t] under the truncated law.
+    A subclass gives `_between(x, y)`, the parent law's mass on [x, y],
+    `_partial(t)`, the integral of x f(x) over [lo, t] under the truncated
+    law, and its own `_draw`.
     """
 
     def __post_init__(self):
         if not (0 < self.lo < self.hi):
             raise ParameterError(f"truncation needs 0 < lo < hi, got {self.lo}, {self.hi}")
-        flo, fhi = self._cdf(self.lo), self._cdf(self.hi)
-        if not fhi > flo:
-            raise ParameterError(f"{self.kind} on [{self.lo}, {self.hi}] has no probability "
-                                 f"mass: F(lo) = {flo}, F(hi) = {fhi}")
-        object.__setattr__(self, "_flo", flo)
-        object.__setattr__(self, "_fhi", fhi)
+        mass = self._between(self.lo, self.hi)
+        if not mass > 0:
+            raise ParameterError(f"{self.kind} on [{self.lo}, {self.hi}] has no probability mass")
+        object.__setattr__(self, "_mass", mass)
 
     def _mean(self):
         return self._partial(self.hi)
-
-    def _draw(self, rng, n):
-        u = rng.random(n)
-        u *= self._fhi - self._flo
-        u += self._flo
-        # The quantile's temporaries are block-sized: full-size ones come as
-        # fresh pages from malloc on every call, which cost more than the math.
-        for lo in range(0, n, QUANTILE_BLOCK):
-            block = u[lo:lo + QUANTILE_BLOCK]
-            block[:] = self._quantile(block)
-        return np.minimum(np.maximum(u, self.lo, out=u), self.hi, out=u)  # np.clip, cheaper
 
     def _tail(self, t):
         if t <= self.lo:
             return 1.0
         if t >= self.hi:
             return 0.0
-        return float((self._fhi - self._cdf(t)) / (self._fhi - self._flo))
+        return self._between(t, self.hi) / self._mass
 
     def _emin(self, t):
         if t <= self.lo:
@@ -273,30 +263,7 @@ class _Truncated(Dist):
 
 
 _SQRT1_2 = 0.70710678118654752440
-
-# Wichura's AS241 (Applied Statistics 37, 1988), the rational functions behind
-# statistics.NormalDist.inv_cdf, highest power first with the denominators'
-# trailing 1.0 left out: the central one in r = 0.180625 - q^2 for
-# |q| = |p - 1/2| <= 0.425, the tail ones in s = sqrt(-log(min(p, 1 - p)))
-# shifted by 1.6 for s <= 5 and by 5 beyond
-_CENTRAL = ((2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
-             4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
-             1.3314166789178437745e2, 3.3871328727963666080e0),
-            (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
-             2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
-             4.2313330701600911252e1))
-_NEAR = ((7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
-          1.2704582524523683826e0, 3.6478483247632045981e0, 5.7694972214606914055e0,
-          4.6303378461565452959e0, 1.4234371107496835773e0),
-         (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
-          1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e0,
-          2.0531916266377588219e0))
-_FAR = ((2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
-         2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e0,
-         5.4637849111641143699e0, 6.6579046435011037772e0),
-        (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
-         7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
-         5.9983220655588793769e-1))
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _ndtr(a: float) -> float:
@@ -304,44 +271,41 @@ def _ndtr(a: float) -> float:
     return 0.5 * math.erfc(-a * _SQRT1_2)
 
 
-def _rational(r: np.ndarray, coef) -> np.ndarray:
-    """num(r) / den(r) for one of the AS241 pairs, by in-place Horner steps."""
-    num, den = (c[0] * r for c in coef)
-    for c in coef[0][1:-1]:
-        num += c
-        num *= r
-    num += coef[0][-1]
-    for c in coef[1][1:]:
-        den += c
-        den *= r
-    den += 1.0
-    num /= den
-    return num
+def _ndtr_between(a: float, b: float) -> float:
+    """Phi(b) - Phi(a) for a <= b; from the upper tails when a > 0, so that an
+    interval far above the mean keeps its mass instead of cancelling to 0."""
+    if a > 0:
+        return _ndtr(-a) - _ndtr(-b)
+    return _ndtr(b) - _ndtr(a)
 
 
-def _ndtri(p: np.ndarray) -> np.ndarray:
-    """Standard normal quantile of an array by AS241: -inf at 0, +inf at 1."""
-    # each full-size temporary costs fresh pages, so r is built in place
-    q = p - 0.5
-    r = q * q
-    np.subtract(0.180625, r, out=r)
-    x = _rational(r, _CENTRAL)
-    x *= q
-    tail = np.flatnonzero(r < 0.0)  # |q| > 0.425
-    if tail.size:
-        pt = p[tail]
-        with np.errstate(divide="ignore"):  # log(0) at p = 0 and p = 1
-            s = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
-        xt = np.full_like(s, np.inf)
-        near, far = s <= 5.0, (s > 5.0) & (s < np.inf)
-        xt[near] = _rational(s[near] - 1.6, _NEAR)
-        xt[far] = _rational(s[far] - 5.0, _FAR)
-        x[tail] = np.copysign(xt, q[tail])
-    return x
+def _rejection_rule(a: float, b: float, mass: float) -> tuple:
+    """(acceptance rate, proposal, a, b, c, sign) for the standard normal on [a, b].
+
+    Of Robert's proposals (1995, Statistics and Computing 5:121-125) it picks
+    the one that accepts most: the standard normal itself (rate `mass`), a
+    uniform on [a, b] accepted with exp((c - z^2)/2), c the least z^2 on
+    [a, b], or, for an interval in one tail, a translated exponential of
+    rate c from the bound nearer 0, accepted with exp(-(z - c)^2/2). An
+    interval below 0 is drawn as its mirror image, then negated (`sign`).
+    """
+    a, b, sign = (-b, -a, -1.0) if b < 0 else (a, b, 1.0)
+    log_mass = math.log(mass)
+    c = a * a if a > 0 else 0.0
+    rules = [(log_mass, "normal", 0.0),
+             (_LOG_SQRT_2PI + log_mass - math.log(b - a) + c / 2, "uniform", c)]
+    if a > 0:
+        rate = 0.5 * (a + math.sqrt(a * a + 4.0))  # Robert's optimal rate
+        rules.append((_LOG_SQRT_2PI + log_mass + math.log(rate) + rate * (a - rate / 2),
+                      "exponential", rate))
+    log_accept, proposal, c = max(rules)
+    return math.exp(log_accept), proposal, a, b, c, sign
 
 
 @dataclass(frozen=True)
 class TruncLognormal(_Truncated):
+    """exp(mu + sigma Z) on [lo, hi]: Z standard normal on [_z(lo), _z(hi)], drawn by rejection."""
+
     kind = "trunc_lognormal"
     mu: float
     sigma: float
@@ -352,18 +316,41 @@ class TruncLognormal(_Truncated):
         if not self.sigma > 0:
             raise ParameterError(f"lognormal sigma must be > 0, got {self.sigma}")
         super().__post_init__()
+        object.__setattr__(self, "_rule", _rejection_rule(self._z(self.lo), self._z(self.hi),
+                                                          self._mass))
 
-    def _cdf(self, x):
-        return _ndtr((math.log(x) - self.mu) / self.sigma)
+    def _z(self, x):
+        return (math.log(x) - self.mu) / self.sigma
 
-    def _quantile(self, u):
-        return np.exp(self.mu + self.sigma * _ndtri(u))
+    def _between(self, x, y):
+        return _ndtr_between(self._z(x), self._z(y))
 
     def _partial(self, t):
-        mu, s = self.mu, self.sigma
-        a = (math.log(self.lo) - mu) / s
-        bt = (math.log(t) - mu) / s
-        return math.exp(mu + 0.5 * s * s) * (_ndtr(bt - s) - _ndtr(a - s)) / (self._fhi - self._flo)
+        s = self.sigma
+        shifted = _ndtr_between(self._z(self.lo) - s, self._z(t) - s)
+        return math.exp(self.mu + 0.5 * s * s) * shifted / self._mass
+
+    def _draw(self, rng, n):
+        accept, proposal, a, b, c, sign = self._rule
+        z, got = np.empty(n), 0
+        while got < n:
+            m = min(SAMPLE_BLOCK, math.ceil((n - got) / accept) + 16)  # 16 spare proposals
+            if proposal == "normal":
+                x = rng.standard_normal(m)
+                ok = (x >= a) & (x <= b)
+            elif proposal == "uniform":
+                x = rng.uniform(a, b, m)
+                ok = rng.random(m) <= np.exp(0.5 * (c - x * x))
+            else:
+                x = rng.standard_exponential(m) / c + a
+                ok = (rng.random(m) <= np.exp(-0.5 * (x - c) ** 2)) & (x <= b)
+            x = x[ok][:n - got]
+            z[got:got + x.size] = x
+            got += x.size
+        z *= sign * self.sigma
+        z += self.mu
+        np.exp(z, out=z)
+        return np.minimum(np.maximum(z, self.lo, out=z), self.hi, out=z)  # np.clip, cheaper
 
 
 @dataclass(frozen=True)
@@ -378,18 +365,25 @@ class TruncPareto(_Truncated):
             raise ParameterError(f"pareto shape must be > 0, got {self.shape}")
         super().__post_init__()
 
-    def _cdf(self, x):
+    def _between(self, x, y):
         # unbounded Pareto with scale lo
-        return 1.0 - (self.lo / x) ** self.shape
-
-    def _quantile(self, u):
-        return self.lo * (1.0 - u) ** (-1.0 / self.shape)
+        return (self.lo / x) ** self.shape - (self.lo / y) ** self.shape
 
     def _partial(self, t):
-        a, lo, c = self.shape, self.lo, self._fhi
+        a, lo, c = self.shape, self.lo, self._mass
         if abs(a - 1.0) < 1e-12:
             return lo / c * math.log(t / lo)
         return a * lo**a / c * (lo ** (1 - a) - t ** (1 - a)) / (a - 1.0)
+
+    def _draw(self, rng, n):
+        # the inverse CDF on [0, mass), in blocks: full-size temporaries come
+        # as fresh pages from malloc on every call, which cost more than the math
+        u = rng.random(n)
+        u *= self._mass
+        for i in range(0, n, SAMPLE_BLOCK):
+            block = u[i:i + SAMPLE_BLOCK]
+            block[:] = self.lo * (1.0 - block) ** (-1.0 / self.shape)
+        return np.minimum(np.maximum(u, self.lo, out=u), self.hi, out=u)  # np.clip, cheaper
 
 
 _BY_KIND = {c.kind: c for c in (Exponential, Uniform, TruncLognormal, TruncPareto,

@@ -252,10 +252,12 @@ def _sessions(start, end, dev, t_i: float):
     than `t_i` after the one before; the session closes `t_i` after the
     interval before the next such gap, or after the device's last one.
     """
-    sr = np.ones(len(start), dtype=bool)
-    sr[1:] = (dev[1:] != dev[:-1]) | (start[1:] - end[:-1] > t_i)
-    srr = np.roll(sr, -1)  # the next interval opens a session (the last wraps to the first)
-    return start[sr], end[srr] + t_i, dev[sr]
+    # interval i + 1 opens a session and interval i closes one; gathers by
+    # index, not by mask, since few intervals open one (none if there are none)
+    cut = np.flatnonzero((dev[1:] != dev[:-1]) | (start[1:] - end[:-1] > t_i))
+    first = np.concatenate(([0], cut + 1))[:len(start)]
+    last = np.append(cut, len(start) - 1)[:len(start)]
+    return start.take(first), end.take(last) + t_i, dev.take(first)
 
 
 def _interval_triggers(start, end, dev, t_i: float, horizon_s: float, motion=None):

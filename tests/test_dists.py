@@ -5,14 +5,14 @@ high-precision script (scipy-based closed forms and brentq root finds).
 """
 
 import math
-import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr, ndtri
+from scipy import stats
+from scipy.special import ndtr
 
 from vmmecap import dists
 from vmmecap.config import load_config
@@ -203,24 +203,12 @@ class TestGpdEdges:
 
 
 class TestTruncatedBounds:
-    """Each truncated law keeps F(lo) and F(hi) from its construction; its
-    draws must be bit-identical to the formula that recomputed them per draw,
-    over the whole array at once, also when the draw spans several of the
-    quantile's blocks."""
+    """A truncated Pareto keeps its mass on [lo, hi] from its construction;
+    its draws must be bit-identical to the inverse-CDF formula that
+    recomputed it per draw, over the whole array at once, also when the draw
+    spans several of the formula's blocks."""
 
-    VIDEO_DURATION = dists.trunc_lognormal(5.102108, 0.7, 1e-3, 1e6)
-    SIZES = (64, 2 * dists.QUANTILE_BLOCK + 3)
-
-    def test_trunc_lognormal_block(self):
-        for d in (MAIN_OBJ, EMB_OBJ, self.VIDEO_DURATION):
-            mu, s, lo, hi = d.mu, d.sigma, d.lo, d.hi
-            flo = dists._ndtr((math.log(lo) - mu) / s)
-            fhi = dists._ndtr((math.log(hi) - mu) / s)
-            for n in self.SIZES:
-                u = flo + RNG(21).random(n) * (fhi - flo)
-                want = np.clip(np.exp(mu + s * dists._ndtri(u)), lo, hi)
-                assert np.array_equal(dists.sample(d, RNG(21), size=n), want)
-            assert dists.sample(d, RNG(21)) == want[0]
+    SIZES = (64, 2 * dists.SAMPLE_BLOCK + 3)
 
     def test_trunc_pareto_block(self):
         for d in (EMB_COUNT, dists.trunc_pareto(2.5, 1.0, 40.0)):
@@ -230,6 +218,83 @@ class TestTruncatedBounds:
                 want = np.clip(lo * (1.0 - u) ** (-1.0 / a), lo, hi)
                 assert np.array_equal(dists.sample(d, RNG(22), size=n), want)
             assert dists.sample(d, RNG(22)) == want[0]
+
+
+def _log_scale_law(mu, sigma, a, b):
+    """The truncated lognormal whose log is N(mu, sigma^2) on [mu + sigma a, mu + sigma b]."""
+    return dists.trunc_lognormal(mu, sigma, math.exp(mu + sigma * a), math.exp(mu + sigma * b))
+
+
+class _CountingRng:
+    """A Generator that counts the variates its proposal methods return."""
+
+    PROPOSALS = ("standard_normal", "uniform", "standard_exponential")
+
+    def __init__(self, seed):
+        self.rng, self.proposals = RNG(seed), 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+        if name not in self.PROPOSALS:
+            return method
+
+        def counted(*args, **kwargs):
+            x = method(*args, **kwargs)
+            self.proposals += np.size(x)
+            return x
+        return counted
+
+
+class TestTruncLognormalSampler:
+    """The rejection sampler of a truncated lognormal, on the default laws
+    (normal proposals) and on laws that reach each other proposal."""
+
+    LAWS = {
+        "main_object": (MAIN_OBJ, "normal"),
+        "embedded_object": (EMB_OBJ, "normal"),
+        "video_duration": (dists.trunc_lognormal(5.102108, 0.7, 1e-3, 1e6), "normal"),
+        "far_upper_tail": (_log_scale_law(1.0, 0.5, 8.0, math.inf), "exponential"),
+        "far_lower_tail": (_log_scale_law(1.0, 0.5, -40.0, -6.0), "exponential"),
+        "narrow_far_out": (_log_scale_law(2.0, 1.5, 6.0, 6.05), "uniform"),
+        "narrow_at_mode": (_log_scale_law(-1.0, 2.0, -0.05, 0.05), "uniform"),
+        "no_upper_bound": (_log_scale_law(0.0, 1.0, 0.5, math.inf), "exponential"),
+    }
+    N = 50_000
+
+    @pytest.fixture(params=sorted(LAWS))
+    def law(self, request):
+        d, proposal = self.LAWS[request.param]
+        assert d._rule[1] == proposal
+        return d
+
+    def test_log_matches_truncnorm(self, law):
+        x = dists.sample(law, RNG(41), size=self.N)
+        a, b = law._z(law.lo), law._z(law.hi)
+        assert stats.kstest((np.log(x) - law.mu) / law.sigma,
+                            stats.truncnorm(a, b).cdf).pvalue > 1e-3
+
+    def test_within_bounds(self, law):
+        x = dists.sample(law, RNG(42), size=self.N)
+        assert law.lo <= x.min() and x.max() <= law.hi
+
+    def test_block_mean_within_four_standard_errors(self, law):
+        x = dists.sample(law, RNG(43), size=self.N)
+        se = x.std(ddof=1) / math.sqrt(self.N)
+        assert abs(x.mean() - dists.mean(law)) <= 4 * se + 1e-12 * dists.mean(law)
+
+    @pytest.mark.parametrize("n", [1000, 3 * dists.SAMPLE_BLOCK + 1])
+    def test_few_proposals_per_draw(self, law, n):
+        rng = _CountingRng(44)
+        assert dists.sample(law, rng, size=n).size == n
+        assert rng.proposals <= 4 * n
+
+    def test_tail_against_truncnorm(self, law):
+        # a tail far above the mean keeps its mass: it is not 1 - 1
+        a, b = law._z(law.lo), law._z(law.hi)
+        for z in np.linspace(max(a, -9.0), min(b, 12.0), 7)[1:-1]:
+            t = math.exp(law.mu + law.sigma * z)
+            assert dists.tail_prob(law, t) == pytest.approx(
+                stats.truncnorm(a, b).sf(law._z(t)), rel=1e-9)
 
 
 class TestNormalCdf:
@@ -262,37 +327,6 @@ class TestNormalCdf:
 
     def test_nan(self):
         assert math.isnan(dists._ndtr(math.nan))
-
-
-class TestNormalQuantile:
-    """`_ndtri` (AS241) within 8 ulp of scipy.special.ndtri, with -inf at 0
-    and +inf at 1 as ndtri has, and no warning there."""
-
-    @staticmethod
-    def assert_close(p):
-        want = ndtri(p)
-        ulps = np.abs(dists._ndtri(p) - want) / np.spacing(np.abs(want))
-        assert np.max(ulps) <= 8
-
-    def test_uniforms(self):
-        self.assert_close(RNG(32).random(200_000))
-
-    def test_tails(self):
-        low = 10.0 ** -RNG(33).uniform(1.0, 300.0, 50_000)
-        self.assert_close(low)
-        self.assert_close(1.0 - 10.0 ** -RNG(34).uniform(1.0, 15.9, 50_000))
-        self.assert_close(np.array([5e-324]))
-
-    # the central rational holds for |p - 1/2| <= 0.425, the tail ones beyond
-    @pytest.mark.parametrize("edge", [0.075, 0.925])
-    def test_branch_edges(self, edge):
-        self.assert_close(np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]))
-
-    def test_ends(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = dists._ndtri(np.array([0.0, 1.0]))
-        assert got.tolist() == [-math.inf, math.inf]
 
 
 class TestValidation:
@@ -353,11 +387,12 @@ def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
-# Random laws of each kind. The lognormal bounds lie within [-3, 6] sigmas
-# of mu, so [lo, hi] always has mass. Two limits serve the 4-SE check of a
-# sample mean, which estimates the SE from the sample: the GPD shape stays
-# below 1/3, so the third moment is finite, and a geometric count continues
-# with p = 0 or p >= 1e-3, so a 1e5 block sees counts above 1.
+# Random laws of each kind. The lognormal's lower bound lies from -3 to 8
+# sigmas from mu and its width is 0.05 to 4 sigmas, so [lo, hi] always has
+# mass and the sampler meets each of its proposals. Two limits serve the
+# 4-SE check of a sample mean, which estimates the SE from the sample: the
+# GPD shape stays below 1/3, so the third moment is finite, and a geometric
+# count continues with p = 0 or p >= 1e-3, so a 1e5 block sees counts above 1.
 LAWS = {
     "exponential": st.builds(dists.exponential, _floats(1e-2, 1e3)),
     "uniform": st.builds(lambda lo, w: dists.uniform(lo, lo + w),
@@ -365,7 +400,7 @@ LAWS = {
     "trunc_lognormal": st.builds(
         lambda mu, s, z, w: dists.trunc_lognormal(
             mu, s, math.exp(mu + s * z), math.exp(mu + s * (z + w))),
-        _floats(-2.0, 8.0), _floats(0.1, 2.0), _floats(-3.0, 2.0), _floats(0.2, 4.0)),
+        _floats(-2.0, 8.0), _floats(0.1, 2.0), _floats(-3.0, 8.0), _floats(0.05, 4.0)),
     "trunc_pareto": st.builds(lambda a, lo, r: dists.trunc_pareto(a, lo, lo * r),
                               st.one_of(st.just(1.0), _floats(0.2, 3.0)),
                               _floats(0.1, 10.0), _floats(1.5, 1000.0)),

@@ -821,6 +821,64 @@ class TestMtcdTriggers:
         assert (len(trace) > 0) == (lambda1 + lambda2 > 0)
 
 
+def _reference_sessions(start, end, dev, t_i):
+    """`_sessions` by boolean masks: a mask of the intervals that open a
+    session, rolled by one for those that close one."""
+    sr = np.ones(len(start), dtype=bool)
+    sr[1:] = (dev[1:] != dev[:-1]) | (start[1:] - end[:-1] > t_i)
+    srr = np.roll(sr, -1)  # the next interval opens a session (the last wraps to the first)
+    return start[sr], end[srr] + t_i, dev[sr]
+
+
+class TestSessions:
+    """`_sessions` at its edges, and against the mask formula on generated chunks."""
+
+    @staticmethod
+    def check(start, end, dev, t_i, want):
+        got = _sessions(np.array(start, dtype=float), np.array(end, dtype=float),
+                        np.array(dev, dtype=np.int32), t_i)
+        for g, w, dtype in zip(got, want, (np.float64, np.float64, np.int32)):
+            assert g.dtype == dtype
+            assert g.tolist() == list(w)
+
+    def test_no_intervals(self):
+        self.check([], [], [], 10.0, ([], [], []))
+
+    def test_one_interval(self):
+        self.check([3.0], [5.0], [7], 10.0, ([3.0], [15.0], [7]))
+
+    def test_one_device_one_session(self):
+        # gaps of 10 s exactly do not open a session
+        self.check([0.0, 15.0, 30.0], [5.0, 20.0, 31.0], [2, 2, 2], 10.0, ([0.0], [41.0], [2]))
+
+    def test_every_interval_its_own_session(self):
+        self.check([0.0, 20.0, 20.0, 40.0], [5.0, 20.0, 25.0, 41.0], [0, 0, 1, 1], 10.0,
+                   ([0.0, 20.0, 20.0, 40.0], [15.0, 30.0, 35.0, 51.0], [0, 0, 1, 1]))
+
+    def test_device_boundary_at_last_interval(self):
+        # the last device has one interval, closer in time than the timer
+        self.check([0.0, 4.0, 6.0], [1.0, 5.0, 6.0], [0, 0, 3], 10.0,
+                   ([0.0, 6.0], [15.0, 16.0], [0, 3]))
+
+    @pytest.mark.parametrize("t_i", [0.0, 30.0, np.inf])
+    def test_mtcd_chunks_match_masks(self, cfg, t_i):
+        rng = population_rng(5, KIND_MTCD)
+        for pk, stream in mmpp_stream_chunks(cfg.mmpp, 4000.0, 1500, rng):  # two chunks
+            dev = stream.astype(np.int32)
+            got, want = _sessions(pk, pk, dev, t_i), _reference_sessions(pk, pk, dev, t_i)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("t_i", [0.0, 30.0, np.inf])
+    def test_ue_chunks_match_masks(self, cfg, t_i):
+        plan = _UePlan.build(cfg.mix, cfg.geom, cfg.speed_dist)
+        for _, (start, end, dev), _ in _ue_chunks(plan, 150, 4000.0, 1000.0,  # two chunks
+                                                  population_rng(5, KIND_UE)):
+            got, want = _sessions(start, end, dev, t_i), _reference_sessions(start, end, dev, t_i)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 class TestTwoPopulations:
     """A trace of both kinds builds its MTCDs on a worker thread, its UEs on the caller's."""
 
@@ -1163,20 +1221,21 @@ class TestQueueSim:
         # to trace generation changes these figures too (recorded again after
         # UE draws moved to per-device blocks, after the MTCD lead-in shrank
         # to one timer length, after MTCDs moved to one population stream,
-        # after UEs did, and after handovers moved to wrap-around cells and
-        # the trace's clip to t = 0). The two half-widths were recorded again
+        # after UEs did, after handovers moved to wrap-around cells and the
+        # trace's clip to t = 0, and after truncated lognormals moved from the
+        # inverse CDF to rejection draws). The two half-widths were recorded again
         # when the t quantile moved from SciPy's stdtrit to the package's own:
         # at df = 19 it is 1 ulp higher, and each half-width scaled with it.
         small = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 50, 50, 10.0,
                                   3000.0, 7, speed_dist=cfg.speed_dist)
         st = run_queue_sim(small, replace(cfg.queue, m=1), "deterministic", seed=3)
         assert (st.mean_response_s, st.ci_halfwidth_s) == (
-            0.00011778520303289705, 6.399815211363021e-08)
-        assert (st.n_messages, st.n_triggers, st.max_backlog) == (12131, 4118, 2)
+            0.00011777007894697403, 6.905929058848727e-08)
+        assert (st.n_messages, st.n_triggers, st.max_backlog) == (12241, 4154, 1)
         assert st.utilization == {
-            "fe": 3.3715739425908515e-05, "sl": 0.00040149370653114625,
-            "db": 4.0458887311088914e-05, "oi": 8.09177746221802e-07}
-        assert st.empirical_lam_msgs == 4.04588873110937
+            "fe": 3.400482608343574e-05, "sl": 0.0004049621265243557,
+            "db": 4.080579130012149e-05, "oi": 8.161158260024604e-07}
+        assert st.empirical_lam_msgs == 4.080579130012641
         assert (st.warmup_fraction, st.valid) == (0.1, True)
 
         # m = 3 pool at about 75 % load, where messages queue and overtake
