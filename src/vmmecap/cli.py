@@ -234,7 +234,7 @@ def cmd_simulate(cfg: ToolConfig, args) -> None:
         "t_i_s": ti,
         "horizon_s": horizon,
         "m": cfg.queue.m,
-        "n_triggers": stats.n_triggers,
+        "n_triggers": len(trace),
         "n_messages": stats.n_messages,
         "mean_response_us": stats.mean_response_s * 1e6,
         "ci_halfwidth_us": stats.ci_halfwidth_s * 1e6,

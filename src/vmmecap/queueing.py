@@ -150,6 +150,14 @@ def system_response(rates: ProcedureRates, params: QueueParams):
     return response_at(rates.lam_total_msgs, t_sl, params)
 
 
+def _meets(lam: float, t_sl: float, params: QueueParams, m: float, t_max: float) -> bool:
+    """Whether the chain with `m` SL instances is stable at `lam` and meets `t_max`."""
+    try:
+        return response_at(lam, t_sl, params, m)[0] <= t_max
+    except InstabilityError:
+        return False
+
+
 def dimension(rates: ProcedureRates, params: QueueParams, t_max: float | None = None) -> int:
     """Smallest SL instance count whose total response meets the budget."""
     t_max = params.t_max if t_max is None else t_max
@@ -170,15 +178,9 @@ def dimension(rates: ProcedureRates, params: QueueParams, t_max: float | None = 
             f"{floor*1e6:.1f} us > budget {t_max*1e6:.1f} us ({binding}-bound)",
             stage=binding)
     m = max(1, math.ceil(lam * t_sl))
-    while True:
-        try:
-            total, _ = response_at(lam, t_sl, params, m)
-        except InstabilityError:
-            m += 1
-            continue
-        if total <= t_max:
-            return m
+    while not _meets(lam, t_sl, params, m, t_max):
         m += 1
+    return m
 
 
 @dataclass(frozen=True)
@@ -224,20 +226,16 @@ def capacity(
     procs_per_ue = unit.lam_sr + unit.lam_srr + unit.lam_hr
     t_sl = weighted_sl_service_time(unit, params.sl_times)  # mix-invariant in n_u
 
-    def meets(n_u: int) -> bool:
-        r = aggregate_rates(per_ue, per_mtcd, n_u, mtcd_per_ue * n_u)
-        try:
-            return response_at(r.lam_total_msgs, t_sl, params, m)[0] <= t_max
-        except InstabilityError:
-            return False
-
     # lo meets the budget (no UEs trivially does); hi does not, or is unstable:
     # two UEs past the first stage's saturation rate
     lam_max = min(s.servers * s.mu for s in stages(params, t_sl, m))
     lo, hi = 0, int(lam_max / msgs_per_ue) + 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if meets(mid):
+        # summed as aggregate_rates sums it: msgs_per_ue * mid can differ in the
+        # last bit and move the boundary by one UE
+        lam = aggregate_rates(per_ue, per_mtcd, mid, mtcd_per_ue * mid).lam_total_msgs
+        if _meets(lam, t_sl, params, m, t_max):
             lo = mid
         else:
             hi = mid

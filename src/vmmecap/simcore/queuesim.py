@@ -76,11 +76,9 @@ class SimStats:
     mean_response_s: float
     ci_halfwidth_s: float
     n_messages: int
-    n_triggers: int
     utilization: dict  # stage -> busy fraction over the measured span
     empirical_lam_msgs: float
     max_backlog: int
-    warmup_fraction: float
     valid: bool  # False when the trace was too small for batch statistics
 
 
@@ -229,10 +227,8 @@ def run_queue_sim(
         mean_response_s=mean,
         ci_halfwidth_s=half,
         n_messages=n_msgs,
-        n_triggers=len(trace),
         utilization=util,
         empirical_lam_msgs=(n_msgs / span if span > 0 else 0.0),
         max_backlog=max_backlog,
-        warmup_fraction=WARMUP_FRACTION,
         valid=valid,
     )

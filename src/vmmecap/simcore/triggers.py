@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import csv
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -359,40 +358,20 @@ def generate_triggers(
     # the (times, devices, procs) of each chunk of devices, UEs first
     parts = [(np.empty(0), np.empty(0, dtype=np.int32), np.empty(0, dtype=np.uint8))]
     if n_u and n_d:
-        ues, mtcds = _alongside(lambda: list(ue_parts()), lambda: list(mtcd_parts()))
-        parts += ues + mtcds
-        del ues, mtcds  # so that `_pack` frees each column's parts once joined
+        from concurrent.futures import ThreadPoolExecutor  # here: one kind never pays for it
+
+        # leaving the block joins the worker, also when the UEs raise;
+        # result() raises the worker's error
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            mtcds = pool.submit(list, mtcd_parts())
+            parts.extend(ue_parts())
+        parts += mtcds.result()
+        del mtcds  # so that `_pack` frees each column's parts once joined
     elif n_u:
         parts.extend(ue_parts())
     elif n_d:
         parts.extend(mtcd_parts())
     return _pack(parts, horizon_s, n_u, n_d)
-
-
-def _alongside(main, side):
-    """(main(), side()), `side` run on a worker thread while this thread runs `main`.
-
-    The worker is joined before this returns or raises. An error of `main`
-    propagates as is; otherwise an error of `side` is raised here.
-    """
-    out = []
-
-    def work():
-        try:
-            out.append((True, side()))
-        except BaseException as e:  # handed to the calling thread
-            out.append((False, e))
-
-    worker = threading.Thread(target=work, name="vmmecap-alongside", daemon=True)
-    worker.start()
-    try:
-        first = main()
-    finally:
-        worker.join()
-    (ok, second), = out
-    if not ok:
-        raise second
-    return first, second
 
 
 def _pack(parts: list, horizon_s: float, n_u: int, n_d: int) -> TriggerTrace:

@@ -175,30 +175,18 @@ class CellGeometry:
         if not self.mean_speed_mps >= 0:
             raise FieldError("mean_speed_mps", ">= 0", self.mean_speed_mps)
 
-    @property
-    def perimeter_m(self) -> float:
-        return 2.0 * (self.cell_width_m + self.cell_height_m)
-
-    @property
-    def area_m2(self) -> float:
-        return self.cell_width_m * self.cell_height_m
-
 
 @dataclass(frozen=True)
 class ProcedureRates:
     """Per-device and aggregate procedure/message rates."""
 
     lam_u_sr: float
-    lam_u_srr: float
     lam_u_hr: float
     lam_s_sr: float
-    lam_s_srr: float
     lam_sr: float
     lam_srr: float
     lam_hr: float
     lam_total_msgs: float
-    n_u: float
-    n_d: float
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +197,6 @@ class ProcedureRates:
 class SessionMoments:
     mean_n: float  # AAPs per session
     mean_t_on_s: float  # one AAP duration
-    mean_d_s: float  # one reading gap
     mean_t_sd_s: float  # whole session duration
 
 
@@ -218,7 +205,7 @@ def app_session_moments(app: AppProfile, link_rate_bps: float) -> SessionMoments
     mean_t_on = app.model.mean_duration(link_rate_bps)
     mean_d = dists.mean(app.reading_time_s) if app.reading_time_s is not None else 0.0
     mean_t_sd = mean_n * mean_t_on + (mean_n - 1.0) * mean_d
-    return SessionMoments(mean_n, mean_t_on, mean_d, mean_t_sd)
+    return SessionMoments(mean_n, mean_t_on, mean_t_sd)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +214,8 @@ def app_session_moments(app: AppProfile, link_rate_bps: float) -> SessionMoments
 
 def cell_crossing_rate(geom: CellGeometry) -> float:
     """Fluid-flow crossing rate: v * perimeter / (pi * area), crossings/s."""
-    return geom.mean_speed_mps * geom.perimeter_m / (math.pi * geom.area_m2)
+    w, h = geom.cell_width_m, geom.cell_height_m
+    return geom.mean_speed_mps * (2.0 * (w + h)) / (math.pi * (w * h))
 
 
 def standby_dist(mix: TrafficMix, app: AppProfile, moments: SessionMoments) -> Dist:
@@ -324,14 +312,10 @@ def aggregate_rates(
     n_sr, n_srr, n_hr = MSGS_PER_PROC
     return ProcedureRates(
         lam_u_sr=lam_u_sr,
-        lam_u_srr=lam_u_srr,
         lam_u_hr=lam_u_hr,
         lam_s_sr=lam_s_sr,
-        lam_s_srr=lam_s_srr,
         lam_sr=lam_sr,
         lam_srr=lam_srr,
         lam_hr=lam_hr,
         lam_total_msgs=n_sr * lam_sr + n_srr * lam_srr + n_hr * lam_hr,
-        n_u=n_u,
-        n_d=n_d,
     )

@@ -45,8 +45,8 @@ def cfg():
 
 
 def _rates(lam_sr, lam_srr, lam_hr):
-    return ProcedureRates(0, 0, 0, 0, 0, lam_sr, lam_srr, lam_hr,
-                          3 * lam_sr + 3 * lam_srr + 2 * lam_hr, 0, 0)
+    return ProcedureRates(0, 0, 0, lam_sr, lam_srr, lam_hr,
+                          3 * lam_sr + 3 * lam_srr + 2 * lam_hr)
 
 
 def test_criterion_1_arrival_rate_reproduction(cfg, acceptance):

@@ -243,6 +243,15 @@ class TestCli:
         assert code == 0
         assert json.loads(text)["rows"][0]["n_d"] == 50
 
+    def test_simulate_counts_the_triggers_it_writes(self, tmp_path):
+        trace_csv = tmp_path / "trace.csv"
+        code, text = run_cli(["simulate", "--users", "30", "--duration-s", "300",
+                              "--trace-out", str(trace_csv)], tmp_path, fmt="json")
+        assert code == 0
+        header, *rows = csv.reader(trace_csv.read_text().splitlines())
+        assert header[0] == "time_s" and rows
+        assert json.loads(text)["rows"][0]["n_triggers"] == len(rows)
+
     @pytest.mark.parametrize("overlay, path", [
         ({"nonsense": 1}, "nonsense"),
         ({"mmpp": {"packet_size_bytes": 100.0}}, "mmpp.packet_size_bytes"),

@@ -35,8 +35,8 @@ def _rates(lam_sr, lam_srr, lam_hr):
     """ProcedureRates with the given aggregates (per-device fields unused)."""
     from vmmecap.workload import ProcedureRates
 
-    return ProcedureRates(0, 0, 0, 0, 0, lam_sr, lam_srr, lam_hr,
-                          3 * lam_sr + 3 * lam_srr + 2 * lam_hr, 0, 0)
+    return ProcedureRates(0, 0, 0, lam_sr, lam_srr, lam_hr,
+                          3 * lam_sr + 3 * lam_srr + 2 * lam_hr)
 
 
 def _erlang_c_logspace(m, a):
@@ -269,7 +269,7 @@ class TestCapacity:
         geom = replace(cfg.geom, mean_speed_mps=3.358)
         res = capacity(7, cfg.queue, cfg.mix, geom, cfg.mmpp, 19.808, 1.0, 0.92e-3)
         r = res.rates  # per-device rates ride along; same arithmetic as capacity
-        per_ue, per_mtcd = (r.lam_u_sr, r.lam_u_srr, r.lam_u_hr), (r.lam_s_sr, r.lam_s_srr)
+        per_ue, per_mtcd = (r.lam_u_sr, r.lam_u_sr, r.lam_u_hr), (r.lam_s_sr, r.lam_s_sr)
         t_sl = weighted_sl_service_time(aggregate_rates(per_ue, per_mtcd, 1.0, 1.0),
                                         cfg.queue.sl_times)
 
