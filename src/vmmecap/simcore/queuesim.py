@@ -77,7 +77,7 @@ class SimStats:
     ci_halfwidth_s: float
     n_messages: int
     utilization: dict  # stage -> busy fraction over the measured span
-    empirical_lam_msgs: float
+    empirical_lam_msgs: float  # messages per second of the trace's horizon
     max_backlog: int
     valid: bool  # False when the trace was too small for batch statistics
 
@@ -228,7 +228,7 @@ def run_queue_sim(
         ci_halfwidth_s=half,
         n_messages=n_msgs,
         utilization=util,
-        empirical_lam_msgs=(n_msgs / span if span > 0 else 0.0),
+        empirical_lam_msgs=n_msgs / trace.horizon_s,
         max_backlog=max_backlog,
         valid=valid,
     )

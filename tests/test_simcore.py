@@ -1102,7 +1102,7 @@ def _reference_queue_sim(trace, params, service_law, seed):
         mean = float(kept.mean()) if len(kept) else float("nan")
         half, valid = float("nan"), False
     return SimStats(mean, half, len(responses), util,
-                    len(responses) / span if span > 0 else 0.0, max_backlog, valid)
+                    len(responses) / trace.horizon_s, max_backlog, valid)
 
 
 def _tie_trace(params, law, seed):
@@ -1246,6 +1246,9 @@ class TestQueueSim:
         # inverse CDF to rejection draws). The two half-widths were recorded again
         # when the t quantile moved from SciPy's stdtrit to the package's own:
         # at df = 19 it is 1 ulp higher, and each half-width scaled with it.
+        # The two message rates were recorded again when the rate moved from
+        # the span of the run (first FE arrival to last OI departure) to the
+        # trace's horizon.
         small = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 50, 50, 10.0,
                                   3000.0, 7, speed_dist=cfg.speed_dist)
         st = run_queue_sim(small, replace(cfg.queue, m=1), "deterministic", seed=3)
@@ -1255,7 +1258,7 @@ class TestQueueSim:
         assert st.utilization == {
             "fe": 3.400482608343574e-05, "sl": 0.0004049621265243557,
             "db": 4.080579130012149e-05, "oi": 8.161158260024604e-07}
-        assert st.empirical_lam_msgs == 4.080579130012641
+        assert st.empirical_lam_msgs == 4.080333333333333  # 12241 messages / 3000 s
         assert st.valid
 
         # m = 3 pool at about 75 % load, where messages queue and overtake
@@ -1267,7 +1270,7 @@ class TestQueueSim:
         assert st.utilization == {
             "fe": 0.19011940698560942, "sl": 0.7517182432097299,
             "db": 0.2281432883827241, "oi": 0.004562865767654604}
-        assert st.empirical_lam_msgs == 22814.32883827509
+        assert st.empirical_lam_msgs == 24196.0  # 12098 messages / 0.5 s
         assert st.valid
 
     @pytest.mark.parametrize("law", ["deterministic", "exponential"])
