@@ -49,15 +49,46 @@ exponential. The unit draws come in blocks of DRAW_BLOCK from
 `rng.standard_exponential`, used in the order the scalar calls
 `rng.exponential(mean)` would make them, which NumPy computes as the mean
 times one such draw: the same numbers at a fraction of the cost per draw.
+The loop adds each service time to its stage's busy sum. Under the
+deterministic law it logs each message's type instead, one byte in FE
+order, and the sums are folded from the log afterwards in the same order.
+
+The loop is resumable: it takes a `_Chain`, the state of every server and
+message, and leaves it where it stopped. It takes a chunk of CHUNK triggers
+at a time, turned into Python lists only then, and stops where it would
+take the trigger after the chunk, whose arrival ends the chunk's list as a
+sentinel: every follow-up and departure before that trigger is done.
+Reading that trigger's type past the chunk's end stops the loop, so no
+test is made per trigger.
+
+Under the deterministic law a long trace is cut into parts of equal
+trigger counts, one per CPU this process may run on (`os.sched_getaffinity`)
+and none shorter than MIN_PART_TRIGGERS (time-division simulation with
+fix-up; Heidelberger & Stone 1990, Lin & Lazowska 1991). Each part after
+the first runs from an empty chain in a forked child, which reads the
+trace from the memory it shares with its parent, and records a snapshot at
+each trigger near its start that finds the chain idle (the test above):
+the follow-up FIFO, the OI's free time and the response count. The parent
+runs the first part, then carries the true chain into each later part up
+to the first snapshot its own run agrees with: idle there too, the same
+FIFO, and an OI free time equal or, in both runs, before that arrival.
+From there both runs take the same steps, so the parent keeps its own
+responses before that trigger and the child's after it, and takes over the
+child's end state. If no snapshot agrees, the parent runs the part itself.
+The result is the same, field for field, for every number of parts. The
+exponential law runs in one part, because its draws follow event order.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import os
+import pickle  # already loaded by NumPy
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -69,6 +100,15 @@ from .stats import batch_means
 WARMUP_FRACTION = 0.10  # leading share of responses dropped before batch means
 MIN_BATCHES = 20
 DRAW_BLOCK = 256  # unit exponentials drawn at once; a block costs about 8 KB as floats
+CHUNK = 1 << 11  # triggers turned into Python lists at a time
+FOLD_BLOCK = 1 << 12  # logged messages folded into the busy sums at a time
+MIN_PART_TRIGGERS = 1 << 13  # the fewest triggers worth a process of their own
+SNAP_WINDOW = 8  # a cold part snapshots its idle triggers over this many round trips
+SNAP_STEPS = 4096  # ... and among at most this many triggers
+
+# the chain state a cold part hands to the parent at its end
+_CARRIED = ("free_fe", "free_sl", "free_db", "free_oi", "pool", "departed", "follow",
+            "sq_fol", "in_chain", "backlog")
 
 
 @dataclass(frozen=True)
@@ -80,6 +120,344 @@ class SimStats:
     empirical_lam_msgs: float  # messages per second of the trace's horizon
     max_backlog: int
     valid: bool  # False when the trace was too small for batch statistics
+
+
+class _Chain:
+    """Where every server and message of the chain stands between two loop calls."""
+
+    __slots__ = _CARRIED + ("max_backlog", "busy", "units", "u", "responses", "log")
+
+    def __init__(self, m: int, n_trig: int):
+        self.free_fe = self.free_sl = self.free_db = self.free_oi = -math.inf
+        self.pool = [-math.inf] * m  # used when m > 1
+        self.departed = []  # pool departures: (time, seq, type, fe_arrival)
+        self.follow = deque()  # (FE arrival, type)
+        # The FIFO head's seq. Follow-ups are numbered after the sentinel past
+        # the last trigger, whose seq is n_trig.
+        self.sq_fol = n_trig + 1
+        # (OI arrival, seq) per message inside the chain. OI arrivals are SDB
+        # departures, which strictly increase (every service takes time), so
+        # the FIFO stays sorted.
+        self.in_chain = deque()
+        self.backlog = self.max_backlog = 0  # messages inside the chain
+        self.busy = (0.0, 0.0, 0.0, 0.0)  # exponential law only
+        self.units, self.u = [], 0  # a block of unit exponentials, used from units[u] on
+        self.responses = array("d")
+        self.log = array("B")  # deterministic law: each message's type, in FE order
+
+
+class _Kernel:
+    """A trace and the chain's constants: what every part of a run shares."""
+
+    def __init__(self, trace: TriggerTrace, params: QueueParams, service_law: str,
+                 seed: int):
+        st = params.sl_times
+        chain = stages(params, st.t_sr1)  # in the loop's order; its SL rate goes unused
+        # message types: per (procedure, message), the mean service time at each
+        # of the four stages and the next message's type (-1 after the last)
+        svcs, nexts, first = [], [], []
+        for sl in st.per_procedure:  # by procedure code
+            first.append(len(svcs))
+            for k, t_sl in enumerate(sl):
+                svcs.append(tuple(t_sl if s.key == "sl" else 1.0 / s.mu for s in chain))
+                nexts.append(len(svcs) if k + 1 < len(sl) else -1)
+        self.stages, self.svcs, self.nexts = chain, svcs, nexts
+        self.first_of = np.array(first)
+        self.m, self.t_im, self.prop_delay = params.m, params.t_im, params.prop_delay
+        self.exp = service_law == "exponential"
+        self.draw = np.random.default_rng(seed).standard_exponential
+        self.time_s, self.procedure, self.n_trig = trace.time_s, trace.procedure, len(trace)
+
+    def arrivals(self, lo: int, hi: int) -> list:
+        """FE arrivals of triggers lo .. hi - 1; inf stands for the one past the last."""
+        out = (self.time_s[lo:hi] + self.prop_delay).tolist()
+        if hi > self.n_trig:
+            out.append(math.inf)
+        return out
+
+    def run(self, c: _Chain, a: int, b: int) -> None:
+        """Take triggers [a, b) and every event before trigger b's, a chunk at a time."""
+        for lo in range(a, b, CHUNK):
+            hi = min(lo + CHUNK, b)
+            self.advance(c, self.arrivals(lo, hi + 1),
+                         self.first_of[self.procedure[lo:hi]].tolist(), lo)
+
+    def advance(self, c: _Chain, arrivals: list, firsts: list, base: int) -> None:
+        """Take the triggers from `base` on whose first-message types are `firsts`,
+        and every event before the next trigger, whose arrival ends `arrivals`."""
+        svcs, nexts, n_trig, t_im = self.svcs, self.nexts, self.n_trig, self.t_im
+        pooled, exp, draw = self.m > 1, self.exp, self.draw
+        free_fe, free_sl, free_db, free_oi = c.free_fe, c.free_sl, c.free_db, c.free_oi
+        pool, departed, follow, in_chain = c.pool, c.departed, c.follow, c.in_chain
+        sq_fol, backlog, max_backlog = c.sq_fol, c.backlog, c.max_backlog
+        busy_fe, busy_sl, busy_db, busy_oi = c.busy
+        units, u = c.units, c.u
+        n_units = len(units)
+        respond, log = c.responses.append, c.log.append
+        inf = math.inf  # a local: the loop reads it for every message
+        t_fol = follow[0][0] if follow else inf  # the head's FE arrival
+        k = 0
+        t_trig = arrivals[0]
+        try:
+            while True:
+                # the next FE arrival: a trigger wins a tie, its seq being the smaller
+                if t_fol < t_trig:
+                    t, sq = t_fol, sq_fol
+                else:
+                    t, sq = t_trig, base + k
+                if departed and departed[0] < (t, sq):  # seqs are unique: (time, seq) decides
+                    t, sq, typ, fe_arr = heapq.heappop(departed)
+                    s_db, s_oi = svcs[typ][2:]
+                else:
+                    if sq <= n_trig:
+                        typ = firsts[k]  # raises at the sentinel, before any change
+                        k += 1
+                        t_trig = arrivals[k]
+                    else:
+                        typ = follow.popleft()[1]
+                        sq_fol += 1
+                        t_fol = follow[0][0] if follow else inf
+                    if free_db < t and not departed:
+                        # every earlier message has left the SDB: the chain holds this one
+                        in_chain.clear()
+                        backlog = 1
+                    else:
+                        while in_chain and in_chain[0] < (t, sq):
+                            in_chain.popleft()
+                            backlog -= 1
+                        backlog += 1
+                    if backlog > max_backlog:
+                        max_backlog = backlog
+                    fe_arr = t
+                    s_fe, s_sl, s_db, s_oi = svcs[typ]
+                    if exp:
+                        if u + 2 > n_units:  # the block's leftovers first, then a new one
+                            units = units[u:] + draw(DRAW_BLOCK).tolist()
+                            u, n_units = 0, len(units)
+                        s_fe *= units[u]
+                        s_sl *= units[u + 1]
+                        u += 2
+                        busy_fe += s_fe
+                        busy_sl += s_sl
+                    else:
+                        log(typ)
+                    t = (free_fe if free_fe > t else t) + s_fe
+                    free_fe = t
+                    if pooled:  # a pool may reorder messages: back to the event sources
+                        t = (pool[0] if pool[0] > t else t) + s_sl
+                        heapq.heapreplace(pool, t)
+                        heapq.heappush(departed, (t, sq, typ, fe_arr))
+                        continue
+                    t = (free_sl if free_sl > t else t) + s_sl
+                    free_sl = t
+                if exp:
+                    if u + 2 > n_units:
+                        units = units[u:] + draw(DRAW_BLOCK).tolist()
+                        u, n_units = 0, len(units)
+                    s_db *= units[u]
+                    s_oi *= units[u + 1]
+                    u += 2
+                    busy_db += s_db
+                    busy_oi += s_oi
+                t = (free_db if free_db > t else t) + s_db
+                free_db = t
+                in_chain.append((t, sq))
+                t = (free_oi if free_oi > t else t) + s_oi
+                free_oi = t
+                respond(t - fe_arr)
+                typ = nexts[typ]
+                if typ >= 0:
+                    t += t_im
+                    if not follow:
+                        t_fol = t
+                    follow.append((t, typ))
+        except IndexError:
+            if k < len(firsts):  # not the sentinel
+                raise
+        c.free_fe, c.free_sl, c.free_db, c.free_oi = free_fe, free_sl, free_db, free_oi
+        c.sq_fol, c.backlog, c.max_backlog = sq_fol, backlog, max_backlog
+        c.busy = (busy_fe, busy_sl, busy_db, busy_oi)
+        c.units, c.u = units, u
+
+    def busy_sums(self, c: _Chain) -> tuple:
+        """The four stages' busy sums, each added one message at a time as the loop would.
+
+        Under the deterministic law they come from the type log, which is in
+        FE order, the order of the FE and SL additions. The FE, SDB and OI
+        take the same time for every type, so their sums are that time added
+        once per message, in any order.
+        """
+        if self.exp:
+            return c.busy
+        n = len(c.log)
+        fe, _, db, oi = self.svcs[0]
+        sl = _fold(0.0, np.array([s[1] for s in self.svcs]), np.frombuffer(c.log, np.uint8))
+        return _add_copies(0.0, fe, n), sl, _add_copies(0.0, db, n), _add_copies(0.0, oi, n)
+
+
+def _fold(x: float, table: np.ndarray, keys: np.ndarray) -> float:
+    """x + table[keys[0]] + table[keys[1]] + ..., added left to right a block at a
+    time: `np.cumsum` adds in sequence."""
+    buf = np.empty(min(len(keys), FOLD_BLOCK) + 1)
+    for lo in range(0, len(keys), FOLD_BLOCK):
+        part = buf[:len(keys[lo:lo + FOLD_BLOCK]) + 1]
+        part[0] = x
+        np.take(table, keys[lo:lo + FOLD_BLOCK], out=part[1:], mode="clip")
+        x = float(np.cumsum(part, out=part)[-1])
+    return x
+
+
+def _add_copies(x: float, c: float, n: int) -> float:
+    """x + c + c + ... + c: n additions of c >= 0 from the left, each one rounded.
+
+    Between two powers of two the doubles are u apart, so each addition that
+    stays below the next power rounds c to the same multiple d of u, and the
+    steps up to that power are taken at once, exactly, as k d. The step that
+    crosses it is taken as it is. Where c is an odd multiple of u/2 each
+    addition is a tie, which rounds to even, so d alternates; those
+    additions go through `_fold`.
+    """
+    while n:
+        y = x + c
+        n -= 1
+        if y == x:  # c no longer moves the sum
+            return x
+        if x > 0.0 and math.frexp(x)[1] == math.frexp(y)[1]:
+            u, top = math.ulp(x), math.ldexp(1.0, math.frexp(y)[1])
+            if (c / u) % 1.0 == 0.5:
+                k = min(n, FOLD_BLOCK, int((top - y) / c) + 1)
+                y = _fold(y, np.array([c]), np.zeros(k, np.uint8))
+            else:
+                d = y - x
+                k = min(n, (int((top - y) / u) - 1) // int(d / u))
+                y += k * d
+            n -= k
+        x = y
+    return x
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _n_parts(kern: _Kernel) -> int:
+    if kern.exp or not hasattr(os, "fork"):
+        return 1
+    return max(1, min(_cpus(), kern.n_trig // MIN_PART_TRIGGERS))
+
+
+PIPE_BLOCK = 1 << 20  # bytes read from a child's pipe at a time
+
+
+def _cold_part(kern: _Kernel, a: int, b: int, out) -> None:
+    """Run part [a, b) from an empty chain and write it to the binary file `out`.
+
+    Written: a pickle of (None, snapshots, response count, log length, end
+    state), each snapshot (trigger, response count, FIFO, OI free time,
+    largest backlog from there on); then the responses, then the type log.
+    """
+    c = _Chain(kern.m, kern.n_trig)
+    hi = min(a + SNAP_STEPS, b)
+    arr = kern.arrivals(a, hi + 1)
+    fst = kern.first_of[kern.procedure[a:hi]].tolist()
+    t_end = arr[0] + SNAP_WINDOW * kern.t_im
+    snaps, seg_max = [], []  # seg_max[i]: the largest backlog before snapshot i
+    j = 0
+    while j < hi - a and arr[j] < t_end:
+        if c.free_db < arr[j] and not c.departed:
+            snaps.append((a + j, len(c.responses), tuple(c.follow), c.free_oi))
+            seg_max.append(c.max_backlog)
+            c.max_backlog = 0
+        kern.advance(c, arr[j:j + 2], fst[j:j + 1], a + j)
+        j += 1
+    kern.run(c, a + j, b)
+    after = list(accumulate(reversed(seg_max[1:] + [c.max_backlog]), max))[::-1]
+    snaps = [s + (x,) for s, x in zip(snaps, after)]
+    pickle.dump((None, snaps, len(c.responses), len(c.log),
+                 tuple(getattr(c, name) for name in _CARRIED)), out)
+    out.write(c.responses)
+    out.write(c.log)
+
+
+def _read(f, n: int, into: array | None = None) -> None:
+    """Read n bytes of `f`, a block at a time, onto the end of `into` (or drop them)."""
+    while n:
+        block = f.read(min(n, PIPE_BLOCK))
+        if not block:
+            raise EOFError("a part's process ended before its output")
+        if into is not None:
+            into.frombytes(block)
+        n -= len(block)
+
+
+def _join(kern: _Kernel, c: _Chain, a: int, b: int, f) -> None:
+    """Carry the true chain `c` through part [a, b) until it agrees with the
+    cold run that `f` reads at one of its snapshots, then take the cold run's rest."""
+    err, snaps, n_resp, n_log, end = pickle.load(f)
+    if err is not None:
+        raise err
+    for j, n, fifo, oi, top in snaps:
+        kern.run(c, a, j)
+        a = j
+        t = float(kern.time_s[j] + kern.prop_delay)
+        if (c.free_db < t and not c.departed and tuple(c.follow) == fifo
+                and max(c.free_oi, t) == max(oi, t)):
+            _read(f, 8 * n)
+            _read(f, 8 * (n_resp - n), c.responses)
+            _read(f, n)  # the log holds one byte per message, responses or not
+            _read(f, n_log - n, c.log)
+            c.max_backlog = max(c.max_backlog, top)
+            for name, value in zip(_CARRIED, end):
+                setattr(c, name, value)
+            return
+    kern.run(c, a, b)
+
+
+def _run_parts(kern: _Kernel, c: _Chain, n_parts: int) -> None:
+    """Run the trace in `n_parts` parts, the first here and each other in a forked child.
+
+    A child reads the trace from the memory it shares with this process and
+    writes its part to a pipe, or the error it raised. No child outlives
+    this call: each is waited for, and killed first if this process raises.
+    """
+    import signal
+
+    bounds = [p * kern.n_trig // n_parts for p in range(n_parts + 1)]
+    children = []  # (pid, read end of its pipe)
+    done = False
+    try:
+        for p in range(1, n_parts):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: write the part, then leave without cleaning up
+                try:
+                    os.close(r)
+                    for _, f in children:  # so that no pipe has a reader but the parent
+                        f.close()
+                    with os.fdopen(w, "wb") as out:
+                        try:
+                            _cold_part(kern, bounds[p], bounds[p + 1], out)
+                        except BaseException as e:
+                            pickle.dump((e, None, 0, 0, None), out)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        kern.run(c, 0, bounds[1])
+        for p, (pid, f) in enumerate(children, 1):
+            _join(kern, c, bounds[p], bounds[p + 1], f)
+        done = True
+    finally:
+        for pid, f in children:
+            f.close()  # a child still writing gets a broken pipe and leaves
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+        for pid, _ in children:
+            os.waitpid(pid, 0)
 
 
 def run_queue_sim(
@@ -94,127 +472,21 @@ def run_queue_sim(
                              f"got {service_law!r}")
     if not np.all(np.isfinite(trace.time_s)) or np.any(np.diff(trace.time_s) < 0):
         raise ParameterError("trigger times must be finite and sorted")
-    st = params.sl_times
-    chain = stages(params, st.t_sr1)  # in the loop's order; its SL rate goes unused
-    # message types: per (procedure, message), the mean service time at each
-    # of the four stages and the next message's type (-1 after the last)
-    svcs, nexts, first = [], [], []
-    for sl in st.per_procedure:  # by procedure code
-        first.append(len(svcs))
-        for k, t_sl in enumerate(sl):
-            svcs.append(tuple(t_sl if s.key == "sl" else 1.0 / s.mu for s in chain))
-            nexts.append(len(svcs) if k + 1 < len(sl) else -1)
-    m = params.m
-    pooled = m > 1
-    rng = np.random.default_rng(seed)
-    exp = service_law == "exponential"
-    draw = rng.standard_exponential
-    units, u, n_units = [], 0, 0  # a block of unit exponentials, used from units[u] on
-    t_im = params.t_im
-    inf = math.inf  # a local: the loop reads it for every message
+    kern = _Kernel(trace, params, service_law, seed)
+    c = _Chain(params.m, kern.n_trig)
+    n_parts = _n_parts(kern)
+    if n_parts > 1:
+        _run_parts(kern, c, n_parts)
+    else:
+        kern.run(c, 0, kern.n_trig)
 
-    # first messages in trace order, then a sentinel; a trigger's seq is its index
-    n_trig = len(trace)
-    arrivals = (trace.time_s + params.prop_delay).tolist() + [inf]
-    firsts = np.array(first)[trace.procedure].tolist()
-    i = 0
-    t_trig = arrivals[0]
-    follow: deque = deque()  # (FE arrival, type)
-    t_fol = inf  # the head's FE arrival
-    sq_fol = n_trig  # the head's seq: follow-ups leave in the order they were made
-    departed: list = []  # pool departures: (time, seq, type, fe_arrival)
-
-    free_fe = free_sl = free_db = free_oi = -inf  # single servers' free times
-    pool = [-inf] * m
-    busy_fe = busy_sl = busy_db = busy_oi = 0.0
-    responses = array("d")
-    respond = responses.append
-    # (OI arrival, seq) per message inside the chain. OI arrivals are SDB
-    # departures, which strictly increase (every service takes time), so the
-    # FIFO stays sorted.
-    in_chain: deque = deque()
-    backlog = max_backlog = 0  # messages inside the chain
-
-    while True:
-        # the next FE arrival: a trigger wins a tie, its seq being the smaller
-        if t_fol < t_trig:
-            t, sq = t_fol, sq_fol
-        else:
-            t, sq = t_trig, i
-        if departed and departed[0] < (t, sq):  # seqs are unique: (time, seq) decides
-            t, sq, typ, fe_arr = heapq.heappop(departed)
-            s_db, s_oi = svcs[typ][2:]
-        else:
-            if t == inf:
-                break
-            if sq < n_trig:
-                typ = firsts[i]
-                i += 1
-                t_trig = arrivals[i]
-            else:
-                typ = follow.popleft()[1]
-                sq_fol += 1
-                t_fol = follow[0][0] if follow else inf
-            if free_db < t and not departed:
-                # every earlier message has left the SDB: the chain holds this one
-                in_chain.clear()
-                backlog = 1
-            else:
-                while in_chain and in_chain[0] < (t, sq):
-                    in_chain.popleft()
-                    backlog -= 1
-                backlog += 1
-            if backlog > max_backlog:
-                max_backlog = backlog
-            fe_arr = t
-            s_fe, s_sl, s_db, s_oi = svcs[typ]
-            if exp:
-                if u + 2 > n_units:  # the block's leftovers first, then a new one
-                    units = units[u:] + draw(DRAW_BLOCK).tolist()
-                    u, n_units = 0, len(units)
-                s_fe *= units[u]
-                s_sl *= units[u + 1]
-                u += 2
-            t = (free_fe if free_fe > t else t) + s_fe
-            free_fe = t
-            busy_fe += s_fe
-            busy_sl += s_sl
-            if pooled:  # a pool may reorder messages: back to the event sources
-                t = (pool[0] if pool[0] > t else t) + s_sl
-                heapq.heapreplace(pool, t)
-                heapq.heappush(departed, (t, sq, typ, fe_arr))
-                continue
-            t = (free_sl if free_sl > t else t) + s_sl
-            free_sl = t
-        if exp:
-            if u + 2 > n_units:
-                units = units[u:] + draw(DRAW_BLOCK).tolist()
-                u, n_units = 0, len(units)
-            s_db *= units[u]
-            s_oi *= units[u + 1]
-            u += 2
-        t = (free_db if free_db > t else t) + s_db
-        free_db = t
-        busy_db += s_db
-        in_chain.append((t, sq))
-        t = (free_oi if free_oi > t else t) + s_oi
-        free_oi = t
-        busy_oi += s_oi
-        respond(t - fe_arr)
-        typ = nexts[typ]
-        if typ >= 0:
-            t += t_im
-            if not follow:
-                t_fol = t
-            follow.append((t, typ))
-
-    n_msgs = len(responses)
+    n_msgs = len(c.responses)
     # the first FE arrival is the first trigger's, and OI departures never decrease
-    span = max(free_oi - arrivals[0], 0.0)
+    span = max(c.free_oi - kern.arrivals(0, 1)[0], 0.0)
     util = {s.key: (b / span / s.servers if span > 0 else 0.0)
-            for s, b in zip(chain, (busy_fe, busy_sl, busy_db, busy_oi))}
+            for s, b in zip(kern.stages, kern.busy_sums(c))}
 
-    resp = np.frombuffer(responses)
+    resp = np.frombuffer(c.responses)
     kept = resp[int(len(resp) * WARMUP_FRACTION):]
     if len(kept) >= 2 * MIN_BATCHES:
         mean, half = batch_means(kept, MIN_BATCHES)
@@ -229,6 +501,6 @@ def run_queue_sim(
         n_messages=n_msgs,
         utilization=util,
         empirical_lam_msgs=n_msgs / trace.horizon_s,
-        max_backlog=max_backlog,
+        max_backlog=c.max_backlog,
         valid=valid,
     )

@@ -5,6 +5,8 @@ import bisect
 import csv
 import heapq
 import math
+import multiprocessing
+import os
 import threading
 import tracemalloc
 from dataclasses import fields, replace
@@ -27,7 +29,7 @@ from vmmecap.simcore import (
     rmse,
     run_queue_sim,
 )
-from vmmecap.simcore import triggers
+from vmmecap.simcore import queuesim, triggers
 from vmmecap.simcore.queuesim import MIN_BATCHES, WARMUP_FRACTION, SimStats
 from vmmecap.simcore.triggers import (
     KIND_MTCD,
@@ -173,6 +175,24 @@ class TestTraceInvariants:
             [KIND_NAMES[k] for k in small_trace.device_kind]
         assert [r["procedure"] for r in rows] == \
             [PROC_NAMES[p] for p in small_trace.procedure]
+
+    def test_csv_bytes_match_the_row_writer(self, small_trace, tmp_path, monkeypatch):
+        # the chunked writer against the csv module, one row at a time, on a
+        # trace of both kinds with a trigger of no device (id -1)
+        dev = small_trace.device_id.copy()
+        dev[1] = -1
+        trace = replace(small_trace, device_id=dev)
+        assert {KIND_UE, KIND_MTCD} <= set(trace.device_kind.tolist())
+        monkeypatch.setattr(triggers, "CSV_ROWS", 1000)  # several blocks and a short last one
+        assert len(trace) % 1000
+        trace.to_csv(tmp_path / "chunked.csv")
+        with open(tmp_path / "rows.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["time_s", "device_id", "device_kind", "procedure"])
+            for t, d, k, p in zip(trace.time_s, trace.device_id, trace.device_kind,
+                                  trace.procedure):
+                w.writerow([f"{t:.9f}", int(d), KIND_NAMES[k], PROC_NAMES[p]])
+        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def _lexsorted(parts):
@@ -1338,6 +1358,249 @@ class TestQueueSim:
                              np.zeros(2, dtype=np.uint8), 10.0, 1, 0)
         with pytest.raises(ParameterError):
             run_queue_sim(trace, cfg.queue)
+
+
+def _assert_same_stats(got, want):
+    for f in fields(SimStats):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a == b or (a != a and b != b), f.name  # NaN != NaN
+
+
+def _one_part(trace, params, law, seed, monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(queuesim, "MIN_PART_TRIGGERS", len(trace) + 1)
+        return run_queue_sim(trace, params, law, seed=seed)
+
+
+def _force_parts(monkeypatch, n_parts):
+    """Cut every trace of at least n_parts triggers into n_parts parts, and
+    return the response counts at which the parent took over a child's run."""
+    monkeypatch.setattr(queuesim, "MIN_PART_TRIGGERS", 1)
+    monkeypatch.setattr(queuesim, "_cpus", lambda: n_parts)
+    reads = []
+    read = queuesim._read
+
+    def spy(f, n, into=None):
+        reads.append(n)
+        return read(f, n, into)
+
+    # a take-over reads four stretches of the pipe, the first the responses
+    # before the snapshot: 8 bytes each
+    monkeypatch.setattr(queuesim, "_read", spy)
+    return lambda: [n // 8 for n in reads[0::4]]
+
+
+def _no_children():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # not even one waiting to be reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestQueueSimChunks:
+    @pytest.mark.parametrize("law", ["deterministic", "exponential"])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_trace_over_several_chunks(self, cfg, monkeypatch, m, law):
+        trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 50, 50, 10.0, 3000.0, 7,
+                                  speed_dist=cfg.speed_dist)
+        params = replace(cfg.queue, m=m)
+        monkeypatch.setattr(queuesim, "CHUNK", len(trace))
+        want = _one_part(trace, params, law, 9, monkeypatch)
+        monkeypatch.setattr(queuesim, "CHUNK", 61)  # 69 chunks, the last one short
+        assert len(trace) % 61
+        _assert_same_stats(_one_part(trace, params, law, 9, monkeypatch), want)
+
+    @pytest.mark.parametrize("law", ["deterministic", "exponential"])
+    def test_memory_over_several_chunks(self, cfg, law):
+        # Only a chunk of the trace is held as lists: the traced peak is the
+        # responses, the type log, one chunk and the busy-sum fold's buffer,
+        # 14.9-16.3 B per message at this size (22 B before chunks).
+        trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 0, 1000, 10.0, 200.0, 5,
+                                  speed_dist=cfg.speed_dist)
+        assert len(trace) > 2 * queuesim.CHUNK
+        tracemalloc.start()
+        try:
+            st = run_queue_sim(trace, replace(cfg.queue, m=1), law, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / st.n_messages <= 18
+
+
+class TestTimePartitions:
+    @pytest.mark.parametrize("n_parts", [2, 3])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("shape", ["generated", "mtcd_burst", "overloaded"])
+    def test_matches_one_part(self, cfg, monkeypatch, shape, m, n_parts):
+        params = replace(cfg.queue, m=m)
+        if shape == "generated":
+            trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 50, 50, 10.0,
+                                      3000.0, 7, speed_dist=cfg.speed_dist)
+        elif shape == "mtcd_burst":
+            trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 0, 2000, 10.0,
+                                      200.0, 7, speed_dist=cfg.speed_dist)
+        else:  # the chain never empties: no snapshot agrees, and the parent runs every part
+            trace = poisson_triggers(3500.0, 3500.0, 1500.0, 0.5, 17)
+        want = _one_part(trace, params, "deterministic", 9, monkeypatch)
+        taken = _force_parts(monkeypatch, n_parts)
+        _assert_same_stats(run_queue_sim(trace, params, "deterministic", seed=9), want)
+        assert len(taken()) == (0 if shape == "overloaded" else n_parts - 1)
+        _no_children()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("shape", ["ties", "idle_tie"])
+    def test_a_cut_before_every_trigger(self, cfg, monkeypatch, shape, m):
+        # one part per trigger: a cut falls between the two triggers at one
+        # instant, and on the trigger a follow-up lands on
+        params = replace(cfg.queue, m=m, prop_delay=0.0)
+        make = _tie_trace if shape == "ties" else _idle_tie_trace
+        trace = make(params, "deterministic", 9)
+        want = _reference_queue_sim(trace, params, "deterministic", 9)
+        _force_parts(monkeypatch, len(trace))
+        _assert_same_stats(run_queue_sim(trace, params, "deterministic", seed=9), want)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_a_cut_that_follow_ups_cross(self, cfg, monkeypatch, m):
+        # SRs 1 ms apart: at the cut, the follow-ups of the 30-odd SRs before
+        # it are still to come, so the cold run's first snapshots cannot agree
+        n = 400
+        trace = TriggerTrace(np.arange(n) * 1e-3, np.arange(n, dtype=np.int32),
+                             np.full(n, PROC_SR, dtype=np.uint8), 0.5, n, 0)
+        params = replace(cfg.queue, m=m)
+        want = _one_part(trace, params, "deterministic", 9, monkeypatch)
+        taken = _force_parts(monkeypatch, 2)
+        _assert_same_stats(run_queue_sim(trace, params, "deterministic", seed=9), want)
+        assert len(taken()) == 1 and taken()[0] > 0  # taken over past the cut
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_a_cut_while_the_oi_is_busy(self, cfg, monkeypatch, m):
+        # A 0.5 ms OI. An HR's second message leaves the SDB at about 15.72
+        # ms and holds the OI until about 16.22 ms; the SR after the cut
+        # arrives at 15.8 ms and finds the chain idle and no follow-up due,
+        # but its first message reaches the OI before the OI is free.
+        params = replace(cfg.queue, m=m, mu_oi=2000.0, prop_delay=0.0)
+        trace = TriggerTrace(np.array([0.0, 15.8e-3]), np.arange(2, dtype=np.int32),
+                             np.array([PROC_HR, PROC_SR], dtype=np.uint8), 1.0, 2, 0)
+        want = _reference_queue_sim(trace, params, "deterministic", 9)
+        taken = _force_parts(monkeypatch, 2)
+        _assert_same_stats(run_queue_sim(trace, params, "deterministic", seed=9), want)
+        assert taken() == []
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_a_cut_inside_a_burst(self, cfg, monkeypatch, m):
+        # 40 SRs at one instant, then the cut 10 us later, before any of them
+        # has left the chain: no follow-up is due yet, but the chain is busy
+        t = np.concatenate((np.zeros(40), 1e-5 + np.arange(40) * 2e-3))
+        trace = TriggerTrace(t, np.arange(80, dtype=np.int32),
+                             np.full(80, PROC_SR, dtype=np.uint8), 0.2, 80, 0)
+        params = replace(cfg.queue, m=m)
+        want = _one_part(trace, params, "deterministic", 9, monkeypatch)
+        taken = _force_parts(monkeypatch, 2)
+        _assert_same_stats(run_queue_sim(trace, params, "deterministic", seed=9), want)
+        assert len(taken()) == 1 and taken()[0] > 0
+
+    def test_largest_backlog_between_snapshots(self, cfg, monkeypatch):
+        # Part 2 starts idle, so it is taken over at once, and its largest
+        # backlog, 20 SRs at one instant, lies between two of its snapshots.
+        t = np.concatenate((np.arange(40) * 0.1, [4.0], np.full(20, 4.001),
+                            4.01 + np.arange(19) * 5e-3))
+        trace = TriggerTrace(t, np.arange(80, dtype=np.int32),
+                             np.full(80, PROC_SR, dtype=np.uint8), 4.2, 80, 0)
+        params = replace(cfg.queue, m=1)
+        want = _one_part(trace, params, "deterministic", 9, monkeypatch)
+        assert want.max_backlog == 20
+        taken = _force_parts(monkeypatch, 2)
+        _assert_same_stats(run_queue_sim(trace, params, "deterministic", seed=9), want)
+        assert taken() == [0]
+
+    def test_error_in_a_child(self, cfg, monkeypatch):
+        trace = poisson_triggers(1000.0, 1000.0, 300.0, 2.0, 8)
+
+        def fail(kern, a, b, out):
+            raise ValueError(f"part from {a} failed")
+
+        _force_parts(monkeypatch, 3)
+        monkeypatch.setattr(queuesim, "_cold_part", fail)
+        with pytest.raises(ValueError, match="part from"):
+            run_queue_sim(trace, cfg.queue, "deterministic")
+        _no_children()
+
+    def test_error_in_the_parent(self, cfg, monkeypatch):
+        trace = poisson_triggers(1000.0, 1000.0, 300.0, 2.0, 8)
+
+        def fail(*args):
+            raise RuntimeError("join failed")
+
+        _force_parts(monkeypatch, 3)
+        monkeypatch.setattr(queuesim, "_join", fail)
+        with pytest.raises(RuntimeError, match="join failed"):
+            run_queue_sim(trace, cfg.queue, "deterministic")
+        _no_children()
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_exponential_law_runs_one_part(self, cfg, monkeypatch, m):
+        trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 0, 2000, 10.0, 200.0, 7,
+                                  speed_dist=cfg.speed_dist)
+        params = replace(cfg.queue, m=m)
+        _force_parts(monkeypatch, 4)
+
+        def refuse(*args):
+            raise AssertionError("the exponential law was cut into parts")
+
+        monkeypatch.setattr(queuesim, "_run_parts", refuse)
+        _assert_same_stats(run_queue_sim(trace, params, "exponential", seed=9),
+                           _reference_queue_sim(trace, params, "exponential", 9))
+
+    def test_part_count(self, cfg, monkeypatch):
+        trace = poisson_triggers(1000.0, 1000.0, 300.0, 10.0, 8)
+        n = len(trace)
+
+        def parts(law="deterministic"):
+            return queuesim._n_parts(queuesim._Kernel(trace, cfg.queue, law, 0))
+
+        monkeypatch.setattr(queuesim, "MIN_PART_TRIGGERS", n // 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4}, raising=False)
+        assert parts() == 3  # no more parts than MIN_PART_TRIGGERS allows
+        assert parts("exponential") == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3}, raising=False)
+        assert parts() == 2  # one per CPU this process may run on
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert parts() == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert parts() == 2  # the machine's count where affinity is unknown
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert parts() == 1
+
+
+class TestBusySums:
+    @staticmethod
+    def _added(x, values):
+        for v in values:
+            x += v
+        return x
+
+    def test_fold_adds_in_order(self, monkeypatch):
+        monkeypatch.setattr(queuesim, "FOLD_BLOCK", 100)
+        rng = np.random.default_rng(4)
+        table = rng.random(8) * 1e-4
+        keys = rng.integers(0, 8, 1234).astype(np.uint8)
+        for x in (0.0, 0.37):
+            assert queuesim._fold(x, table, keys) == self._added(x, table[keys].tolist())
+        assert queuesim._fold(0.5, table, keys[:0]) == 0.5
+
+    def test_add_copies(self):
+        rng = np.random.default_rng(5)
+        cases = [(0.0, 1 / 47000, 300000), (0.0, 0.0, 10), (0.0, 1e-30, 10), (7.0, 3.0, 0),
+                 (1.0, 2.0**-60, 1000)]
+        for _ in range(300):
+            if rng.random() < 0.5:  # few significant bits: ties come within reach
+                c = float(rng.integers(1, 2**int(rng.integers(1, 24)))) * 2.0**int(rng.integers(-40, 0))
+            else:
+                c = float(rng.random()) * 10.0**int(rng.integers(-8, 2))
+            x = float(rng.choice([0.0, float(rng.random()) * c * 100]))
+            cases.append((x, c, int(rng.integers(0, 20000))))
+        for x, c, n in cases:
+            assert queuesim._add_copies(x, c, n) == self._added(x, [c] * n), (x, c, n)
 
 
 class TestStats:
