@@ -85,6 +85,7 @@ import heapq
 import math
 import os
 import pickle  # already loaded by NumPy
+import threading
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -345,7 +346,9 @@ def _cpus() -> int:
 
 
 def _n_parts(kern: _Kernel) -> int:
-    if kern.exp or not hasattr(os, "fork"):
+    # A forked child has only the thread that forked it, and any lock another
+    # thread held stays locked in it, so a process with threads runs one part.
+    if kern.exp or not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     return max(1, min(_cpus(), kern.n_trig // MIN_PART_TRIGGERS))
 

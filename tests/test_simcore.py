@@ -1565,6 +1565,16 @@ class TestTimePartitions:
         assert parts() == 2  # one per CPU this process may run on
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert parts() == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert parts() == 1  # no fork while another thread runs
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert parts() == 2  # the machine's count where affinity is unknown
