@@ -104,7 +104,7 @@ DRAW_BLOCK = 256  # unit exponentials drawn at once; a block costs about 8 KB as
 CHUNK = 1 << 11  # triggers turned into Python lists at a time
 FOLD_BLOCK = 1 << 12  # logged messages folded into the busy sums at a time
 MIN_PART_TRIGGERS = 1 << 13  # the fewest triggers worth a process of their own
-SNAP_WINDOW = 8  # a cold part snapshots its idle triggers over this many round trips
+SNAP_WINDOW = 32  # a cold part snapshots its idle triggers over this many round trips
 SNAP_STEPS = 4096  # ... and among at most this many triggers
 
 # the chain state a cold part hands to the parent at its end
@@ -301,9 +301,10 @@ def _fold(x: float, table: np.ndarray, keys: np.ndarray) -> float:
     time: `np.cumsum` adds in sequence."""
     buf = np.empty(min(len(keys), FOLD_BLOCK) + 1)
     for lo in range(0, len(keys), FOLD_BLOCK):
-        part = buf[:len(keys[lo:lo + FOLD_BLOCK]) + 1]
+        block = keys[lo:lo + FOLD_BLOCK]
+        part = buf[:len(block) + 1]
         part[0] = x
-        np.take(table, keys[lo:lo + FOLD_BLOCK], out=part[1:], mode="clip")
+        np.take(table, block, out=part[1:], mode="clip")
         x = float(np.cumsum(part, out=part)[-1])
     return x
 
@@ -411,7 +412,7 @@ def _join(kern: _Kernel, c: _Chain, a: int, b: int, f) -> None:
                 and max(c.free_oi, t) == max(oi, t)):
             _read(f, 8 * n)
             _read(f, 8 * (n_resp - n), c.responses)
-            _read(f, n)  # the log holds one byte per message, responses or not
+            _read(f, n)  # every message that entered the chain has left it: n logged too
             _read(f, n_log - n, c.log)
             c.max_backlog = max(c.max_backlog, top)
             for name, value in zip(_CARRIED, end):
@@ -444,7 +445,7 @@ def _run_parts(kern: _Kernel, c: _Chain, n_parts: int) -> None:
                     with os.fdopen(w, "wb") as out:
                         try:
                             _cold_part(kern, bounds[p], bounds[p + 1], out)
-                        except BaseException as e:
+                        except BaseException as e:  # the parent raises it
                             pickle.dump((e, None, 0, 0, None), out)
                 finally:
                     os._exit(0)
