@@ -1373,8 +1373,9 @@ def _one_part(trace, params, law, seed, monkeypatch):
 
 
 def _force_parts(monkeypatch, n_parts):
-    """Cut every trace of at least n_parts triggers into n_parts parts, and
-    return the response counts at which the parent took over a child's run."""
+    """Cut every trace of at least n_parts triggers into n_parts parts. Returns
+    a function that lists the response counts at which the parent took over
+    a child's run, one per part taken over."""
     monkeypatch.setattr(queuesim, "MIN_PART_TRIGGERS", 1)
     monkeypatch.setattr(queuesim, "_cpus", lambda: n_parts)
     reads = []
