@@ -106,6 +106,7 @@ FOLD_BLOCK = 1 << 12  # logged messages folded into the busy sums at a time
 MIN_PART_TRIGGERS = 1 << 13  # the fewest triggers worth a process of their own
 SNAP_WINDOW = 32  # a cold part snapshots its idle triggers over this many round trips
 SNAP_STEPS = 4096  # ... and among at most this many triggers
+PIPE_BLOCK = 1 << 20  # bytes read from a child's pipe at a time
 
 # the chain state a cold part hands to the parent at its end
 _CARRIED = ("free_fe", "free_sl", "free_db", "free_oi", "pool", "departed", "follow",
@@ -352,9 +353,6 @@ def _n_parts(kern: _Kernel) -> int:
     if kern.exp or not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     return max(1, min(_cpus(), kern.n_trig // MIN_PART_TRIGGERS))
-
-
-PIPE_BLOCK = 1 << 20  # bytes read from a child's pipe at a time
 
 
 def _cold_part(kern: _Kernel, a: int, b: int, out) -> None:
