@@ -15,10 +15,15 @@ not grow with the population. UEs are drawn in rounds over the devices whose
 timeline has not yet reached the horizon: a block of sessions each, with one
 vectorised call per law across all of them (`_ue_intervals`). MTCD packets
 come from one MMPP pass (`mmpp.mmpp_stream_chunks`). The two populations
-share nothing until the final sort (`_pack`), so a trace of both builds its
-MTCDs on a worker thread while the calling thread builds its UEs; NumPy
-releases the GIL in its bulk work, and the parts join in the same order as
-when built one after the other, so the trace is the same.
+share nothing: a trace of both builds its MTCDs on a worker thread while the
+calling thread builds its UEs; NumPy releases the GIL in its bulk work, and
+the parts join in the same order as when built one after the other, so the
+trace is the same.
+
+A trace keeps its parts unsorted (`_pack`) until something reads it in time
+order: the first read of a column sorts them, once (`_sort_parts`). Counts
+need no order, so a trace that is only counted, as `rates --simulate`'s
+are, is never sorted.
 
 Devices are warmed up over a lead-in interval before time zero: `settle_s`
 for a UE, one timer length for an MTCD (`_mtcd_lead_in`). Triggers before
@@ -30,6 +35,7 @@ in the horizon.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,41 +54,78 @@ KIND_NAMES = ("UE", "MTCD")
 CHUNK = 1 << 13  # expected UE activity periods (AAPs) in the sessions one round draws
 MAX_DEVICES = 2**31 - 1  # device ids are int32
 CSV_ROWS = 1 << 14  # trace rows formatted per write of `to_csv`
+_SORTING = threading.Lock()  # held while a trace sorts its parts or hands them out
 
 
-@dataclass(frozen=True)
 class TriggerTrace:
     """Column-oriented trigger trace, sorted by time.
 
     UEs are numbered 0..n_u-1 and MTCDs from n_u on; a trigger of no device
     has id -1 and counts as a UE's. Ids are int32, so a trigger takes 13 bytes.
+
+    The constructor takes columns already sorted. A trace that `_pack`
+    builds holds its parts unsorted instead, and sorts them the first time a
+    column is read (`time_s`, `device_id`, `procedure`, `device_kind`),
+    then drops them. `len`, `counts` and `n_messages` need no order and read
+    the parts as they are, so a trace that is only counted is never sorted.
     """
 
-    time_s: np.ndarray
-    device_id: np.ndarray
-    procedure: np.ndarray  # 0 = SR, 1 = SRR, 2 = HR
-    horizon_s: float
-    n_u: int
-    n_d: int
+    __slots__ = ("_columns", "_parts", "horizon_s", "n_u", "n_d")
 
-    def __len__(self) -> int:
-        return len(self.time_s)
+    def __init__(self, time_s: np.ndarray, device_id: np.ndarray, procedure: np.ndarray,
+                 horizon_s: float, n_u: int, n_d: int):
+        self._columns = (time_s, device_id, procedure)  # procedure 0 = SR, 1 = SRR, 2 = HR
+        self._parts = None  # the unsorted (times, devices, procs) parts of a packed trace
+        self.horizon_s, self.n_u, self.n_d = horizon_s, n_u, n_d
+
+    def _sorted(self) -> tuple:
+        with _SORTING:  # so that a read beside the first waits for its sort
+            if self._parts is not None:
+                parts, self._parts = self._parts, None
+                self._columns = _sort_parts(parts)
+        return self._columns
+
+    @property
+    def time_s(self) -> np.ndarray:
+        return self._sorted()[0]
+
+    @property
+    def device_id(self) -> np.ndarray:
+        return self._sorted()[1]
+
+    @property
+    def procedure(self) -> np.ndarray:
+        return self._sorted()[2]
 
     @property
     def device_kind(self) -> np.ndarray:
         """0 = UE, 1 = MTCD, per trigger."""
         return (self.device_id >= self.n_u).astype(np.uint8)
 
+    def _held(self) -> list:
+        """The (times, devices, procs) the trace holds, in no particular order."""
+        with _SORTING:  # not halfway through a sort, which empties the parts
+            return [self._columns] if self._parts is None else list(self._parts)
+
+    def __len__(self) -> int:
+        return sum(len(t) for t, _, _ in self._held())
+
+    def _tally(self) -> np.ndarray:
+        """Trigger counts by device kind * 3 + procedure: one bincount per part, summed."""
+        return sum((np.bincount((d >= self.n_u).astype(np.uint8) * 3 + p, minlength=6)
+                    for _, d, p in self._held()), np.zeros(6, dtype=np.int64))
+
     def counts(self) -> dict:
         """Per (device kind, procedure) trigger counts."""
-        c = np.bincount(self.device_kind * 3 + self.procedure, minlength=6)
+        c = self._tally()
         return {f"{kname}_{pname}": int(c[3 * kind + proc])
                 for kind, kname in enumerate(KIND_NAMES)
                 for proc, pname in enumerate(PROC_NAMES)}
 
     @property
     def n_messages(self) -> int:
-        return int(np.array(MSGS_PER_PROC)[self.procedure].sum())
+        c = self._tally()
+        return int(np.dot(c[:3] + c[3:], MSGS_PER_PROC))
 
     def to_csv(self, path) -> None:
         """Write the trace as CSV: time to 9 decimals, device id, kind and procedure.
@@ -374,7 +417,7 @@ def generate_triggers(
             mtcds = pool.submit(list, mtcd_parts())
             parts.extend(ue_parts())
         parts += mtcds.result()
-        del mtcds  # so that `_pack` frees each column's parts once joined
+        del mtcds  # so that the trace's sort frees each column's parts once joined
     elif n_u:
         parts.extend(ue_parts())
     elif n_d:
@@ -383,7 +426,17 @@ def generate_triggers(
 
 
 def _pack(parts: list, horizon_s: float, n_u: int, n_d: int) -> TriggerTrace:
-    """The trace of (times, devices, procs) parts, stably sorted by time, then device.
+    """The trace of (times, devices, procs) parts, sorted on its first column read.
+
+    The trace takes `parts` over; `_sort_parts` empties it.
+    """
+    trace = TriggerTrace(None, None, None, horizon_s, n_u, n_d)
+    trace._parts = parts
+    return trace
+
+
+def _sort_parts(parts: list) -> tuple:
+    """(times, devices, procs) of the parts, stably sorted by time, then device.
 
     The order is `np.lexsort((device, time))`'s: an unstable sort on time,
     then each run of equal times put in order of device, then of position
@@ -400,8 +453,7 @@ def _pack(parts: list, horizon_s: float, n_u: int, n_d: int) -> TriggerTrace:
     time_s = time_s[order]
     dev_id = dev_id[order]
     _repair_ties(order, time_s, dev_id)
-    proc = np.concatenate(all_p)[order]
-    return TriggerTrace(time_s, dev_id, proc, horizon_s, n_u, n_d)
+    return time_s, dev_id, np.concatenate(all_p)[order]
 
 
 def _repair_ties(order: np.ndarray, time_s: np.ndarray, dev_id: np.ndarray) -> None:
@@ -424,7 +476,10 @@ def _repair_ties(order: np.ndarray, time_s: np.ndarray, dev_id: np.ndarray) -> N
     order[i], order[i + 1] = np.where(swap, b, a), np.where(swap, a, b)
     dev_id[i], dev_id[i + 1] = np.minimum(da, db), np.maximum(da, db)
     long_run = tie[~pair]
-    at = np.union1d(long_run, long_run + 1)  # every member of a run of three or more
+    # every member of a run of three or more, once each; not np.union1d, whose
+    # np.unique imports numpy.ma (about 1 MB and 14 ms) on a process's first sort
+    at = np.sort(np.concatenate((long_run, long_run + 1)))
+    at = at[np.diff(at, prepend=-1) != 0]
     sub, dev = order[at], dev_id[at]
     k = np.lexsort((sub, dev, time_s[at]))
     order[at], dev_id[at] = sub[k], dev[k]
@@ -444,11 +499,13 @@ def poisson_triggers(
     """
     if not 0 < horizon_s < math.inf:
         raise ParameterError(f"horizon must be finite and > 0, got {horizon_s}")
+    rates = {"lam_sr": lam_sr, "lam_srr": lam_srr, "lam_hr": lam_hr}
+    for name, lam in rates.items():
+        if not 0 <= lam < math.inf:
+            raise ParameterError(f"{name} must be finite and >= 0, got {lam}")
     rng = np.random.default_rng(seed)
     parts = []
-    for lam, code in ((lam_sr, PROC_SR), (lam_srr, PROC_SRR), (lam_hr, PROC_HR)):
-        if lam < 0:
-            raise ParameterError("rates must be >= 0")
+    for lam, code in zip(rates.values(), (PROC_SR, PROC_SRR, PROC_HR)):
         n = rng.poisson(lam * horizon_s)
         parts.append((rng.uniform(0.0, horizon_s, n), np.full(n, -1, dtype=np.int32),
                       np.full(n, code, dtype=np.uint8)))

@@ -12,10 +12,12 @@ import pytest
 import yaml
 
 import vmmecap
+from vmmecap import cli
 from vmmecap.cli import _parse_grid, main
 from vmmecap.config import config_digest, deep_merge, load_config
 from vmmecap.defaults import paper_defaults
 from vmmecap.errors import ConfigError
+from vmmecap.simcore import triggers
 from vmmecap.workload import aggregate_rates
 
 
@@ -201,6 +203,23 @@ class TestCli:
         _, text = run_cli(["simulate", "--users", "20", "--duration-s", "200"], tmp_path)
         assert [r[0] for r in csv.reader(text.splitlines()) if r[0].startswith("#")][-3:] \
             == [f"# {k}" for k in WALLS]
+
+    def test_simulate_queues_a_sorted_trace(self, tmp_path, monkeypatch):
+        # the trace sorts on its first column read, in `simulate`'s generate
+        # phase, so the queue phase times the kernel alone; `rates --simulate`
+        # only counts triggers and never sorts
+        events = []
+        sort, queue = triggers._sort_parts, cli.run_queue_sim
+        monkeypatch.setattr(triggers, "_sort_parts",
+                            lambda parts: events.append("sort") or sort(parts))
+        monkeypatch.setattr(cli, "run_queue_sim",
+                            lambda *args, **kw: events.append("queue") or queue(*args, **kw))
+        assert run_cli(["simulate", "--users", "20", "--duration-s", "200"], tmp_path)[0] == 0
+        assert events == ["sort", "queue"]
+        events.clear()
+        assert run_cli(["rates", "--simulate", "--users", "20", "--ti", "10,30",
+                        "--duration-s", "200"], tmp_path)[0] == 0
+        assert events == []
 
     def test_rates_simulate_phase_walls(self, tmp_path):
         # `simulate`'s phases but the queue, each summed over the T_I grid
@@ -498,6 +517,19 @@ class TestCli:
         )])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_sorting_a_trace_imports_no_numpy_ma(self):
+        # numpy.ma, which np.unique imports on first use, costs about 14 ms
+        # and 1 MB of long-lived objects; the trace sort needs none of it
+        proc = _run_child(["-c", (
+            "import os, sys, vmmecap.cli\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "assert vmmecap.cli.main(['simulate', '--users', '20', '--ti', '0',\n"
+            "                         '--out', os.devnull]) == 0\n"
+            "print(before or 'numpy.ma' not in sys.modules)"
+        )])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
 
     def test_no_config_file_no_yaml(self):
         # the YAML parser costs about 26 ms and 0.9 MB of a run's start, and

@@ -7,8 +7,10 @@ import heapq
 import math
 import multiprocessing
 import os
+import sys
 import threading
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -145,6 +147,18 @@ class TestTraceInvariants:
         with pytest.raises(ParameterError, match="horizon"):
             poisson_triggers(1.0, 1.0, 1.0, horizon, 1)
 
+    @pytest.mark.parametrize("rate", ["lam_sr", "lam_srr", "lam_hr"])
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_poisson_rates_must_be_finite_and_non_negative(self, monkeypatch, rate, value):
+        # rejected before any draw, under the package's error naming the rate
+        def no_draws(*args):
+            raise AssertionError("drawing started")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        rates = {"lam_sr": 1.0, "lam_srr": 1.0, "lam_hr": 1.0, rate: value}
+        with pytest.raises(ParameterError, match=f"^{rate} "):
+            poisson_triggers(**rates, horizon_s=10.0, seed=1)
+
     @pytest.mark.parametrize("settle", [-1.0, math.nan, math.inf])
     def test_settle_must_be_finite_and_non_negative(self, cfg, monkeypatch, settle):
         # rejected before any draw: an infinite lead-in would never finish
@@ -181,7 +195,8 @@ class TestTraceInvariants:
         # trace of both kinds with a trigger of no device (id -1)
         dev = small_trace.device_id.copy()
         dev[1] = -1
-        trace = replace(small_trace, device_id=dev)
+        trace = TriggerTrace(small_trace.time_s, dev, small_trace.procedure,
+                             small_trace.horizon_s, small_trace.n_u, small_trace.n_d)
         assert {KIND_UE, KIND_MTCD} <= set(trace.device_kind.tolist())
         monkeypatch.setattr(triggers, "CSV_ROWS", 1000)  # several blocks and a short last one
         assert len(trace) % 1000
@@ -261,6 +276,116 @@ class TestPack:
         seen = self.packed_parts(monkeypatch)
         trace = poisson_triggers(50.0, 40.0, 10.0, 200.0, 6)
         _assert_same((trace.time_s, trace.device_id, trace.procedure), _lexsorted(seen[0]))
+
+
+def _refuse_to_sort(parts):
+    raise AssertionError("the trace was sorted")
+
+
+class TestDeferredSort:
+    """A packed trace sorts on its first column read, once; counting never sorts."""
+
+    def make(self, cfg, shape):
+        if shape == "generated":  # `small_trace`'s, built afresh: the fixture is read sorted
+            return generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 200, 200, 10.0,
+                                     10000.0, 123, speed_dist=cfg.speed_dist)
+        if shape == "poisson":  # ids -1
+            return poisson_triggers(50.0, 40.0, 10.0, 20.0, 3)
+        return generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 0, 0, 10.0, 100.0, 1,
+                                 speed_dist=cfg.speed_dist)
+
+    @pytest.mark.parametrize("shape", ["generated", "poisson", "empty"])
+    def test_counting_never_sorts(self, cfg, monkeypatch, shape):
+        done = self.make(cfg, shape)
+        done.time_s
+        monkeypatch.setattr(triggers, "_sort_parts", _refuse_to_sort)
+        trace = self.make(cfg, shape)
+        assert len(trace) == len(done)
+        assert trace.counts() == done.counts()
+        assert trace.n_messages == done.n_messages
+        assert measured_rates(trace, trace.n_u, trace.n_d, trace.horizon_s) == \
+            measured_rates(done, done.n_u, done.n_d, done.horizon_s)
+        assert (len(trace) > 0) == (shape != "empty")
+        with pytest.raises(AssertionError, match="sorted"):
+            trace.time_s
+
+    def test_columns_sort_once(self, cfg, monkeypatch):
+        sorts = []
+        sort = triggers._sort_parts
+        monkeypatch.setattr(triggers, "_sort_parts", lambda parts: sorts.append(1) or sort(parts))
+        trace = self.make(cfg, "generated")
+        n, c = len(trace), trace.counts()
+        assert sorts == []
+        t, d, p, k = trace.time_s, trace.device_id, trace.procedure, trace.device_kind
+        assert len(sorts) == 1
+        assert trace.time_s is t and trace.device_id is d and trace.procedure is p
+        assert np.all(np.diff(t) >= 0) and np.array_equal(k, d >= trace.n_u)
+        assert (len(trace), trace.counts()) == (n, c)
+        assert len(sorts) == 1
+
+    def test_first_reads_in_threads_sort_once(self, monkeypatch):
+        # a read beside the first waits for its sort and sees its columns; a
+        # count beside it sees every trigger
+        sorts = []
+        sort = triggers._sort_parts
+        monkeypatch.setattr(triggers, "_sort_parts", lambda parts: sorts.append(1) or sort(parts))
+        trace = poisson_triggers(5000.0, 4000.0, 1000.0, 20.0, 3)  # 200k triggers
+        want = trace.counts()
+        n = 2 * (os.cpu_count() or 1) + 2
+        start, seen, counted = threading.Barrier(2 * n), [], []
+
+        def read():
+            start.wait(timeout=30)
+            seen.append(trace.time_s)
+
+        def count():
+            start.wait(timeout=30)
+            counted.append(trace.counts())
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=f) for _ in range(n) for f in (read, count)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert len(sorts) == 1 and len(seen) == n
+        assert all(t is seen[0] for t in seen) and len(seen[0]) == len(trace)
+        assert counted == [want] * n
+
+    def test_sort_drops_the_parts(self):
+        rng = np.random.default_rng(2)
+        t = rng.uniform(0.0, 10.0, 1000)
+        held = weakref.ref(t)
+        trace = triggers._pack([(t, rng.integers(0, 9, t.size).astype(np.int32),
+                                 np.zeros(t.size, dtype=np.uint8))], 10.0, 9, 0)
+        del t
+        assert held() is not None
+        trace.time_s
+        assert held() is None
+
+    @pytest.mark.parametrize("t_i, n_d, horizon, bound", [(10.0, 1000, 200.0, 29),
+                                                          (0.0, 200, 2000.0, 50)])
+    def test_sort_memory_per_trigger(self, cfg, t_i, n_d, horizon, bound):
+        # The sort's traced peak: the joined times and ids, the order, and a
+        # sorted copy of the times; at T_I = 0, half the triggers are SR/SRR
+        # pairs at one time, and their repair adds its index arrays. The
+        # bounds were set against the packer that sorted on the spot, read
+        # the same way on the same traces: 28.2 B per trigger at T_I = 10 s
+        # (4.5k triggers) and 49.0 B at T_I = 0 (17.7k).
+        trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 20, n_d, t_i, horizon, 5,
+                                  speed_dist=cfg.speed_dist)
+        tracemalloc.start()
+        try:
+            trace.time_s
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(trace) <= bound
 
 
 def _axis_crossings(x0, v, size, t_a, t_b):
@@ -1296,15 +1421,17 @@ class TestQueueSim:
     @pytest.mark.parametrize("law", ["deterministic", "exponential"])
     @pytest.mark.parametrize("m", [1, 3])
     def test_memory_per_message(self, cfg, m, law):
-        # The kernel's traced peak is the trace's times as a float list, the
-        # first message types, and one double per response: about 22 B per
-        # message. With the responses in a list of float objects it was 54.
-        # 1000 MTCDs over 200 s at T_I = 10 s send about 13k messages; the
-        # bound of 24 B was set against 22.0-22.2 B read at this size, and
-        # 21.7 B at 2000 MTCDs over 2000 s (about 295k messages), a size
-        # tracemalloc makes too slow to test (14-49 s per run).
+        # The kernel reads the trace a chunk at a time: its traced peak is the
+        # responses (a double per message), the type log, one chunk of the
+        # trace as lists and the busy-sum fold's buffer. 1000 MTCDs over
+        # 200 s at T_I = 10 s send about 13k messages over three chunks, and
+        # read 15.3-16.3 B per message at m = 1 and 3 under both laws. The
+        # bound of 24 B dates from before chunked reading, when the whole
+        # trace's times were one float list (22 B per message); the test
+        # below holds m = 1 to 18 B.
         trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 0, 1000, 10.0, 200.0, 5,
                                   speed_dist=cfg.speed_dist)
+        trace.time_s  # the trace sorts on this first read, outside the kernel's window
         params = replace(cfg.queue, m=m)
         tracemalloc.start()
         try:
@@ -1418,6 +1545,7 @@ class TestQueueSimChunks:
         trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 0, 1000, 10.0, 200.0, 5,
                                   speed_dist=cfg.speed_dist)
         assert len(trace) > 2 * queuesim.CHUNK
+        trace.time_s  # the trace sorts on this first read, outside the kernel's window
         tracemalloc.start()
         try:
             st = run_queue_sim(trace, replace(cfg.queue, m=1), law, seed=1)
