@@ -49,9 +49,13 @@ exponential. The unit draws come in blocks of DRAW_BLOCK from
 `rng.standard_exponential`, used in the order the scalar calls
 `rng.exponential(mean)` would make them, which NumPy computes as the mean
 times one such draw: the same numbers at a fraction of the cost per draw.
-The loop adds each service time to its stage's busy sum. Under the
-deterministic law it logs each message's type instead, one byte in FE
-order, and the sums are folded from the log afterwards in the same order.
+The loop adds each of these service times to its stage's busy sum. Under
+the deterministic law it adds nothing: a stage's busy time is the sum over
+message types of the type's message count times its service time (the
+utilization law; Denning & Buzen 1978, "The operational analysis of
+queueing network models"), exact and rounded once. Every trigger sends
+one message of each type of its procedure, so the counts are the trace's
+procedure counts.
 
 The loop is resumable: it takes a `_Chain`, the state of every server and
 message, and leaves it where it stopped. It takes a chunk of CHUNK triggers
@@ -95,14 +99,13 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..queueing import QueueParams, stages
-from .triggers import TriggerTrace
+from .triggers import PROC_HR, PROC_SR, TriggerTrace, check_seed
 from .stats import batch_means
 
 WARMUP_FRACTION = 0.10  # leading share of responses dropped before batch means
 MIN_BATCHES = 20
 DRAW_BLOCK = 256  # unit exponentials drawn at once; a block costs about 8 KB as floats
 CHUNK = 1 << 11  # triggers turned into Python lists at a time
-FOLD_BLOCK = 1 << 12  # logged messages folded into the busy sums at a time
 MIN_PART_TRIGGERS = 1 << 13  # the fewest triggers worth a process of their own
 SNAP_WINDOW = 32  # a cold part snapshots its idle triggers over this many round trips
 SNAP_STEPS = 4096  # ... and among at most this many triggers
@@ -118,7 +121,7 @@ class SimStats:
     mean_response_s: float
     ci_halfwidth_s: float
     n_messages: int
-    utilization: dict  # stage -> busy fraction over the measured span
+    utilization: dict  # stage -> busy time (`_Kernel.busy_sums`) / servers / measured span
     empirical_lam_msgs: float  # messages per second of the trace's horizon
     max_backlog: int
     valid: bool  # False when the trace was too small for batch statistics
@@ -127,7 +130,7 @@ class SimStats:
 class _Chain:
     """Where every server and message of the chain stands between two loop calls."""
 
-    __slots__ = _CARRIED + ("max_backlog", "busy", "units", "u", "responses", "log")
+    __slots__ = _CARRIED + ("max_backlog", "busy", "units", "u", "responses")
 
     def __init__(self, m: int, n_trig: int):
         self.free_fe = self.free_sl = self.free_db = self.free_oi = -math.inf
@@ -145,7 +148,6 @@ class _Chain:
         self.busy = (0.0, 0.0, 0.0, 0.0)  # exponential law only
         self.units, self.u = [], 0  # a block of unit exponentials, used from units[u] on
         self.responses = array("d")
-        self.log = array("B")  # deterministic law: each message's type, in FE order
 
 
 class _Kernel:
@@ -156,14 +158,19 @@ class _Kernel:
         st = params.sl_times
         chain = stages(params, st.t_sr1)  # in the loop's order; its SL rate goes unused
         # message types: per (procedure, message), the mean service time at each
-        # of the four stages and the next message's type (-1 after the last)
-        svcs, nexts, first = [], [], []
-        for sl in st.per_procedure:  # by procedure code
+        # of the four stages, the next message's type (-1 after the last) and
+        # the number of messages, one per trigger of the procedure. Counted
+        # before the run, so that `bincount`'s 8-byte copy of the codes is gone
+        # before the responses grow.
+        per_proc = np.bincount(trace.procedure, minlength=3).tolist()
+        svcs, nexts, first, msgs = [], [], [], []
+        for n, sl in zip(per_proc, st.per_procedure):  # by procedure code
             first.append(len(svcs))
             for k, t_sl in enumerate(sl):
                 svcs.append(tuple(t_sl if s.key == "sl" else 1.0 / s.mu for s in chain))
                 nexts.append(len(svcs) if k + 1 < len(sl) else -1)
-        self.stages, self.svcs, self.nexts = chain, svcs, nexts
+                msgs.append(n)
+        self.stages, self.svcs, self.nexts, self.msgs = chain, svcs, nexts, msgs
         self.first_of = np.array(first)
         self.m, self.t_im, self.prop_delay = params.m, params.t_im, params.prop_delay
         self.exp = service_law == "exponential"
@@ -195,7 +202,7 @@ class _Kernel:
         busy_fe, busy_sl, busy_db, busy_oi = c.busy
         units, u = c.units, c.u
         n_units = len(units)
-        respond, log = c.responses.append, c.log.append
+        respond = c.responses.append
         inf = math.inf  # a local: the loop reads it for every message
         t_fol = follow[0][0] if follow else inf  # the head's FE arrival
         k = 0
@@ -241,8 +248,6 @@ class _Kernel:
                         u += 2
                         busy_fe += s_fe
                         busy_sl += s_sl
-                    else:
-                        log(typ)
                     t = (free_fe if free_fe > t else t) + s_fe
                     free_fe = t
                     if pooled:  # a pool may reorder messages: back to the event sources
@@ -282,61 +287,21 @@ class _Kernel:
         c.units, c.u = units, u
 
     def busy_sums(self, c: _Chain) -> tuple:
-        """The four stages' busy sums, each added one message at a time as the loop would.
-
-        Under the deterministic law they come from the type log, which is in
-        FE order, the order of the FE and SL additions. The FE, SDB and OI
-        take the same time for every type, so their sums are that time added
-        once per message, in any order.
-        """
+        """The four stages' busy sums. The exponential law's are the loop's; under
+        the deterministic law each is the sum over message types of the type's
+        message count times its service time, rounded once."""
         if self.exp:
             return c.busy
-        n = len(c.log)
-        fe, _, db, oi = self.svcs[0]
-        sl = _fold(0.0, np.array([s[1] for s in self.svcs]), np.frombuffer(c.log, np.uint8))
-        return _add_copies(0.0, fe, n), sl, _add_copies(0.0, db, n), _add_copies(0.0, oi, n)
+        return tuple(_exact_sum(self.msgs, col) for col in zip(*self.svcs))
 
 
-def _fold(x: float, table: np.ndarray, keys: np.ndarray) -> float:
-    """x + table[keys[0]] + table[keys[1]] + ..., added left to right a block at a
-    time: `np.cumsum` adds in sequence."""
-    buf = np.empty(min(len(keys), FOLD_BLOCK) + 1)
-    for lo in range(0, len(keys), FOLD_BLOCK):
-        block = keys[lo:lo + FOLD_BLOCK]
-        part = buf[:len(block) + 1]
-        part[0] = x
-        np.take(table, block, out=part[1:], mode="clip")
-        x = float(np.cumsum(part, out=part)[-1])
-    return x
-
-
-def _add_copies(x: float, c: float, n: int) -> float:
-    """x + c + c + ... + c: n additions of c >= 0 from the left, each one rounded.
-
-    Between two powers of two the doubles are u apart, so each addition that
-    stays below the next power rounds c to the same multiple d of u, and the
-    steps up to that power are taken at once, exactly, as k d. The step that
-    crosses it is taken as it is. Where c is an odd multiple of u/2 each
-    addition is a tie, which rounds to even, so d alternates; those
-    additions go through `_fold`.
-    """
-    while n:
-        y = x + c
-        n -= 1
-        if y == x:  # c no longer moves the sum
-            return x
-        if x > 0.0 and math.frexp(x)[1] == math.frexp(y)[1]:
-            u, top = math.ulp(x), math.ldexp(1.0, math.frexp(y)[1])
-            if (c / u) % 1.0 == 0.5:
-                k = min(n, FOLD_BLOCK, int((top - y) / c) + 1)
-                y = _fold(y, np.array([c]), np.zeros(k, np.uint8))
-            else:
-                d = y - x
-                k = min(n, (int((top - y) / u) - 1) // int(d / u))
-                y += k * d
-            n -= k
-        x = y
-    return x
+def _exact_sum(counts: list, values: tuple) -> float:
+    """counts[0] * values[0] + counts[1] * values[1] + ..., exact, then rounded
+    once: integer arithmetic over each double's exact ratio, and Python's
+    int / int is correctly rounded."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return sum(n * a * (den // d) for n, (a, d) in zip(counts, ratios)) / den
 
 
 def _cpus() -> int:
@@ -358,9 +323,9 @@ def _n_parts(kern: _Kernel) -> int:
 def _cold_part(kern: _Kernel, a: int, b: int, out) -> None:
     """Run part [a, b) from an empty chain and write it to the binary file `out`.
 
-    Written: a pickle of (None, snapshots, response count, log length, end
-    state), each snapshot (trigger, response count, FIFO, OI free time,
-    largest backlog from there on); then the responses, then the type log.
+    Written: a pickle of (None, snapshots, response count, end state), each
+    snapshot (trigger, response count, FIFO, OI free time, largest backlog
+    from there on); then the responses.
     """
     c = _Chain(kern.m, kern.n_trig)
     hi = min(a + SNAP_STEPS, b)
@@ -379,10 +344,9 @@ def _cold_part(kern: _Kernel, a: int, b: int, out) -> None:
     kern.run(c, a + j, b)
     after = list(accumulate(reversed(seg_max[1:] + [c.max_backlog]), max))[::-1]
     snaps = [s + (x,) for s, x in zip(snaps, after)]
-    pickle.dump((None, snaps, len(c.responses), len(c.log),
+    pickle.dump((None, snaps, len(c.responses),
                  tuple(getattr(c, name) for name in _CARRIED)), out)
     out.write(c.responses)
-    out.write(c.log)
 
 
 def _read(f, n: int, into: array | None = None) -> None:
@@ -399,7 +363,7 @@ def _read(f, n: int, into: array | None = None) -> None:
 def _join(kern: _Kernel, c: _Chain, a: int, b: int, f) -> None:
     """Carry the true chain `c` through part [a, b) until it agrees with the
     cold run that `f` reads at one of its snapshots, then take the cold run's rest."""
-    err, snaps, n_resp, n_log, end = pickle.load(f)
+    err, snaps, n_resp, end = pickle.load(f)
     if err is not None:
         raise err
     for j, n, fifo, oi, top in snaps:
@@ -410,8 +374,6 @@ def _join(kern: _Kernel, c: _Chain, a: int, b: int, f) -> None:
                 and max(c.free_oi, t) == max(oi, t)):
             _read(f, 8 * n)
             _read(f, 8 * (n_resp - n), c.responses)
-            _read(f, n)  # every message that entered the chain has left it: n logged too
-            _read(f, n_log - n, c.log)
             c.max_backlog = max(c.max_backlog, top)
             for name, value in zip(_CARRIED, end):
                 setattr(c, name, value)
@@ -444,7 +406,7 @@ def _run_parts(kern: _Kernel, c: _Chain, n_parts: int) -> None:
                         try:
                             _cold_part(kern, bounds[p], bounds[p + 1], out)
                         except BaseException as e:  # the parent raises it
-                            pickle.dump((e, None, 0, 0, None), out)
+                            pickle.dump((e, None, 0, None), out)
                 finally:
                     os._exit(0)
             os.close(w)
@@ -474,6 +436,13 @@ def run_queue_sim(
                              f"got {service_law!r}")
     if not np.all(np.isfinite(trace.time_s)) or np.any(np.diff(trace.time_s) < 0):
         raise ParameterError("trigger times must be finite and sorted")
+    codes = trace.procedure
+    if codes.dtype.kind not in "iu":
+        raise ParameterError(f"procedure codes must be integers, got {codes.dtype}")
+    for code in (codes.min(initial=PROC_SR), codes.max(initial=PROC_SR)):
+        if not PROC_SR <= code <= PROC_HR:
+            raise ParameterError(f"procedure code {code} is none of 0 (SR), 1 (SRR), 2 (HR)")
+    check_seed(seed)
     kern = _Kernel(trace, params, service_law, seed)
     c = _Chain(params.m, kern.n_trig)
     n_parts = _n_parts(kern)

@@ -144,6 +144,12 @@ class TriggerTrace:
                     ends[kind_proc].tolist())]))
 
 
+def check_seed(seed) -> None:
+    """Raise ParameterError unless `seed` is an integer >= 0, as NumPy's seeding needs."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def population_rng(seed: int, kind: int) -> np.random.Generator:
     """The one random stream all devices of `kind` in a trace draw from.
 
@@ -387,6 +393,7 @@ def generate_triggers(
     if n_u + n_d > MAX_DEVICES:
         raise ParameterError(f"at most {MAX_DEVICES} devices fit int32 ids, "
                              f"got {n_u} UEs + {n_d} MTCDs")
+    check_seed(seed)
 
     def ue_parts():
         plan = _UePlan.build(mix, geom, speed_dist)
@@ -503,6 +510,7 @@ def poisson_triggers(
     for name, lam in rates.items():
         if not 0 <= lam < math.inf:
             raise ParameterError(f"{name} must be finite and >= 0, got {lam}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     parts = []
     for lam, code in zip(rates.values(), (PROC_SR, PROC_SRR, PROC_HR)):

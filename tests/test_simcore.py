@@ -170,6 +170,27 @@ class TestTraceInvariants:
             generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 1, 1, 10.0, 100.0, 1,
                               speed_dist=cfg.speed_dist, settle_s=settle)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
+    @pytest.mark.parametrize("call", ["generate", "poisson", "queue"])
+    def test_seed_must_be_a_non_negative_integer(self, cfg, monkeypatch, call, seed):
+        # rejected before any draw, under the package's error naming the seed;
+        # also by the deterministic law's queue, which draws nothing
+        trace = TriggerTrace(np.array([0.0]), np.zeros(1, dtype=np.int32),
+                             np.zeros(1, dtype=np.uint8), 1.0, 1, 0)
+
+        def no_draws(*args):
+            raise AssertionError("drawing started")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ParameterError, match="^seed "):
+            if call == "generate":
+                generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 1, 1, 10.0, 100.0, seed,
+                                  speed_dist=cfg.speed_dist)
+            elif call == "poisson":
+                poisson_triggers(1.0, 1.0, 1.0, 10.0, seed)
+            else:
+                run_queue_sim(trace, cfg.queue, "deterministic", seed)
+
     def test_no_lead_in(self, cfg):
         trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 20, 20, 10.0, 2000.0, 1,
                                   speed_dist=cfg.speed_dist, settle_s=0.0)
@@ -1184,7 +1205,9 @@ def _reference_queue_sim(trace, params, service_law, seed):
 
     Each event is (time, seq, next stage, proc, msg_idx, fe_arrival); every
     stage is a heap of server-free times. `run_queue_sim` must give the same
-    `SimStats` field for field.
+    `SimStats` field for field. A stage's busy sum adds its service times in
+    event order under the exponential law; under the deterministic law it is
+    their exact sum, rounded once (`math.fsum`).
     """
     st = params.sl_times
     t_fe, t_db, t_oi = 1.0 / params.mu_fe, 1.0 / params.mu_sdb, 1.0 / params.mu_oi
@@ -1202,6 +1225,7 @@ def _reference_queue_sim(trace, params, service_law, seed):
     seq = len(events)
     free = [[-np.inf], [-np.inf] * m, [-np.inf], [-np.inf]]
     busy = [0.0] * 4
+    served = [[], [], [], []]  # every service time, by stage
     responses = []
     t_first, t_last = np.inf, -np.inf
     in_chain = []
@@ -1225,6 +1249,7 @@ def _reference_queue_sim(trace, params, service_law, seed):
             t = max(t, free[i][0]) + s
             heapq.heapreplace(free[i], t)
             busy[i] += s
+            served[i].append(s)
             if len(free[i]) > 1:
                 heapq.heappush(events, (t, sq, i + 1, proc, msg_idx, fe_arr))
                 break
@@ -1236,6 +1261,8 @@ def _reference_queue_sim(trace, params, service_law, seed):
                 seq += 1
 
     span = max(t_last - t_first, 0.0)
+    if not exp:
+        busy = [math.fsum(x) for x in served]
     util = {s: (b / span if span > 0 else 0.0) for s, b in zip(("fe", "sl", "db", "oi"), busy)}
     util["sl"] = util["sl"] / m
     resp = np.asarray(responses)
@@ -1393,7 +1420,10 @@ class TestQueueSim:
         # at df = 19 it is 1 ulp higher, and each half-width scaled with it.
         # The two message rates were recorded again when the rate moved from
         # the span of the run (first FE arrival to last OI departure) to the
-        # trace's horizon.
+        # trace's horizon. The two utilization dicts were recorded again when
+        # the busy sums moved from one addition per message to the exact sum
+        # of count times service time per message type, rounded once; they
+        # moved by less than 1e-12 relative.
         small = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 50, 50, 10.0,
                                   3000.0, 7, speed_dist=cfg.speed_dist)
         st = run_queue_sim(small, replace(cfg.queue, m=1), "deterministic", seed=3)
@@ -1401,8 +1431,8 @@ class TestQueueSim:
             0.00011777007894697403, 6.905929058848727e-08)
         assert (st.n_messages, len(small), st.max_backlog) == (12241, 4154, 1)
         assert st.utilization == {
-            "fe": 3.400482608343574e-05, "sl": 0.0004049621265243557,
-            "db": 4.080579130012149e-05, "oi": 8.161158260024604e-07}
+            "fe": 3.4004826083438676e-05, "sl": 0.00040496212652429313,
+            "db": 4.080579130012641e-05, "oi": 8.161158260025281e-07}
         assert st.empirical_lam_msgs == 4.080333333333333  # 12241 messages / 3000 s
         assert st.valid
 
@@ -1413,8 +1443,8 @@ class TestQueueSim:
             0.00015801191006490766, 7.99625192858154e-06)
         assert (st.n_messages, len(pool), st.max_backlog) == (12098, 4275, 16)
         assert st.utilization == {
-            "fe": 0.19011940698560942, "sl": 0.7517182432097299,
-            "db": 0.2281432883827241, "oi": 0.004562865767654604}
+            "fe": 0.19011940698562574, "sl": 0.7517182432096107,
+            "db": 0.2281432883827509, "oi": 0.004562865767655018}
         assert st.empirical_lam_msgs == 24196.0  # 12098 messages / 0.5 s
         assert st.valid
 
@@ -1422,10 +1452,10 @@ class TestQueueSim:
     @pytest.mark.parametrize("m", [1, 3])
     def test_memory_per_message(self, cfg, m, law):
         # The kernel reads the trace a chunk at a time: its traced peak is the
-        # responses (a double per message), the type log, one chunk of the
-        # trace as lists and the busy-sum fold's buffer. 1000 MTCDs over
-        # 200 s at T_I = 10 s send about 13k messages over three chunks, and
-        # read 15.3-16.3 B per message at m = 1 and 3 under both laws. The
+        # responses (a double per message) and one chunk of the trace as
+        # lists. 1000 MTCDs over 200 s at T_I = 10 s send about 13k messages
+        # over three chunks, and read 14.3-14.5 B per message at m = 1 and 3
+        # under the deterministic law, 16.3 B under the exponential law. The
         # bound of 24 B dates from before chunked reading, when the whole
         # trace's times were one float list (22 B per message); the test
         # below holds m = 1 to 18 B.
@@ -1486,6 +1516,22 @@ class TestQueueSim:
         with pytest.raises(ParameterError):
             run_queue_sim(trace, cfg.queue)
 
+    @pytest.mark.parametrize("procs, named", [
+        (np.array([0, 3], dtype=np.uint8), "code 3 "),
+        (np.array([2, -1], dtype=np.int64), "code -1 "),  # not read as an HR
+        (np.array([0.0, 1.0]), "float64"),
+    ])
+    def test_procedure_codes_outside_the_three(self, cfg, monkeypatch, procs, named):
+        # rejected before any work, under the package's error naming the code
+        def no_work(*args):
+            raise AssertionError("the kernel started")
+
+        monkeypatch.setattr(queuesim, "_Kernel", no_work)
+        trace = TriggerTrace(np.array([1.0, 2.0]), np.zeros(2, dtype=np.int64), procs,
+                             10.0, 1, 0)
+        with pytest.raises(ParameterError, match=named):
+            run_queue_sim(trace, cfg.queue)
+
 
 def _assert_same_stats(got, want):
     for f in fields(SimStats):
@@ -1512,10 +1558,10 @@ def _force_parts(monkeypatch, n_parts):
         reads.append(n)
         return read(f, n, into)
 
-    # a take-over reads four stretches of the pipe, the first the responses
+    # a take-over reads two stretches of the pipe, the first the responses
     # before the snapshot: 8 bytes each
     monkeypatch.setattr(queuesim, "_read", spy)
-    return lambda: [n // 8 for n in reads[0::4]]
+    return lambda: [n // 8 for n in reads[0::2]]
 
 
 def _no_children():
@@ -1540,8 +1586,9 @@ class TestQueueSimChunks:
     @pytest.mark.parametrize("law", ["deterministic", "exponential"])
     def test_memory_over_several_chunks(self, cfg, law):
         # Only a chunk of the trace is held as lists: the traced peak is the
-        # responses, the type log, one chunk and the busy-sum fold's buffer,
-        # 14.9-16.3 B per message at this size (22 B before chunks).
+        # responses and one chunk, 14.5 B per message at this size under the
+        # deterministic law and 16.3 B under the exponential law (22 B before
+        # chunks).
         trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 0, 1000, 10.0, 200.0, 5,
                                   speed_dist=cfg.speed_dist)
         assert len(trace) > 2 * queuesim.CHUNK
@@ -1712,37 +1759,6 @@ class TestTimePartitions:
         assert parts() == 2  # the machine's count where affinity is unknown
         monkeypatch.delattr(os, "fork", raising=False)
         assert parts() == 1
-
-
-class TestBusySums:
-    @staticmethod
-    def _added(x, values):
-        for v in values:
-            x += v
-        return x
-
-    def test_fold_adds_in_order(self, monkeypatch):
-        monkeypatch.setattr(queuesim, "FOLD_BLOCK", 100)
-        rng = np.random.default_rng(4)
-        table = rng.random(8) * 1e-4
-        keys = rng.integers(0, 8, 1234).astype(np.uint8)
-        for x in (0.0, 0.37):
-            assert queuesim._fold(x, table, keys) == self._added(x, table[keys].tolist())
-        assert queuesim._fold(0.5, table, keys[:0]) == 0.5
-
-    def test_add_copies(self):
-        rng = np.random.default_rng(5)
-        cases = [(0.0, 1 / 47000, 300000), (0.0, 0.0, 10), (0.0, 1e-30, 10), (7.0, 3.0, 0),
-                 (1.0, 2.0**-60, 1000)]
-        for _ in range(300):
-            if rng.random() < 0.5:  # few significant bits: ties come within reach
-                c = float(rng.integers(1, 2**int(rng.integers(1, 24)))) * 2.0**int(rng.integers(-40, 0))
-            else:
-                c = float(rng.random()) * 10.0**int(rng.integers(-8, 2))
-            x = float(rng.choice([0.0, float(rng.random()) * c * 100]))
-            cases.append((x, c, int(rng.integers(0, 20000))))
-        for x, c, n in cases:
-            assert queuesim._add_copies(x, c, n) == self._added(x, [c] * n), (x, c, n)
 
 
 class TestStats:
