@@ -167,7 +167,7 @@ def cmd_dimension(cfg: ToolConfig, args) -> None:
         "t_mean_us": total * 1e6,
         **{f"t_{s.key}_us": breakdown[f"{s.key}_s"] * 1e6
            for s in stages(cfg.queue, breakdown["t_sl_bar_s"])},
-        "t_max_us": cfg.queue.t_max * 1e6,
+        "t_max_us": cfg.queue.t_max_s * 1e6,
     }]
     _emit(rows, _meta(cfg), args)
 

@@ -78,15 +78,13 @@ def config_digest(cfg: dict) -> str:
 
 
 @contextmanager
-def _under(where: str, keys: dict | None = None):
+def _under(where: str):
     """Report a model class's ParameterError as a ConfigError under `where`: a
-    field error under its field's config key (`keys` maps the field names that
-    differ from their keys), any other with `where` as a prefix."""
+    field error under its field's config key, any other with `where` as a prefix."""
     try:
         yield
     except FieldError as e:
-        key = (keys or {}).get(e.field, e.field)
-        raise ConfigError(f"{where}.{key} must be {e.rule}, got {e.value!r}") from e
+        raise ConfigError(f"{where}.{e.field} must be {e.rule}, got {e.value!r}") from e
     except ParameterError as e:
         raise ConfigError(f"{where}: {e}") from e
 
@@ -178,7 +176,7 @@ def build(cfg: dict) -> ToolConfig:
     c["egress_tiers_gb_usd"] = tuple(tiers)
     g = dict(cfg["geometry"])
     speed_dist = _dist(g.pop("speed_dist"), "geometry.speed_dist")
-    q = cfg["queue"]
+    q = dict(cfg["queue"])
     t = cfg["traffic"]
     apps = tuple(_app(a, f"traffic.apps[{i}]") for i, a in enumerate(t["apps"]))
     with _under("traffic"):
@@ -187,11 +185,9 @@ def build(cfg: dict) -> ToolConfig:
     with _under("geometry"):
         geom = CellGeometry(**g, mean_speed_mps=dists.mean(speed_dist))
     with _under("queue.sl_times_us"):
-        sl_times = SlServiceTimes(**{k: v * 1e-6 for k, v in q["sl_times_us"].items()})
-    with _under("queue", {"t_im": "t_im_s", "prop_delay": "prop_delay_s", "t_max": "t_max_s"}):
-        queue = QueueParams(mu_fe=q["mu_fe"], mu_sdb=q["mu_sdb"], mu_oi=q["mu_oi"],
-                            sl_times=sl_times, m=q["m"], t_im=q["t_im_s"],
-                            prop_delay=q["prop_delay_s"], t_max=q["t_max_s"])
+        sl_times = SlServiceTimes(**{k: v * 1e-6 for k, v in q.pop("sl_times_us").items()})
+    with _under("queue"):
+        queue = QueueParams(**q, sl_times=sl_times)
     with _under("mmpp"):
         mmpp = MmppParams(**cfg["mmpp"])
     with _under("cost"):

@@ -24,7 +24,6 @@ class InstabilityError(VmmeCapError):
 
     def __init__(self, stage: str, lam: float, capacity: float):
         self.stage = stage
-        self.lam = lam
         self.capacity = capacity
         super().__init__(
             f"stage '{stage}' unstable: arrival rate {lam:g}/s >= capacity {capacity:g}/s"

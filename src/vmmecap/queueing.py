@@ -60,15 +60,15 @@ class QueueParams:
     mu_oi: float  # output interface, jobs/s
     sl_times: SlServiceTimes
     m: int  # service-logic instances
-    t_im: float  # round trip to the next inbound message, s
-    prop_delay: float  # one-way eNB <-> vMME, s
-    t_max: float  # processing-delay budget, s
+    t_im_s: float  # round trip to the next inbound message
+    prop_delay_s: float  # one-way eNB <-> vMME
+    t_max_s: float  # processing-delay budget
 
     def __post_init__(self):
-        for name in ("mu_fe", "mu_sdb", "mu_oi", "t_max"):
+        for name in ("mu_fe", "mu_sdb", "mu_oi", "t_max_s"):
             if not getattr(self, name) > 0:
                 raise FieldError(name, "> 0", getattr(self, name))
-        for name in ("t_im", "prop_delay"):
+        for name in ("t_im_s", "prop_delay_s"):
             if not getattr(self, name) >= 0:
                 raise FieldError(name, ">= 0", getattr(self, name))
         if not (isinstance(self.m, int) and self.m >= 1):
@@ -141,7 +141,7 @@ def response_at(lam: float, t_sl: float, params: QueueParams, m: float | None = 
     m = params.m if m is None else m
     parts = {f"{s.key}_s": mmm_response(lam, s.mu, s.servers, s.label)
              for s in stages(params, t_sl, m)}
-    return sum(parts.values()), {**parts, "t_sl_bar_s": t_sl, "m": m}
+    return sum(parts.values()), {**parts, "t_sl_bar_s": t_sl}
 
 
 def system_response(rates: ProcedureRates, params: QueueParams):
@@ -160,7 +160,7 @@ def _meets(lam: float, t_sl: float, params: QueueParams, m: float, t_max: float)
 
 def dimension(rates: ProcedureRates, params: QueueParams, t_max: float | None = None) -> int:
     """Smallest SL instance count whose total response meets the budget."""
-    t_max = params.t_max if t_max is None else t_max
+    t_max = params.t_max_s if t_max is None else t_max
     lam = rates.lam_total_msgs
     if lam == 0:
         return 1
@@ -191,7 +191,6 @@ class CapacityResult:
     lam_msgs: float  # messages/s at capacity
     procedures_per_s: float
     t_mean_s: float
-    rates: ProcedureRates
 
 
 def capacity(
@@ -213,7 +212,7 @@ def capacity(
         raise ParameterError(f"m must be an integer >= 1, got {m}")
     if mtcd_per_ue < 0:
         raise ParameterError(f"mtcd_per_ue must be >= 0, got {mtcd_per_ue}")
-    t_max = params.t_max if t_max is None else t_max
+    t_max = params.t_max_s if t_max is None else t_max
     per_ue = htc_rates(mix, geom, t_i)
     if mtcd_per_ue > 0 and mmpp is None:
         raise ParameterError("MTCDs requested but no MMPP parameters given")
@@ -249,5 +248,4 @@ def capacity(
         lam_msgs=r.lam_total_msgs,
         procedures_per_s=n_u * procs_per_ue,
         t_mean_s=t_mean,
-        rates=r,
     )

@@ -45,17 +45,19 @@ processing time. Responses are kept as doubles in an `array`, 8 bytes
 each.
 
 Under the exponential law a service time is its mean times a unit
-exponential. The unit draws come in blocks of DRAW_BLOCK from
+exponential. A message draws its four (FE, SL, SDB, OI) when it reaches the
+FE, and a pool departure carries its SDB and OI times in the heap. The unit
+draws come in blocks of DRAW_BLOCK, a multiple of four, from
 `rng.standard_exponential`, used in the order the scalar calls
 `rng.exponential(mean)` would make them, which NumPy computes as the mean
 times one such draw: the same numbers at a fraction of the cost per draw.
-The loop adds each of these service times to its stage's busy sum. Under
-the deterministic law it adds nothing: a stage's busy time is the sum over
-message types of the type's message count times its service time (the
-utilization law; Denning & Buzen 1978, "The operational analysis of
-queueing network models"), exact and rounded once. Every trigger sends
-one message of each type of its procedure, so the counts are the trace's
-procedure counts.
+The loop adds each of these service times to its stage's busy sum as it
+draws it. Under the deterministic law it adds nothing: a stage's busy time
+is the sum over message types of the type's message count times its
+service time (the utilization law; Denning & Buzen 1978, "The operational
+analysis of queueing network models"), exact and rounded once. Every
+trigger sends one message of each type of its procedure, so the counts are
+the trace's procedure counts.
 
 The loop is resumable: it takes a `_Chain`, the state of every server and
 message, and leaves it where it stopped. It takes a chunk of CHUNK triggers
@@ -70,17 +72,20 @@ trigger counts, one per CPU this process may run on (`os.sched_getaffinity`)
 and none shorter than MIN_PART_TRIGGERS (time-division simulation with
 fix-up; Heidelberger & Stone 1990, Lin & Lazowska 1991). Each part after
 the first runs from an empty chain in a forked child, which reads the
-trace from the memory it shares with its parent, and records a snapshot at
-each trigger near its start that finds the chain idle (the test above):
-the follow-up FIFO, the OI's free time and the response count. The parent
-runs the first part, then carries the true chain into each later part up
-to the first snapshot its own run agrees with: idle there too, the same
-FIFO, and an OI free time equal or, in both runs, before that arrival.
-From there both runs take the same steps, so the parent keeps its own
-responses before that trigger and the child's after it, and takes over the
-child's end state. If no snapshot agrees, the parent runs the part itself.
-The result is the same, field for field, for every number of parts. The
-exponential law runs in one part, because its draws follow event order.
+trace from the memory it shares with its parent. Past a window of
+SNAP_WINDOW round trips (or SNAP_STEPS triggers) it records one snapshot,
+at the first trigger that finds the chain idle (the test above): the
+follow-up FIFO, the OI's free time and the response count. The parent runs
+the first part, then carries the true chain into each later part up to the
+snapshot, and compares: idle there too, the same FIFO, and an OI free time
+equal or, in both runs, before that arrival. Runs that agree at an idle
+trigger take the same steps from there on, so one snapshot past the window
+finds every pair of runs that agreed earlier. Where they agree, the parent
+keeps its own responses before that trigger and the child's after it, and
+takes over the child's end state; else it runs the part itself. The result
+is the same, field for field, for every number of parts; one part takes
+the same path with no child. The exponential law runs in one part, because
+its draws follow event order.
 """
 
 from __future__ import annotations
@@ -93,7 +98,6 @@ import threading
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -107,8 +111,8 @@ MIN_BATCHES = 20
 DRAW_BLOCK = 256  # unit exponentials drawn at once; a block costs about 8 KB as floats
 CHUNK = 1 << 11  # triggers turned into Python lists at a time
 MIN_PART_TRIGGERS = 1 << 13  # the fewest triggers worth a process of their own
-SNAP_WINDOW = 32  # a cold part snapshots its idle triggers over this many round trips
-SNAP_STEPS = 4096  # ... and among at most this many triggers
+SNAP_WINDOW = 32  # a cold part runs this many round trips before its snapshot
+SNAP_STEPS = 4096  # ... or this many triggers, and seeks an idle one among as many more
 PIPE_BLOCK = 1 << 20  # bytes read from a child's pipe at a time
 
 # the chain state a cold part hands to the parent at its end
@@ -135,7 +139,7 @@ class _Chain:
     def __init__(self, m: int, n_trig: int):
         self.free_fe = self.free_sl = self.free_db = self.free_oi = -math.inf
         self.pool = [-math.inf] * m  # used when m > 1
-        self.departed = []  # pool departures: (time, seq, type, fe_arrival)
+        self.departed = []  # pool departures: (time, seq, type, fe_arrival, SDB time, OI time)
         self.follow = deque()  # (FE arrival, type)
         # The FIFO head's seq. Follow-ups are numbered after the sentinel past
         # the last trigger, whose seq is n_trig.
@@ -146,7 +150,8 @@ class _Chain:
         self.in_chain = deque()
         self.backlog = self.max_backlog = 0  # messages inside the chain
         self.busy = (0.0, 0.0, 0.0, 0.0)  # exponential law only
-        self.units, self.u = [], 0  # a block of unit exponentials, used from units[u] on
+        # a block of unit exponentials, used from units[u] on; none at first
+        self.units, self.u = [], DRAW_BLOCK
         self.responses = array("d")
 
 
@@ -172,7 +177,7 @@ class _Kernel:
                 msgs.append(n)
         self.stages, self.svcs, self.nexts, self.msgs = chain, svcs, nexts, msgs
         self.first_of = np.array(first)
-        self.m, self.t_im, self.prop_delay = params.m, params.t_im, params.prop_delay
+        self.m, self.t_im, self.prop_delay = params.m, params.t_im_s, params.prop_delay_s
         self.exp = service_law == "exponential"
         self.draw = np.random.default_rng(seed).standard_exponential
         self.time_s, self.procedure, self.n_trig = trace.time_s, trace.procedure, len(trace)
@@ -195,13 +200,12 @@ class _Kernel:
         """Take the triggers from `base` on whose first-message types are `firsts`,
         and every event before the next trigger, whose arrival ends `arrivals`."""
         svcs, nexts, n_trig, t_im = self.svcs, self.nexts, self.n_trig, self.t_im
-        pooled, exp, draw = self.m > 1, self.exp, self.draw
+        pooled, exp, draw, block = self.m > 1, self.exp, self.draw, DRAW_BLOCK
         free_fe, free_sl, free_db, free_oi = c.free_fe, c.free_sl, c.free_db, c.free_oi
         pool, departed, follow, in_chain = c.pool, c.departed, c.follow, c.in_chain
         sq_fol, backlog, max_backlog = c.sq_fol, c.backlog, c.max_backlog
         busy_fe, busy_sl, busy_db, busy_oi = c.busy
         units, u = c.units, c.u
-        n_units = len(units)
         respond = c.responses.append
         inf = math.inf  # a local: the loop reads it for every message
         t_fol = follow[0][0] if follow else inf  # the head's FE arrival
@@ -215,8 +219,7 @@ class _Kernel:
                 else:
                     t, sq = t_trig, base + k
                 if departed and departed[0] < (t, sq):  # seqs are unique: (time, seq) decides
-                    t, sq, typ, fe_arr = heapq.heappop(departed)
-                    s_db, s_oi = svcs[typ][2:]
+                    t, sq, typ, fe_arr, s_db, s_oi = heapq.heappop(departed)
                 else:
                     if sq <= n_trig:
                         typ = firsts[k]  # raises at the sentinel, before any change
@@ -239,33 +242,27 @@ class _Kernel:
                         max_backlog = backlog
                     fe_arr = t
                     s_fe, s_sl, s_db, s_oi = svcs[typ]
-                    if exp:
-                        if u + 2 > n_units:  # the block's leftovers first, then a new one
-                            units = units[u:] + draw(DRAW_BLOCK).tolist()
-                            u, n_units = 0, len(units)
+                    if exp:  # four draws a message, so a block is used up exactly
+                        if u == block:
+                            units, u = draw(block).tolist(), 0
                         s_fe *= units[u]
                         s_sl *= units[u + 1]
-                        u += 2
+                        s_db *= units[u + 2]
+                        s_oi *= units[u + 3]
+                        u += 4
                         busy_fe += s_fe
                         busy_sl += s_sl
+                        busy_db += s_db
+                        busy_oi += s_oi
                     t = (free_fe if free_fe > t else t) + s_fe
                     free_fe = t
                     if pooled:  # a pool may reorder messages: back to the event sources
                         t = (pool[0] if pool[0] > t else t) + s_sl
                         heapq.heapreplace(pool, t)
-                        heapq.heappush(departed, (t, sq, typ, fe_arr))
+                        heapq.heappush(departed, (t, sq, typ, fe_arr, s_db, s_oi))
                         continue
                     t = (free_sl if free_sl > t else t) + s_sl
                     free_sl = t
-                if exp:
-                    if u + 2 > n_units:
-                        units = units[u:] + draw(DRAW_BLOCK).tolist()
-                        u, n_units = 0, len(units)
-                    s_db *= units[u]
-                    s_oi *= units[u + 1]
-                    u += 2
-                    busy_db += s_db
-                    busy_oi += s_oi
                 t = (free_db if free_db > t else t) + s_db
                 free_db = t
                 in_chain.append((t, sq))
@@ -320,31 +317,39 @@ def _n_parts(kern: _Kernel) -> int:
     return max(1, min(_cpus(), kern.n_trig // MIN_PART_TRIGGERS))
 
 
+def _idle_state(kern: _Kernel, c: _Chain, j: int) -> tuple | None:
+    """If trigger j's arrival finds the chain idle, all of the chain's state that
+    still acts on what follows: the follow-up FIFO and when the OI can next serve.
+    Every other server is free by then."""
+    t = kern.arrivals(j, j + 1)[0]
+    if c.free_db < t and not c.departed:
+        return tuple(c.follow), max(c.free_oi, t)
+    return None
+
+
 def _cold_part(kern: _Kernel, a: int, b: int, out) -> None:
     """Run part [a, b) from an empty chain and write it to the binary file `out`.
 
-    Written: a pickle of (None, snapshots, response count, end state), each
-    snapshot (trigger, response count, FIFO, OI free time, largest backlog
-    from there on); then the responses.
+    The run takes the part's first SNAP_WINDOW round trips, or its first
+    SNAP_STEPS triggers if they end sooner, then steps one trigger at a time,
+    for at most SNAP_STEPS triggers, to the first whose arrival finds the
+    chain idle, and snapshots it there. Written: a pickle of (snapshot,
+    response count, largest backlog from the snapshot on, end state), the
+    snapshot being (trigger, response count, `_idle_state` or None if no
+    trigger was idle); then the responses.
     """
     c = _Chain(kern.m, kern.n_trig)
     hi = min(a + SNAP_STEPS, b)
-    arr = kern.arrivals(a, hi + 1)
-    fst = kern.first_of[kern.procedure[a:hi]].tolist()
-    t_end = arr[0] + SNAP_WINDOW * kern.t_im
-    snaps, seg_max = [], []  # seg_max[i]: the largest backlog before snapshot i
-    j = 0
-    while j < hi - a and arr[j] < t_end:
-        if c.free_db < arr[j] and not c.departed:
-            snaps.append((a + j, len(c.responses), tuple(c.follow), c.free_oi))
-            seg_max.append(c.max_backlog)
-            c.max_backlog = 0
-        kern.advance(c, arr[j:j + 2], fst[j:j + 1], a + j)
+    j = a + int(np.searchsorted(kern.time_s[a:hi], kern.time_s[a] + SNAP_WINDOW * kern.t_im))
+    kern.run(c, a, j)
+    state, hi = None, min(j + SNAP_STEPS, b)
+    while j < hi and (state := _idle_state(kern, c, j)) is None:
+        kern.run(c, j, j + 1)
         j += 1
-    kern.run(c, a + j, b)
-    after = list(accumulate(reversed(seg_max[1:] + [c.max_backlog]), max))[::-1]
-    snaps = [s + (x,) for s, x in zip(snaps, after)]
-    pickle.dump((None, snaps, len(c.responses),
+    snap = (j, len(c.responses), state)
+    c.max_backlog = 0
+    kern.run(c, j, b)
+    pickle.dump((snap, len(c.responses), c.max_backlog,
                  tuple(getattr(c, name) for name in _CARRIED)), out)
     out.write(c.responses)
 
@@ -361,28 +366,27 @@ def _read(f, n: int, into: array | None = None) -> None:
 
 
 def _join(kern: _Kernel, c: _Chain, a: int, b: int, f) -> None:
-    """Carry the true chain `c` through part [a, b) until it agrees with the
-    cold run that `f` reads at one of its snapshots, then take the cold run's rest."""
-    err, snaps, n_resp, end = pickle.load(f)
-    if err is not None:
-        raise err
-    for j, n, fifo, oi, top in snaps:
-        kern.run(c, a, j)
-        a = j
-        t = float(kern.time_s[j] + kern.prop_delay)
-        if (c.free_db < t and not c.departed and tuple(c.follow) == fifo
-                and max(c.free_oi, t) == max(oi, t)):
-            _read(f, 8 * n)
-            _read(f, 8 * (n_resp - n), c.responses)
-            c.max_backlog = max(c.max_backlog, top)
-            for name, value in zip(_CARRIED, end):
-                setattr(c, name, value)
-            return
-    kern.run(c, a, b)
+    """Carry the true chain `c` through part [a, b): up to the snapshot of the
+    cold run that `f` reads and, if the two runs agree there, take the cold
+    run's rest; else to the part's end."""
+    got = pickle.load(f)
+    if isinstance(got, BaseException):
+        raise got
+    (j, n, state), n_resp, top, end = got
+    kern.run(c, a, j)
+    if state is not None and _idle_state(kern, c, j) == state:
+        _read(f, 8 * n)
+        _read(f, 8 * (n_resp - n), c.responses)
+        c.max_backlog = max(c.max_backlog, top)
+        for name, value in zip(_CARRIED, end):
+            setattr(c, name, value)
+    else:
+        kern.run(c, j, b)
 
 
 def _run_parts(kern: _Kernel, c: _Chain, n_parts: int) -> None:
-    """Run the trace in `n_parts` parts, the first here and each other in a forked child.
+    """Run the trace in `n_parts` parts, the first here and each other in a
+    forked child; one part forks nothing.
 
     A child reads the trace from the memory it shares with this process and
     writes its part to a pipe, or the error it raised. No child outlives
@@ -406,7 +410,7 @@ def _run_parts(kern: _Kernel, c: _Chain, n_parts: int) -> None:
                         try:
                             _cold_part(kern, bounds[p], bounds[p + 1], out)
                         except BaseException as e:  # the parent raises it
-                            pickle.dump((e, None, 0, None), out)
+                            pickle.dump(e, out)
                 finally:
                     os._exit(0)
             os.close(w)
@@ -445,11 +449,7 @@ def run_queue_sim(
     check_seed(seed)
     kern = _Kernel(trace, params, service_law, seed)
     c = _Chain(params.m, kern.n_trig)
-    n_parts = _n_parts(kern)
-    if n_parts > 1:
-        _run_parts(kern, c, n_parts)
-    else:
-        kern.run(c, 0, kern.n_trig)
+    _run_parts(kern, c, _n_parts(kern))
 
     n_msgs = len(c.responses)
     # the first FE arrival is the first trigger's, and OI departures never decrease

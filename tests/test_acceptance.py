@@ -152,14 +152,14 @@ def test_criterion_4_delay_curve_validation(cfg, acceptance):
                 below = response_at(r.lam_total_msgs, t_sl, cfg.queue, m - 1)[0]
             except Exception:
                 below = float("inf")
-            m_steps_ok &= below > cfg.queue.t_max
+            m_steps_ok &= below > cfg.queue.t_max_s
         trace = poisson_triggers(r.lam_sr, r.lam_srr, r.lam_hr, 30.0, seed=100 + i)
         st = run_queue_sim(trace, replace(cfg.queue, m=m), "deterministic", seed=i)
         ana = response_at(st.empirical_lam_msgs, t_sl, cfg.queue, m)[0]
         sim_ms.append(st.mean_response_s * 1e3)
         ana_ms.append(ana * 1e3)
         all_below &= st.mean_response_s <= ana
-        all_within_budget &= st.mean_response_s <= cfg.queue.t_max
+        all_within_budget &= st.mean_response_s <= cfg.queue.t_max_s
     r_delay = rmse(ana_ms, sim_ms)
     ok = all_below and (r_delay <= 0.5) and all_within_budget and m_steps_ok
     acceptance(
@@ -181,12 +181,12 @@ def _per_pair(cfg, geom):
 
 
 def _budget_rate(t_sl, q, m=math.inf):
-    """Largest message rate whose four-stage mean response meets q.t_max,
+    """Largest message rate whose four-stage mean response meets q.t_max_s,
     found by bisection; m = inf means unlimited SL instances."""
     lo, hi = 0.0, min(q.mu_fe, q.mu_sdb, q.mu_oi, m / t_sl)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if response_at(mid, t_sl, q, m)[0] <= q.t_max:
+        if response_at(mid, t_sl, q, m)[0] <= q.t_max_s:
             lo = mid
         else:
             hi = mid

@@ -181,7 +181,6 @@ class TestSystemResponse:
             total, parts = response_at(lam, t_sl, q, math.inf)
             assert total == pytest.approx(floor, rel=1e-12)
             assert parts["sl_s"] == pytest.approx(t_sl, rel=1e-12)
-            assert parts["m"] == math.inf
             assert total <= response_at(lam, t_sl, q, 40)[0]
 
 
@@ -217,13 +216,13 @@ class TestDimension:
             r = _rates(1000.0 * scale, 1000.0 * scale, 500.0 * scale)
             m = dimension(r, cfg.queue)
             t_sl = weighted_sl_service_time(r, cfg.queue.sl_times)
-            assert response_at(r.lam_total_msgs, t_sl, cfg.queue, m)[0] <= cfg.queue.t_max
+            assert response_at(r.lam_total_msgs, t_sl, cfg.queue, m)[0] <= cfg.queue.t_max_s
             if m > 1:
                 try:
                     below = response_at(r.lam_total_msgs, t_sl, cfg.queue, m - 1)[0]
                 except InstabilityError:
                     below = float("inf")
-                assert below > cfg.queue.t_max
+                assert below > cfg.queue.t_max_s
 
 
 class TestCapacity:
@@ -240,7 +239,7 @@ class TestCapacity:
         assert res.n_u_max == pytest.approx(n_u, abs=2)
         assert res.lam_msgs == pytest.approx(lam, rel=1e-3)
         assert res.procedures_per_s == pytest.approx(procs, rel=1e-3)
-        assert res.t_mean_s <= cfg.queue.t_max
+        assert res.t_mean_s <= cfg.queue.t_max_s
 
     def test_mtcds_need_an_mmpp(self, cfg):
         # MTCDs without a packet law would be counted but send nothing
@@ -259,17 +258,19 @@ class TestCapacity:
     def test_boundary_tightness(self, cfg):
         res = capacity(3, cfg.queue, cfg.mix, cfg.geom, cfg.mmpp, 10.0, 1.0)
         per_pair = res.lam_msgs / res.n_u_max
-        t_sl = weighted_sl_service_time(res.rates, cfg.queue.sl_times)
+        unit = aggregate_rates(htc_rates(cfg.mix, cfg.geom, 10.0), mtc_rates(cfg.mmpp, 10.0),
+                               1.0, 1.0)
+        t_sl = weighted_sl_service_time(unit, cfg.queue.sl_times)
         above = (res.n_u_max + 2) * per_pair
-        assert response_at(above, t_sl, cfg.queue, 3)[0] > cfg.queue.t_max
+        assert response_at(above, t_sl, cfg.queue, 3)[0] > cfg.queue.t_max_s
 
     def test_exact_at_budget_boundary(self, cfg):
         # a point where a rate root-finder with a 1e-6 tolerance, floored to
         # whole UEs, lands one UE short of the true maximum
         geom = replace(cfg.geom, mean_speed_mps=3.358)
         res = capacity(7, cfg.queue, cfg.mix, geom, cfg.mmpp, 19.808, 1.0, 0.92e-3)
-        r = res.rates  # per-device rates ride along; same arithmetic as capacity
-        per_ue, per_mtcd = (r.lam_u_sr, r.lam_u_sr, r.lam_u_hr), (r.lam_s_sr, r.lam_s_sr)
+        # the per-device rates capacity takes, and the same arithmetic
+        per_ue, per_mtcd = htc_rates(cfg.mix, geom, 19.808), mtc_rates(cfg.mmpp, 19.808)
         t_sl = weighted_sl_service_time(aggregate_rates(per_ue, per_mtcd, 1.0, 1.0),
                                         cfg.queue.sl_times)
 

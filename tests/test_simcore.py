@@ -1203,11 +1203,13 @@ class TestCallOnlyScenario:
 def _reference_queue_sim(trace, params, service_law, seed):
     """Reference: the same chain driven by one heap of every pending event.
 
-    Each event is (time, seq, next stage, proc, msg_idx, fe_arrival); every
-    stage is a heap of server-free times. `run_queue_sim` must give the same
-    `SimStats` field for field. A stage's busy sum adds its service times in
-    event order under the exponential law; under the deterministic law it is
-    their exact sum, rounded once (`math.fsum`).
+    Each event is (time, seq, next stage, proc, msg_idx, fe_arrival, service
+    times); every stage is a heap of server-free times. A message draws its
+    four service times when it reaches the FE. `run_queue_sim` must give the
+    same `SimStats` field for field. A stage's busy sum adds its service
+    times in the order their messages reach the FE under the exponential
+    law; under the deterministic law it is their exact sum, rounded once
+    (`math.fsum`).
     """
     st = params.sl_times
     t_fe, t_db, t_oi = 1.0 / params.mu_fe, 1.0 / params.mu_sdb, 1.0 / params.mu_oi
@@ -1219,7 +1221,7 @@ def _reference_queue_sim(trace, params, service_law, seed):
     rng = np.random.default_rng(seed)
     exp = service_law == "exponential"
 
-    events = [(t + params.prop_delay, i, 0, int(proc), 0, 0.0)
+    events = [(t + params.prop_delay_s, i, 0, int(proc), 0, 0.0, None)
               for i, (t, proc) in enumerate(zip(trace.time_s, trace.procedure))]
     heapq.heapify(events)
     seq = len(events)
@@ -1231,7 +1233,7 @@ def _reference_queue_sim(trace, params, service_law, seed):
     in_chain = []
     backlog = max_backlog = 0
     while events:
-        t, sq, stage, proc, msg_idx, fe_arr = heapq.heappop(events)
+        t, sq, stage, proc, msg_idx, fe_arr, svc = heapq.heappop(events)
         if stage == 0:
             while in_chain and in_chain[0] < (t, sq):
                 heapq.heappop(in_chain)
@@ -1240,24 +1242,26 @@ def _reference_queue_sim(trace, params, service_law, seed):
             max_backlog = max(max_backlog, backlog)
             t_first = min(t_first, t)
             fe_arr = t
+            svc = means[proc][msg_idx]
+            if exp:
+                svc = [rng.exponential(s) for s in svc]
+                busy = [b + s for b, s in zip(busy, svc)]
         for i in range(stage, 4):
             if i == 3:
                 heapq.heappush(in_chain, (t, sq))
-            s = means[proc][msg_idx][i]
-            if exp:
-                s = rng.exponential(s)
+            s = svc[i]
             t = max(t, free[i][0]) + s
             heapq.heapreplace(free[i], t)
-            busy[i] += s
             served[i].append(s)
             if len(free[i]) > 1:
-                heapq.heappush(events, (t, sq, i + 1, proc, msg_idx, fe_arr))
+                heapq.heappush(events, (t, sq, i + 1, proc, msg_idx, fe_arr, svc))
                 break
         else:
             responses.append(t - fe_arr)
             t_last = max(t_last, t)
             if msg_idx + 1 < len(means[proc]):
-                heapq.heappush(events, (t + params.t_im, seq, 0, proc, msg_idx + 1, 0.0))
+                heapq.heappush(events, (t + params.t_im_s, seq, 0, proc, msg_idx + 1, 0.0,
+                                        None))
                 seq += 1
 
     span = max(t_last - t_first, 0.0)
@@ -1297,7 +1301,7 @@ def _tie_trace(params, law, seed):
         means = [rng.exponential(s) for s in means]
     d_fe, d_sl, d_db, d_oi = means
     left_pool = 0.0 + d_fe + d_sl
-    f = left_pool + d_db + d_oi + params.t_im
+    f = left_pool + d_db + d_oi + params.t_im_s
     times = [0.0, left_pool, f, f, f + 0.5e-3]
     procs = [PROC_SR, PROC_HR, PROC_SR, PROC_SR, PROC_SRR]  # SR: first message differs
     return TriggerTrace(np.array(times), np.arange(5, dtype=np.int64),
@@ -1325,7 +1329,7 @@ def _idle_tie_trace(params, law, seed):
     for k, s in enumerate(means[:-1]):  # up to the last message's SDB departure
         x = x + s
         if k % 4 == 3:  # an OI departure: the next message reaches the FE
-            x = x + params.t_im
+            x = x + params.t_im_s
     return TriggerTrace(np.array([0.0, x]), np.arange(2, dtype=np.int64),
                         np.array([PROC_SR, PROC_HR], dtype=np.uint8), 1.0, 2, 0)
 
@@ -1346,10 +1350,10 @@ class TestQueueSim:
             trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 0, 2000, 10.0,
                                       200.0, 7, speed_dist=cfg.speed_dist)
         elif shape == "ties":
-            params = replace(params, prop_delay=0.0)
+            params = replace(params, prop_delay_s=0.0)
             trace = _tie_trace(params, law, seed=9)
         else:
-            params = replace(params, prop_delay=0.0)
+            params = replace(params, prop_delay_s=0.0)
             trace = _idle_tie_trace(params, law, seed=9)
         got = run_queue_sim(trace, params, law, seed=9)
         want = _reference_queue_sim(trace, params, law, seed=9)
@@ -1446,6 +1450,36 @@ class TestQueueSim:
             "fe": 0.19011940698562574, "sl": 0.7517182432096107,
             "db": 0.2281432883827509, "oi": 0.004562865767655018}
         assert st.empirical_lam_msgs == 24196.0  # 12098 messages / 0.5 s
+        assert st.valid
+
+    def test_golden_exponential(self, cfg):
+        # The m = 1 fields were recorded when a message drew its SDB and OI
+        # times on reaching the SDB; with one server in every stage a message
+        # walks through all four at once, so drawing all four on reaching the
+        # FE takes the same numbers. The m = 3 fields were recorded after the
+        # draws moved to the FE: a pool lets other messages reach the FE
+        # between a message's FE and SDB draws, so its seeded values moved.
+        small = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 50, 50, 10.0,
+                                  3000.0, 7, speed_dist=cfg.speed_dist)
+        st = run_queue_sim(small, replace(cfg.queue, m=1), "exponential", seed=3)
+        assert (st.mean_response_s, st.ci_halfwidth_s) == (
+            0.00011711722298086483, 1.3631859692831364e-06)
+        assert (st.n_messages, len(small), st.max_backlog) == (12241, 4154, 2)
+        assert st.utilization == {
+            "fe": 3.392462431764418e-05, "sl": 0.0004008785056596127,
+            "db": 4.151246385334725e-05, "oi": 8.195098662106121e-07}
+        assert st.empirical_lam_msgs == 4.080333333333333
+        assert st.valid
+
+        pool = poisson_triggers(3500.0, 3500.0, 1500.0, 0.5, 17)
+        st = run_queue_sim(pool, replace(cfg.queue, m=3), "exponential", seed=5)
+        assert (st.mean_response_s, st.ci_halfwidth_s) == (
+            0.00023297453455075435, 4.113734369894969e-05)
+        assert (st.n_messages, len(pool), st.max_backlog) == (12098, 4275, 37)
+        assert st.utilization == {
+            "fe": 0.18768849544374636, "sl": 0.7545620418927524,
+            "db": 0.2286880986468375, "oi": 0.00452741579921051}
+        assert st.empirical_lam_msgs == 24196.0
         assert st.valid
 
     @pytest.mark.parametrize("law", ["deterministic", "exponential"])
@@ -1630,7 +1664,7 @@ class TestTimePartitions:
     def test_a_cut_before_every_trigger(self, cfg, monkeypatch, shape, m):
         # one part per trigger: a cut falls between the two triggers at one
         # instant, and on the trigger a follow-up lands on
-        params = replace(cfg.queue, m=m, prop_delay=0.0)
+        params = replace(cfg.queue, m=m, prop_delay_s=0.0)
         make = _tie_trace if shape == "ties" else _idle_tie_trace
         trace = make(params, "deterministic", 9)
         want = _reference_queue_sim(trace, params, "deterministic", 9)
@@ -1640,13 +1674,16 @@ class TestTimePartitions:
     @pytest.mark.parametrize("m", [1, 3])
     def test_a_cut_that_follow_ups_cross(self, cfg, monkeypatch, m):
         # SRs 1 ms apart: at the cut, the follow-ups of the 30-odd SRs before
-        # it are still to come, so the cold run's first snapshots cannot agree
+        # it are still to come, so the two runs cannot agree at once. The
+        # part is shorter than SNAP_WINDOW round trips: a window of 4 (60 ms)
+        # puts the snapshot inside it.
         n = 400
         trace = TriggerTrace(np.arange(n) * 1e-3, np.arange(n, dtype=np.int32),
                              np.full(n, PROC_SR, dtype=np.uint8), 0.5, n, 0)
         params = replace(cfg.queue, m=m)
         want = _one_part(trace, params, "deterministic", 9, monkeypatch)
         taken = _force_parts(monkeypatch, 2)
+        monkeypatch.setattr(queuesim, "SNAP_WINDOW", 4)
         _assert_same_stats(run_queue_sim(trace, params, "deterministic", seed=9), want)
         assert len(taken()) == 1 and taken()[0] > 0  # taken over past the cut
 
@@ -1655,41 +1692,81 @@ class TestTimePartitions:
         # A 0.5 ms OI. An HR's second message leaves the SDB at about 15.72
         # ms and holds the OI until about 16.22 ms; the SR after the cut
         # arrives at 15.8 ms and finds the chain idle and no follow-up due,
-        # but its first message reaches the OI before the OI is free.
-        params = replace(cfg.queue, m=m, mu_oi=2000.0, prop_delay=0.0)
+        # but its first message reaches the OI before the OI is free. With no
+        # window the cold run snapshots that SR, where the runs disagree.
+        params = replace(cfg.queue, m=m, mu_oi=2000.0, prop_delay_s=0.0)
         trace = TriggerTrace(np.array([0.0, 15.8e-3]), np.arange(2, dtype=np.int32),
                              np.array([PROC_HR, PROC_SR], dtype=np.uint8), 1.0, 2, 0)
         want = _reference_queue_sim(trace, params, "deterministic", 9)
         taken = _force_parts(monkeypatch, 2)
+        monkeypatch.setattr(queuesim, "SNAP_WINDOW", 0)
         _assert_same_stats(run_queue_sim(trace, params, "deterministic", seed=9), want)
         assert taken() == []
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_a_cut_inside_a_burst(self, cfg, monkeypatch, m):
         # 40 SRs at one instant, then the cut 10 us later, before any of them
-        # has left the chain: no follow-up is due yet, but the chain is busy
+        # has left the chain: no follow-up is due yet, but the chain is busy.
+        # The runs agree from the 34th trigger after the cut at m = 1 (the
+        # 25th at m = 3); a window of 5 round trips (75 ms) ends at the 39th.
         t = np.concatenate((np.zeros(40), 1e-5 + np.arange(40) * 2e-3))
         trace = TriggerTrace(t, np.arange(80, dtype=np.int32),
                              np.full(80, PROC_SR, dtype=np.uint8), 0.2, 80, 0)
         params = replace(cfg.queue, m=m)
         want = _one_part(trace, params, "deterministic", 9, monkeypatch)
         taken = _force_parts(monkeypatch, 2)
+        monkeypatch.setattr(queuesim, "SNAP_WINDOW", 5)
         _assert_same_stats(run_queue_sim(trace, params, "deterministic", seed=9), want)
         assert len(taken()) == 1 and taken()[0] > 0
 
-    def test_largest_backlog_between_snapshots(self, cfg, monkeypatch):
-        # Part 2 starts idle, so it is taken over at once, and its largest
-        # backlog, 20 SRs at one instant, lies between two of its snapshots.
+    @staticmethod
+    def _backlog_trace():
+        """40 SRs 0.1 s apart, then one at 4.0 s, 20 at 4.001 s and 19 more
+        5 ms apart: cut in two, the second part starts idle at 4.0 s and its
+        largest backlog is the burst of 20 at 4.001 s."""
         t = np.concatenate((np.arange(40) * 0.1, [4.0], np.full(20, 4.001),
                             4.01 + np.arange(19) * 5e-3))
-        trace = TriggerTrace(t, np.arange(80, dtype=np.int32),
-                             np.full(80, PROC_SR, dtype=np.uint8), 4.2, 80, 0)
+        return TriggerTrace(t, np.arange(80, dtype=np.int32),
+                            np.full(80, PROC_SR, dtype=np.uint8), 4.2, 80, 0)
+
+    def test_largest_backlog_after_the_snapshot(self, cfg, monkeypatch):
+        # With no window the cold run snapshots the part's first trigger, where
+        # both runs are idle: taken over at once, the burst is the child's.
+        trace = self._backlog_trace()
         params = replace(cfg.queue, m=1)
         want = _one_part(trace, params, "deterministic", 9, monkeypatch)
         assert want.max_backlog == 20
         taken = _force_parts(monkeypatch, 2)
+        monkeypatch.setattr(queuesim, "SNAP_WINDOW", 0)
         _assert_same_stats(run_queue_sim(trace, params, "deterministic", seed=9), want)
         assert taken() == [0]
+
+    def test_largest_backlog_before_the_snapshot(self, cfg, monkeypatch):
+        # A window of 2 round trips (30 ms) puts the snapshot past the burst:
+        # the parent's own run meets it, and the child's backlog before the
+        # snapshot is not counted twice or lost.
+        trace = self._backlog_trace()
+        params = replace(cfg.queue, m=1)
+        want = _one_part(trace, params, "deterministic", 9, monkeypatch)
+        taken = _force_parts(monkeypatch, 2)
+        monkeypatch.setattr(queuesim, "SNAP_WINDOW", 2)
+        _assert_same_stats(run_queue_sim(trace, params, "deterministic", seed=9), want)
+        assert len(taken()) == 1 and taken()[0] > 21  # past the 21 SRs' first messages
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_a_part_that_couples_early(self, cfg, monkeypatch, m):
+        # 40 SRs 0.1 s apart, then after a lull 40 more 20 ms apart: the part
+        # after the cut finds both runs idle with nothing due, so they agree
+        # from its first trigger. The snapshot still comes past the window of
+        # 32 round trips (0.48 s), and the child's run is taken over there.
+        t = np.concatenate((np.arange(40) * 0.1, 10.0 + np.arange(40) * 20e-3))
+        trace = TriggerTrace(t, np.arange(80, dtype=np.int32),
+                             np.full(80, PROC_SR, dtype=np.uint8), 11.0, 80, 0)
+        params = replace(cfg.queue, m=m)
+        want = _one_part(trace, params, "deterministic", 9, monkeypatch)
+        taken = _force_parts(monkeypatch, 2)
+        _assert_same_stats(run_queue_sim(trace, params, "deterministic", seed=9), want)
+        assert len(taken()) == 1 and taken()[0] >= 24  # past the window's 24 triggers
 
     def test_error_in_a_child(self, cfg, monkeypatch):
         trace = poisson_triggers(1000.0, 1000.0, 300.0, 2.0, 8)
@@ -1723,9 +1800,9 @@ class TestTimePartitions:
         _force_parts(monkeypatch, 4)
 
         def refuse(*args):
-            raise AssertionError("the exponential law was cut into parts")
+            raise AssertionError("the exponential law forked a part")
 
-        monkeypatch.setattr(queuesim, "_run_parts", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
         _assert_same_stats(run_queue_sim(trace, params, "exponential", seed=9),
                            _reference_queue_sim(trace, params, "exponential", 9))
 
