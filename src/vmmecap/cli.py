@@ -261,21 +261,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "validating discrete-event simulator.",
     )
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
+    # Flag groups: a command takes the key flags of the config keys it reads.
+    common, users, trace, timer, budget = (argparse.ArgumentParser(add_help=False)
+                                           for _ in range(5))
     common.add_argument("--config", metavar="PATH", help="YAML config overlaying the defaults")
     common.add_argument("--out", metavar="PATH", help="output file (default stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    _key_flag(common, "--seed", "scenario.seed", "master random seed")
-    _key_flag(common, "--users", "scenario.n_u", "number of UEs")
     _key_flag(common, "--mtcd-ratio", "scenario.mtcd_per_ue", "MTCDs per UE")
-    _key_flag(common, "--tmax-us", "queue.t_max_s", "processing-delay budget, microseconds",
-              lambda text: _number(text, 1e-6))  # the config holds seconds
-    _key_flag(common, "--duration-s", "scenario.horizon_s", "simulated horizon, seconds")
-    timer = argparse.ArgumentParser(add_help=False)
+    _key_flag(users, "--users", "scenario.n_u", "number of UEs")
+    _key_flag(trace, "--seed", "scenario.seed", "master random seed")
+    _key_flag(trace, "--duration-s", "scenario.horizon_s", "simulated horizon, seconds")
     _key_flag(timer, "--ti", "scenario.t_i_s", "inactivity timer, seconds")
+    _key_flag(budget, "--tmax-us", "queue.t_max_s", "processing-delay budget, microseconds",
+              lambda text: _number(text, 1e-6))  # the config holds seconds
 
     sub = ap.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("rates", parents=[common],
+    p = sub.add_parser("rates", parents=[common, users, trace],
                        help="analytic procedure rates vs the inactivity timer")
     p.add_argument("--ti", metavar="GRID",
                    help="inactivity timers, seconds, as lo:hi[:step] or a,b,c "
@@ -284,17 +285,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append simulated rates and an RMSE footer")
     p.set_defaults(func=cmd_rates)
 
-    p = sub.add_parser("dimension", parents=[common, timer],
+    p = sub.add_parser("dimension", parents=[common, users, timer, budget],
                        help="minimum SL instance count for a device population")
     p.set_defaults(func=cmd_dimension)
 
-    p = sub.add_parser("capacity", parents=[common, timer],
+    p = sub.add_parser("capacity", parents=[common, timer, budget],
                        help="maximum supported UEs per instance count")
     p.add_argument("--m", metavar="GRID", default="1:10",
                    help="instance-count grid (default 1:10)")
     p.set_defaults(func=cmd_capacity)
 
-    p = sub.add_parser("simulate", parents=[common, timer],
+    p = sub.add_parser("simulate", parents=[common, users, trace, timer],
                        help="generate a trigger trace and run the queue simulator")
     _key_flag(p, "--m", "queue.m", "SL instance count")
     _key_flag(p, "--service-law", "scenario.service_law", "deterministic or exponential",
@@ -302,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out", metavar="PATH", help="also dump the trigger trace CSV")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("scalability", parents=[common, timer],
+    p = sub.add_parser("scalability", parents=[common, timer, budget],
                        help="cost, productivity and the scalability index psi(k)")
     p.add_argument("--kmax", type=int, default=10)
     _key_flag(p, "--gamma", "cost.gamma", "not-scalable threshold")

@@ -78,13 +78,15 @@ def config_digest(cfg: dict) -> str:
 
 
 @contextmanager
-def _under(where: str):
+def _under(where: str, given: dict | None = None):
     """Report a model class's ParameterError as a ConfigError under `where`: a
-    field error under its field's config key, any other with `where` as a prefix."""
+    field error under its field's config key, with the value in `given` if the
+    class took it converted, any other with `where` as a prefix."""
     try:
         yield
     except FieldError as e:
-        raise ConfigError(f"{where}.{e.field} must be {e.rule}, got {e.value!r}") from e
+        value = e.value if given is None else given[e.field]
+        raise ConfigError(f"{where}.{e.field} must be {e.rule}, got {value!r}") from e
     except ParameterError as e:
         raise ConfigError(f"{where}: {e}") from e
 
@@ -184,8 +186,9 @@ def build(cfg: dict) -> ToolConfig:
                          link_rate_bps=t["link_rate_bps"])
     with _under("geometry"):
         geom = CellGeometry(**g, mean_speed_mps=dists.mean(speed_dist))
-    with _under("queue.sl_times_us"):
-        sl_times = SlServiceTimes(**{k: v * 1e-6 for k, v in q.pop("sl_times_us").items()})
+    sl_us = q.pop("sl_times_us")
+    with _under("queue.sl_times_us", sl_us):
+        sl_times = SlServiceTimes(**{k: v * 1e-6 for k, v in sl_us.items()})
     with _under("queue"):
         queue = QueueParams(**q, sl_times=sl_times)
     with _under("mmpp"):

@@ -102,7 +102,6 @@ def paper_defaults() -> dict:
             },
             "m": 1,
             "t_im_s": 15e-3,
-            "prop_delay_s": 7.5e-3,
             "t_max_s": 1e-3,
         },
         "cost": {

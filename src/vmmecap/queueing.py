@@ -4,8 +4,8 @@ Four M/M/c stages in series, listed once in `stages`: front end (FE, c = 1),
 service-logic pool (SL, c = m, message-mix-weighted service time), state
 database (SDB, c = 1) and output interface (OI, c = 1); c = inf, an unlimited
 pool, has no wait. Mean response time is the sum of the per-stage means;
-propagation delay and the inter-message round trip shape arrival timing
-only and are excluded from the processing-time budget.
+the inter-message round trip shapes arrival timing only and is excluded
+from the processing-time budget.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class SlServiceTimes:
     def __post_init__(self):
         for name, v in self.__dict__.items():
             if not v > 0:
-                raise ParameterError(f"service time {name} must be > 0, got {v}")
+                raise FieldError(name, "> 0", v)
 
     @property
     def per_procedure(self) -> tuple[tuple[float, ...], ...]:
@@ -61,16 +61,14 @@ class QueueParams:
     sl_times: SlServiceTimes
     m: int  # service-logic instances
     t_im_s: float  # round trip to the next inbound message
-    prop_delay_s: float  # one-way eNB <-> vMME
     t_max_s: float  # processing-delay budget
 
     def __post_init__(self):
         for name in ("mu_fe", "mu_sdb", "mu_oi", "t_max_s"):
             if not getattr(self, name) > 0:
                 raise FieldError(name, "> 0", getattr(self, name))
-        for name in ("t_im_s", "prop_delay_s"):
-            if not getattr(self, name) >= 0:
-                raise FieldError(name, ">= 0", getattr(self, name))
+        if not self.t_im_s >= 0:
+            raise FieldError("t_im_s", ">= 0", self.t_im_s)
         if not (isinstance(self.m, int) and self.m >= 1):
             raise FieldError("m", "an integer >= 1", self.m)
 

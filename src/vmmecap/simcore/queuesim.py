@@ -1,10 +1,10 @@
 """Event-driven simulation of the FE -> SL pool -> SDB -> OI chain.
 
 Each trigger spawns its procedure's message sequence. The first message
-reaches the front end one propagation delay after the trigger; each later
-message arrives one inter-message round trip after the previous message
-finishes vMME processing (closed loop). All four stages are FCFS; the SL
-pool shares one queue across its m servers.
+reaches the front end at the trigger's time; each later message arrives
+one inter-message round trip after the previous message finishes vMME
+processing (closed loop). All four stages are FCFS; the SL pool shares one
+queue across its m servers.
 
 The eight (procedure, message) pairs are numbered as message types. Each
 type carries its mean service time at the four stages and the type of the
@@ -39,10 +39,9 @@ earlier message has left the SDB, so the backlog is the arrival alone and
 the FIFO of SDB departures is dropped unread. At a tie (`free_db == t`)
 the seqs decide, so the FIFO is walked.
 
-Response time per message covers the four stages only — the propagation
-delay and inter-message gap shape arrival timing but are not vMME
-processing time. Responses are kept as doubles in an `array`, 8 bytes
-each.
+Response time per message covers the four stages only — the
+inter-message gap shapes arrival timing but is not vMME processing time.
+Responses are kept as doubles in an `array`, 8 bytes each.
 
 Under the exponential law a service time is its mean times a unit
 exponential. A message draws its four (FE, SL, SDB, OI) when it reaches the
@@ -75,17 +74,17 @@ the first runs from an empty chain in a forked child, which reads the
 trace from the memory it shares with its parent. Past a window of
 SNAP_WINDOW round trips (or SNAP_STEPS triggers) it records one snapshot,
 at the first trigger that finds the chain idle (the test above): the
-follow-up FIFO, the OI's free time and the response count. The parent runs
-the first part, then carries the true chain into each later part up to the
-snapshot, and compares: idle there too, the same FIFO, and an OI free time
-equal or, in both runs, before that arrival. Runs that agree at an idle
-trigger take the same steps from there on, so one snapshot past the window
-finds every pair of runs that agreed earlier. Where they agree, the parent
-keeps its own responses before that trigger and the child's after it, and
-takes over the child's end state; else it runs the part itself. The result
-is the same, field for field, for every number of parts; one part takes
-the same path with no child. The exponential law runs in one part, because
-its draws follow event order.
+follow-up FIFO and the OI's free time. The parent runs the first part,
+then carries the true chain into each later part up to the snapshot, and
+compares: idle there too, the same FIFO, and an OI free time equal or, in
+both runs, before that arrival. Runs that agree at an idle trigger take
+the same steps from there on, so one snapshot past the window finds every
+pair of runs that agreed earlier. Where they agree, the parent keeps its
+own responses before that trigger and the child's after it, the only ones
+the child sends, and takes over the child's end state; else it runs the
+part itself. The result is the same, field for field, for every number of
+parts; one part takes the same path with no child. The exponential law
+runs in one part, because its draws follow event order.
 """
 
 from __future__ import annotations
@@ -177,14 +176,14 @@ class _Kernel:
                 msgs.append(n)
         self.stages, self.svcs, self.nexts, self.msgs = chain, svcs, nexts, msgs
         self.first_of = np.array(first)
-        self.m, self.t_im, self.prop_delay = params.m, params.t_im_s, params.prop_delay_s
+        self.m, self.t_im = params.m, params.t_im_s
         self.exp = service_law == "exponential"
         self.draw = np.random.default_rng(seed).standard_exponential
         self.time_s, self.procedure, self.n_trig = trace.time_s, trace.procedure, len(trace)
 
     def arrivals(self, lo: int, hi: int) -> list:
         """FE arrivals of triggers lo .. hi - 1; inf stands for the one past the last."""
-        out = (self.time_s[lo:hi] + self.prop_delay).tolist()
+        out = self.time_s[lo:hi].tolist()
         if hi > self.n_trig:
             out.append(math.inf)
         return out
@@ -333,10 +332,10 @@ def _cold_part(kern: _Kernel, a: int, b: int, out) -> None:
     The run takes the part's first SNAP_WINDOW round trips, or its first
     SNAP_STEPS triggers if they end sooner, then steps one trigger at a time,
     for at most SNAP_STEPS triggers, to the first whose arrival finds the
-    chain idle, and snapshots it there. Written: a pickle of (snapshot,
-    response count, largest backlog from the snapshot on, end state), the
-    snapshot being (trigger, response count, `_idle_state` or None if no
-    trigger was idle); then the responses.
+    chain idle, and snapshots it there. Written: a pickle of ((trigger,
+    `_idle_state` or None if no trigger was idle), the number of responses
+    from that trigger on, the largest backlog from that trigger on, end
+    state); then those responses, the only ones the parent can keep.
     """
     c = _Chain(kern.m, kern.n_trig)
     hi = min(a + SNAP_STEPS, b)
@@ -346,22 +345,22 @@ def _cold_part(kern: _Kernel, a: int, b: int, out) -> None:
     while j < hi and (state := _idle_state(kern, c, j)) is None:
         kern.run(c, j, j + 1)
         j += 1
-    snap = (j, len(c.responses), state)
+    n = len(c.responses)
     c.max_backlog = 0
     kern.run(c, j, b)
-    pickle.dump((snap, len(c.responses), c.max_backlog,
+    kept = memoryview(c.responses)[n:]
+    pickle.dump(((j, state), len(kept), c.max_backlog,
                  tuple(getattr(c, name) for name in _CARRIED)), out)
-    out.write(c.responses)
+    out.write(kept)
 
 
-def _read(f, n: int, into: array | None = None) -> None:
-    """Read n bytes of `f`, a block at a time, onto the end of `into` (or drop them)."""
+def _read(f, n: int, into: array) -> None:
+    """Read n bytes of `f`, a block at a time, onto the end of `into`."""
     while n:
         block = f.read(min(n, PIPE_BLOCK))
         if not block:
             raise EOFError("a part's process ended before its output")
-        if into is not None:
-            into.frombytes(block)
+        into.frombytes(block)
         n -= len(block)
 
 
@@ -372,11 +371,10 @@ def _join(kern: _Kernel, c: _Chain, a: int, b: int, f) -> None:
     got = pickle.load(f)
     if isinstance(got, BaseException):
         raise got
-    (j, n, state), n_resp, top, end = got
+    (j, state), n_kept, top, end = got
     kern.run(c, a, j)
     if state is not None and _idle_state(kern, c, j) == state:
-        _read(f, 8 * n)
-        _read(f, 8 * (n_resp - n), c.responses)
+        _read(f, 8 * n_kept, c.responses)
         c.max_backlog = max(c.max_backlog, top)
         for name, value in zip(_CARRIED, end):
             setattr(c, name, value)

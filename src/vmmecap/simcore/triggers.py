@@ -65,9 +65,10 @@ class TriggerTrace:
 
     The constructor takes columns already sorted. A trace that `_pack`
     builds holds its parts unsorted instead, and sorts them the first time a
-    column is read (`time_s`, `device_id`, `procedure`, `device_kind`),
-    then drops them. `len`, `counts` and `n_messages` need no order and read
-    the parts as they are, so a trace that is only counted is never sorted.
+    column is read (`time_s`, `device_id`, `procedure`), then drops them.
+    `len`, `counts` and `n_messages` need no order and read the parts as
+    they are, so a trace that is only counted is never sorted. A trigger's
+    device kind is `device_id >= n_u`.
     """
 
     __slots__ = ("_columns", "_parts", "horizon_s", "n_u", "n_d")
@@ -96,11 +97,6 @@ class TriggerTrace:
     @property
     def procedure(self) -> np.ndarray:
         return self._sorted()[2]
-
-    @property
-    def device_kind(self) -> np.ndarray:
-        """0 = UE, 1 = MTCD, per trigger."""
-        return (self.device_id >= self.n_u).astype(np.uint8)
 
     def _held(self) -> list:
         """The (times, devices, procs) the trace holds, in no particular order."""

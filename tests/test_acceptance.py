@@ -35,7 +35,7 @@ from vmmecap.simcore import (
     rmse,
     run_queue_sim,
 )
-from vmmecap.simcore.triggers import KIND_UE, PROC_HR
+from vmmecap.simcore.triggers import PROC_HR
 from vmmecap.workload import ProcedureRates, aggregate_rates, htc_rates, mtc_rates
 
 
@@ -98,7 +98,7 @@ def test_criterion_2_theory_vs_simulation_rates(cfg, acceptance):
         th_s_sr.append(s_sr)
         sim_sr.append(emp.lam_u_sr)
         sim_s_sr.append(float(np.mean(mtc_sr)))
-        hr = (trace.device_kind == KIND_UE) & (trace.procedure == PROC_HR)
+        hr = (trace.device_id < trace.n_u) & (trace.procedure == PROC_HR)
         per_ue = np.bincount(trace.device_id[hr], minlength=n_u) / horizon
         hr_z.append((emp.lam_u_hr - u_hr) / (per_ue.std(ddof=1) / math.sqrt(n_u)))
     r_sr = rmse(th_sr, sim_sr)

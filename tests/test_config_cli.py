@@ -287,10 +287,12 @@ class TestCli:
         ({"geometry": {"grid_cols": 4}}, "geometry.grid_cols"),  # cells wrap around
         # egress is always billed on each instance's own meter
         ({"cost": {"egress_per_instance": True}}, "cost.egress_per_instance"),
+        # a constant added to every arrival, which moved every simulated time alike
+        ({"queue": {"prop_delay_s": 0.0075}}, "queue.prop_delay_s"),
     ], ids=["nonsense", "mmpp.packet_size_bytes", "queue.o_bw", "queue.o_size_bytes",
             "scenario.n_d", "parsing_per_object", "misspelt-model-key",
             "misspelt-app-key", "queue.mu_oi-null", "geometry.grid_cols",
-            "cost.egress_per_instance"])
+            "cost.egress_per_instance", "queue.prop_delay_s"])
     def test_unknown_key_exit_code(self, overlay, path, tmp_path, capsys):
         p = tmp_path / "bad.yaml"
         p.write_text(yaml.safe_dump(overlay))
@@ -413,6 +415,8 @@ class TestCli:
                      id="dimension-overlay32-mmpp.q"),
         pytest.param(["simulate"], {"mmpp": {"p": 0, "q": 0}}, "mmpp.q",
                      id="simulate-overlay33-mmpp.q"),
+        pytest.param(["dimension"], {"queue": {"sl_times_us": {"t_sr1": -1.0}}},
+                     "queue.sl_times_us.t_sr1", id="dimension-queue.sl_times_us.t_sr1"),
     ])
     def test_bad_value_exit_code(self, argv, overlay, key, tmp_path, capsys):
         if overlay is not None:
@@ -422,6 +426,46 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key} ") and err.count("\n") == 1
+
+    def test_service_time_error_shows_the_value_given(self, tmp_path, capsys):
+        # microseconds, as written, not the seconds the model holds
+        p = tmp_path / "bad.yaml"
+        p.write_text("queue: {sl_times_us: {t_sr1: -1.0}}\n")
+        assert main(["dimension", "--config", str(p), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == \
+            "config error: queue.sl_times_us.t_sr1 must be > 0, got -1.0\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--users", "5"], ["capacity", "--seed", "9"],
+        ["capacity", "--duration-s", "7"], ["scalability", "--users", "5"],
+        ["scalability", "--seed", "9"], ["scalability", "--duration-s", "7"],
+        ["dimension", "--seed", "9"], ["dimension", "--duration-s", "7"],
+        ["rates", "--tmax-us", "500"], ["simulate", "--tmax-us", "500"],
+    ], ids=" ".join)
+    def test_flag_of_a_key_the_command_ignores(self, argv, tmp_path, capsys):
+        # these keys move none of the command's outputs, only its digest
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_help_lists_the_key_flags_of_the_readme(self, capsys):
+        # README's flag table names the commands that take each key flag
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("| flag | config key | commands |\n")[1].split("\n\n")[0]
+        want = {c: set() for c in ("rates", "dimension", "capacity", "simulate",
+                                   "scalability")}
+        for row in table.splitlines()[1:]:
+            flag, _, commands = (cell.strip() for cell in row.strip("|").split("|"))
+            for command in re.findall(r"`(\w+)`", commands):
+                want[command].add(flag.strip("`"))
+        for command, flags in want.items():
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            shown = re.findall(r"^  (--[\w-]+) [a-z_]+\.[a-z_]+", capsys.readouterr().out,
+                               re.MULTILINE)
+            assert sorted(shown) == sorted(flags), command
 
     def test_flags_match_config_keys(self, tmp_path):
         # a flag is an overlay of its config key, so the digest agrees too

@@ -112,10 +112,13 @@ class TestTraceInvariants:
     def test_no_mtcd_handover(self, small_trace):
         assert small_trace.counts()["MTCD_HR"] == 0
 
-    def test_device_kind_follows_device_id(self, small_trace):
-        kind = small_trace.device_kind
-        assert np.array_equal(kind, small_trace.device_id >= small_trace.n_u)
-        assert set(kind.tolist()) == {KIND_UE, KIND_MTCD}
+    def test_device_ids_by_kind(self, small_trace):
+        # UEs are numbered from 0 and MTCDs from n_u on; the kind tally agrees
+        dev, n_u = small_trace.device_id, small_trace.n_u
+        assert dev.min() >= 0 and dev.max() < n_u + small_trace.n_d
+        c = small_trace.counts()
+        assert (dev < n_u).sum() == sum(c[f"UE_{p}"] for p in PROC_NAMES) > 0
+        assert (dev >= n_u).sum() == sum(c[f"MTCD_{p}"] for p in PROC_NAMES) > 0
 
     def test_poisson_triggers_have_no_device(self):
         trace = poisson_triggers(50.0, 40.0, 10.0, 20.0, 3)
@@ -207,7 +210,7 @@ class TestTraceInvariants:
         assert np.allclose([float(r["time_s"]) for r in rows], small_trace.time_s,
                            rtol=0, atol=1e-9)
         assert [r["device_kind"] for r in rows] == \
-            [KIND_NAMES[k] for k in small_trace.device_kind]
+            [KIND_NAMES[k] for k in (small_trace.device_id >= small_trace.n_u).tolist()]
         assert [r["procedure"] for r in rows] == \
             [PROC_NAMES[p] for p in small_trace.procedure]
 
@@ -218,15 +221,15 @@ class TestTraceInvariants:
         dev[1] = -1
         trace = TriggerTrace(small_trace.time_s, dev, small_trace.procedure,
                              small_trace.horizon_s, small_trace.n_u, small_trace.n_d)
-        assert {KIND_UE, KIND_MTCD} <= set(trace.device_kind.tolist())
+        assert {KIND_UE, KIND_MTCD} <= set((trace.device_id >= trace.n_u).tolist())
         monkeypatch.setattr(triggers, "CSV_ROWS", 1000)  # several blocks and a short last one
         assert len(trace) % 1000
         trace.to_csv(tmp_path / "chunked.csv")
         with open(tmp_path / "rows.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["time_s", "device_id", "device_kind", "procedure"])
-            for t, d, k, p in zip(trace.time_s, trace.device_id, trace.device_kind,
-                                  trace.procedure):
+            for t, d, k, p in zip(trace.time_s, trace.device_id,
+                                  (trace.device_id >= trace.n_u).tolist(), trace.procedure):
                 w.writerow([f"{t:.9f}", int(d), KIND_NAMES[k], PROC_NAMES[p]])
         assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
@@ -337,10 +340,10 @@ class TestDeferredSort:
         trace = self.make(cfg, "generated")
         n, c = len(trace), trace.counts()
         assert sorts == []
-        t, d, p, k = trace.time_s, trace.device_id, trace.procedure, trace.device_kind
+        t, d, p = trace.time_s, trace.device_id, trace.procedure
         assert len(sorts) == 1
         assert trace.time_s is t and trace.device_id is d and trace.procedure is p
-        assert np.all(np.diff(t) >= 0) and np.array_equal(k, d >= trace.n_u)
+        assert np.all(np.diff(t) >= 0)
         assert (len(trace), trace.counts()) == (n, c)
         assert len(sorts) == 1
 
@@ -757,7 +760,7 @@ class TestUeLaw:
         args = (cfg.mix, cfg.geom, cfg.mmpp)
         alone = generate_triggers(*args, 30, 0, 10.0, 2000.0, 8, speed_dist=cfg.speed_dist)
         mixed = generate_triggers(*args, 30, 25, 10.0, 2000.0, 8, speed_dist=cfg.speed_dist)
-        assert len(alone) > 0 and np.any(mixed.device_kind == KIND_MTCD)
+        assert len(alone) > 0 and np.any(mixed.device_id >= mixed.n_u)
         _assert_same(_by_device(mixed, KIND_UE), _by_device(alone, KIND_UE))
 
     def test_rates_match_the_reference_generator(self, cfg):
@@ -812,7 +815,7 @@ class TestMtcdLeadIn:
         pk, dev = mmpp_packet_streams(cfg.mmpp, 550.0, 40, population_rng(5, KIND_MTCD))
         want = _reference_population(pk - 50.0, dev, 40, t_i, 500.0)
         _assert_same(_by_device(trace), want)
-        assert np.all(trace.device_kind == KIND_MTCD)
+        assert np.all(trace.device_id >= trace.n_u)
 
     def test_short_lead_in_keeps_the_trigger_law(self, cfg):
         # Only the triggers in [0, t_i) can see the lead-in: the SRRs there
@@ -873,7 +876,7 @@ def _assert_same(got, want):
 def _by_device(trace, kind=KIND_MTCD, shift=0):
     """(times, devices, procs) of one kind's triggers, device by device in time
     order; the sort is stable, so ties keep the trace's own order."""
-    sel = trace.device_kind == kind
+    sel = (trace.device_id >= trace.n_u) == kind
     t, d, p = trace.time_s[sel], trace.device_id[sel] - shift, trace.procedure[sel]
     order = np.lexsort((t, d))
     return t[order], d[order], p[order]
@@ -965,7 +968,7 @@ class TestMtcdTriggers:
         args = (cfg.mix, cfg.geom, cfg.mmpp)
         alone = generate_triggers(*args, 0, 30, 10.0, 1000.0, 8, speed_dist=cfg.speed_dist)
         mixed = generate_triggers(*args, 3, 30, 10.0, 1000.0, 8, speed_dist=cfg.speed_dist)
-        assert len(alone) > 0 and np.any(mixed.device_kind == KIND_UE)
+        assert len(alone) > 0 and np.any(mixed.device_id < mixed.n_u)
         _assert_same(_by_device(mixed, shift=3), _by_device(alone))
         # the MTCD stream is not the UE stream
         first = population_rng(8, KIND_MTCD).random(4)
@@ -1221,7 +1224,7 @@ def _reference_queue_sim(trace, params, service_law, seed):
     rng = np.random.default_rng(seed)
     exp = service_law == "exponential"
 
-    events = [(t + params.prop_delay_s, i, 0, int(proc), 0, 0.0, None)
+    events = [(t, i, 0, int(proc), 0, 0.0, None)
               for i, (t, proc) in enumerate(zip(trace.time_s, trace.procedure))]
     heapq.heapify(events)
     seq = len(events)
@@ -1284,10 +1287,10 @@ def _reference_queue_sim(trace, params, service_law, seed):
 def _tie_trace(params, law, seed):
     """Two triggers at the same instant, on which a follow-up lands exactly.
 
-    With no propagation delay, an SR at 0 has the chain to itself, so its
-    first message takes the kernel's first four service draws (FE, SL, SDB,
-    OI; replayed here from the same seed) and its follow-up reaches the FE at
-    `f`, when the two triggers at `f` do. A trigger also reaches the FE when
+    An SR at 0 has the chain to itself, so its first message takes the
+    kernel's first four service draws (FE, SL, SDB, OI; replayed here from
+    the same seed) and its follow-up reaches the FE at `f`, when the two
+    triggers at `f` do. A trigger also reaches the FE when
     the SR's message leaves the pool, which ties with that pool departure
     when m > 1. Every tie is broken by seq: the triggers before the
     follow-up, the pool departure before the trigger. The triggers at `f`
@@ -1312,9 +1315,9 @@ def _idle_tie_trace(params, law, seed):
     """An HR trigger that reaches the FE exactly when an SR's last message
     leaves the SDB.
 
-    With no propagation delay, an SR at 0 has the chain to itself, so its
-    three messages take the kernel's first service draws (replayed here from
-    the same seed) and never wait. The HR arrives at the third message's SDB
+    An SR at 0 has the chain to itself, so its three messages take the
+    kernel's first service draws (replayed here from the same seed) and
+    never wait. The HR arrives at the third message's SDB
     departure `x`, when `free_db == x` and nothing else is in the chain. That
     message's seq is larger than the HR's, so it is still inside: the HR sees
     a backlog of 2, and no other message sees more than 1.
@@ -1350,10 +1353,8 @@ class TestQueueSim:
             trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 0, 2000, 10.0,
                                       200.0, 7, speed_dist=cfg.speed_dist)
         elif shape == "ties":
-            params = replace(params, prop_delay_s=0.0)
             trace = _tie_trace(params, law, seed=9)
         else:
-            params = replace(params, prop_delay_s=0.0)
             trace = _idle_tie_trace(params, law, seed=9)
         got = run_queue_sim(trace, params, law, seed=9)
         want = _reference_queue_sim(trace, params, law, seed=9)
@@ -1365,6 +1366,30 @@ class TestQueueSim:
         for f in fields(SimStats):
             a, b = getattr(got, f.name), getattr(want, f.name)
             assert a == b or (a != a and b != b), f.name  # NaN != NaN
+
+    @pytest.mark.parametrize("law", ["deterministic", "exponential"])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("shape", ["generated", "overloaded"])
+    def test_a_time_shift_moves_only_times(self, cfg, shape, m, law):
+        # Every event time is a sum or a max built from the trigger times, and
+        # every result a count, a difference or a ratio of them: a constant
+        # added to every trigger time, as a fixed propagation delay to the FE
+        # would be, changes the results by rounding alone.
+        if shape == "generated":
+            trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 50, 50, 10.0,
+                                      3000.0, 7, speed_dist=cfg.speed_dist)
+        else:
+            trace = poisson_triggers(3500.0, 3500.0, 1500.0, 0.5, 17)
+        shifted = TriggerTrace(trace.time_s + 7.5e-3, trace.device_id, trace.procedure,
+                               trace.horizon_s, trace.n_u, trace.n_d)
+        params = replace(cfg.queue, m=m)
+        got, want = (run_queue_sim(t, params, law, seed=9) for t in (shifted, trace))
+        for f in fields(SimStats):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if f.name in ("n_messages", "max_backlog", "valid"):
+                assert a == b, f.name
+            else:
+                assert a == pytest.approx(b, rel=1e-9, abs=0), f.name
 
     def test_empty_trace(self, cfg):
         trace = TriggerTrace(np.empty(0), np.empty(0, dtype=np.int64),
@@ -1427,7 +1452,10 @@ class TestQueueSim:
         # trace's horizon. The two utilization dicts were recorded again when
         # the busy sums moved from one addition per message to the exact sum
         # of count times service time per message type, rounded once; they
-        # moved by less than 1e-12 relative.
+        # moved by less than 1e-12 relative. The utilizations, and the m = 3
+        # mean and half-width, were recorded again when the FE arrival lost
+        # its constant 7.5 ms propagation delay, which shifted every
+        # simulated time; they moved by less than 1.1e-13 relative.
         small = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 50, 50, 10.0,
                                   3000.0, 7, speed_dist=cfg.speed_dist)
         st = run_queue_sim(small, replace(cfg.queue, m=1), "deterministic", seed=3)
@@ -1435,8 +1463,8 @@ class TestQueueSim:
             0.00011777007894697403, 6.905929058848727e-08)
         assert (st.n_messages, len(small), st.max_backlog) == (12241, 4154, 1)
         assert st.utilization == {
-            "fe": 3.4004826083438676e-05, "sl": 0.00040496212652429313,
-            "db": 4.080579130012641e-05, "oi": 8.161158260025281e-07}
+            "fe": 3.400482608343868e-05, "sl": 0.0004049621265242932,
+            "db": 4.0805791300126416e-05, "oi": 8.161158260025282e-07}
         assert st.empirical_lam_msgs == 4.080333333333333  # 12241 messages / 3000 s
         assert st.valid
 
@@ -1444,11 +1472,11 @@ class TestQueueSim:
         pool = poisson_triggers(3500.0, 3500.0, 1500.0, 0.5, 17)
         st = run_queue_sim(pool, replace(cfg.queue, m=3), "deterministic", seed=5)
         assert (st.mean_response_s, st.ci_halfwidth_s) == (
-            0.00015801191006490766, 7.99625192858154e-06)
+            0.00015801191006490554, 7.996251928582392e-06)
         assert (st.n_messages, len(pool), st.max_backlog) == (12098, 4275, 16)
         assert st.utilization == {
-            "fe": 0.19011940698562574, "sl": 0.7517182432096107,
-            "db": 0.2281432883827509, "oi": 0.004562865767655018}
+            "fe": 0.19011940698562577, "sl": 0.7517182432096109,
+            "db": 0.22814328838275094, "oi": 0.004562865767655019}
         assert st.empirical_lam_msgs == 24196.0  # 12098 messages / 0.5 s
         assert st.valid
 
@@ -1459,6 +1487,9 @@ class TestQueueSim:
         # FE takes the same numbers. The m = 3 fields were recorded after the
         # draws moved to the FE: a pool lets other messages reach the FE
         # between a message's FE and SDB draws, so its seeded values moved.
+        # The utilizations, and the m = 3 mean and half-width, were recorded
+        # again when the FE arrival lost its constant propagation delay, as
+        # in the deterministic case.
         small = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 50, 50, 10.0,
                                   3000.0, 7, speed_dist=cfg.speed_dist)
         st = run_queue_sim(small, replace(cfg.queue, m=1), "exponential", seed=3)
@@ -1466,19 +1497,19 @@ class TestQueueSim:
             0.00011711722298086483, 1.3631859692831364e-06)
         assert (st.n_messages, len(small), st.max_backlog) == (12241, 4154, 2)
         assert st.utilization == {
-            "fe": 3.392462431764418e-05, "sl": 0.0004008785056596127,
-            "db": 4.151246385334725e-05, "oi": 8.195098662106121e-07}
+            "fe": 3.392462431764419e-05, "sl": 0.0004008785056596128,
+            "db": 4.151246385334726e-05, "oi": 8.195098662106124e-07}
         assert st.empirical_lam_msgs == 4.080333333333333
         assert st.valid
 
         pool = poisson_triggers(3500.0, 3500.0, 1500.0, 0.5, 17)
         st = run_queue_sim(pool, replace(cfg.queue, m=3), "exponential", seed=5)
         assert (st.mean_response_s, st.ci_halfwidth_s) == (
-            0.00023297453455075435, 4.113734369894969e-05)
+            0.00023297453455075416, 4.113734369894977e-05)
         assert (st.n_messages, len(pool), st.max_backlog) == (12098, 4275, 37)
         assert st.utilization == {
-            "fe": 0.18768849544374636, "sl": 0.7545620418927524,
-            "db": 0.2286880986468375, "oi": 0.00452741579921051}
+            "fe": 0.1876884954437464, "sl": 0.7545620418927527,
+            "db": 0.22868809864683756, "oi": 0.004527415799210511}
         assert st.empirical_lam_msgs == 24196.0
         assert st.valid
 
@@ -1581,21 +1612,24 @@ def _one_part(trace, params, law, seed, monkeypatch):
 
 def _force_parts(monkeypatch, n_parts):
     """Cut every trace of at least n_parts triggers into n_parts parts. Returns
-    a function that lists the response counts at which the parent took over
-    a child's run, one per part taken over."""
+    a function that lists, per part taken over, the responses the parent's
+    own run made in the part before it took over the child's run."""
     monkeypatch.setattr(queuesim, "MIN_PART_TRIGGERS", 1)
     monkeypatch.setattr(queuesim, "_cpus", lambda: n_parts)
-    reads = []
-    read = queuesim._read
+    starts, taken = [], []
+    join, read = queuesim._join, queuesim._read
 
-    def spy(f, n, into=None):
-        reads.append(n)
+    def join_spy(kern, c, a, b, f):
+        starts.append(len(c.responses))
+        return join(kern, c, a, b, f)
+
+    def read_spy(f, n, into):  # a take-over's one read, onto the parent's responses
+        taken.append(len(into) - starts[-1])
         return read(f, n, into)
 
-    # a take-over reads two stretches of the pipe, the first the responses
-    # before the snapshot: 8 bytes each
-    monkeypatch.setattr(queuesim, "_read", spy)
-    return lambda: [n // 8 for n in reads[0::2]]
+    monkeypatch.setattr(queuesim, "_join", join_spy)
+    monkeypatch.setattr(queuesim, "_read", read_spy)
+    return lambda: taken
 
 
 def _no_children():
@@ -1664,7 +1698,7 @@ class TestTimePartitions:
     def test_a_cut_before_every_trigger(self, cfg, monkeypatch, shape, m):
         # one part per trigger: a cut falls between the two triggers at one
         # instant, and on the trigger a follow-up lands on
-        params = replace(cfg.queue, m=m, prop_delay_s=0.0)
+        params = replace(cfg.queue, m=m)
         make = _tie_trace if shape == "ties" else _idle_tie_trace
         trace = make(params, "deterministic", 9)
         want = _reference_queue_sim(trace, params, "deterministic", 9)
@@ -1694,7 +1728,7 @@ class TestTimePartitions:
         # arrives at 15.8 ms and finds the chain idle and no follow-up due,
         # but its first message reaches the OI before the OI is free. With no
         # window the cold run snapshots that SR, where the runs disagree.
-        params = replace(cfg.queue, m=m, mu_oi=2000.0, prop_delay_s=0.0)
+        params = replace(cfg.queue, m=m, mu_oi=2000.0)
         trace = TriggerTrace(np.array([0.0, 15.8e-3]), np.arange(2, dtype=np.int32),
                              np.array([PROC_HR, PROC_SR], dtype=np.uint8), 1.0, 2, 0)
         want = _reference_queue_sim(trace, params, "deterministic", 9)
@@ -1752,6 +1786,33 @@ class TestTimePartitions:
         monkeypatch.setattr(queuesim, "SNAP_WINDOW", 2)
         _assert_same_stats(run_queue_sim(trace, params, "deterministic", seed=9), want)
         assert len(taken()) == 1 and taken()[0] > 21  # past the 21 SRs' first messages
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_cold_backlog_before_the_snapshot(self, cfg, monkeypatch, m):
+        # A 10 ms OI: its queue delays messages but does not add to the
+        # backlog, which counts messages up to their SDB departure. Five SRs
+        # 0.2 ms apart before the cut (a backlog of 1 each) queue at the OI,
+        # so in the true run the first message of the SR after the cut, X,
+        # leaves the OI about 50 ms after X; in the cold run, which starts
+        # empty, 10 ms after. Three SRs arrive 1 us after X's follow-up does
+        # in the cold run: there they find it in the chain, a backlog of 4,
+        # and in the true run they do not, 3. The snapshot, at the last
+        # trigger 3 s on, finds both runs idle and takes the child's run
+        # over; the cold run's largest backlog before it must not count.
+        params = replace(cfg.queue, m=m, mu_oi=100.0)
+        t_x = 1e-3
+        fol = (t_x + 1 / params.mu_fe + params.sl_times.t_sr1 + 1 / params.mu_sdb
+               + 1 / params.mu_oi + params.t_im_s)
+        t = np.concatenate((np.arange(5) * 2e-4, [t_x], np.full(3, fol + 1e-6), [t_x + 3.0]))
+        trace = TriggerTrace(t, np.arange(10, dtype=np.int32),
+                             np.full(10, PROC_SR, dtype=np.uint8), 4.0, 10, 0)
+        want = _one_part(trace, params, "deterministic", 9, monkeypatch)
+        assert want.max_backlog == 3
+        taken = _force_parts(monkeypatch, 2)
+        _assert_same_stats(run_queue_sim(trace, params, "deterministic", seed=9), want)
+        # the parent's run before the snapshot: X's and the three SRs' 12
+        # messages and the 10 follow-ups of the SRs before the cut
+        assert taken() == [22]
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_a_part_that_couples_early(self, cfg, monkeypatch, m):
