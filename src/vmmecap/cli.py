@@ -120,6 +120,10 @@ def _timed(walls: dict, phase: str, fn, *fn_args, **kw):
 
 
 def cmd_rates(cfg: ToolConfig, args) -> None:
+    if not args.simulate:  # with no trace, a trace's key would move only the digest
+        for key, flag in args.trace_flags.items():
+            if getattr(args, key) is not None:
+                raise ConfigError(f"rates takes {flag} only with --simulate")
     tis = [cfg.scenario["t_i_s"]] if args.ti is None else _parse_grid(args.ti, "--ti")
     n_u, n_d = _scenario_counts(cfg, "rates --simulate" if args.simulate else None)
     horizon, seed = cfg.scenario["horizon_s"], cfg.scenario["seed"]
@@ -141,7 +145,7 @@ def cmd_rates(cfg: ToolConfig, args) -> None:
             emp = _timed(walls, "stats_s", measured_rates, trace, n_u, n_d, horizon)
             row.update({f"sim_{c}_per_s": getattr(emp, c) for c in sim_cols})
         rows.append(row)
-    meta = _meta(cfg, seed=seed)
+    meta = _meta(cfg, seed=seed) if args.simulate else _meta(cfg)
     if args.simulate:
         meta.update({f"rmse_{c}": rmse([r[f"{c}_per_s"] for r in rows],
                                         [r[f"sim_{c}_per_s"] for r in rows])
@@ -248,9 +252,9 @@ def cmd_simulate(cfg: ToolConfig, args) -> None:
     _emit(rows, _meta(cfg, seed=seed, service_law=law, **walls), args)
 
 
-def _key_flag(parser, flag: str, key: str, text: str, kind=_number) -> None:
+def _key_flag(parser, flag: str, key: str, text: str, kind=_number) -> argparse.Action:
     """A flag that sets the config key `key`, shown as its metavar in --help."""
-    parser.add_argument(flag, dest=key, metavar=key, type=kind, help=text)
+    return parser.add_argument(flag, dest=key, metavar=key, type=kind, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,10 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="YAML config overlaying the defaults")
     common.add_argument("--out", metavar="PATH", help="output file (default stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    _key_flag(common, "--mtcd-ratio", "scenario.mtcd_per_ue", "MTCDs per UE")
-    _key_flag(users, "--users", "scenario.n_u", "number of UEs")
-    _key_flag(trace, "--seed", "scenario.seed", "master random seed")
-    _key_flag(trace, "--duration-s", "scenario.horizon_s", "simulated horizon, seconds")
+    trace_flags = (  # the keys a trace reads; `rates` takes them only with --simulate
+        _key_flag(common, "--mtcd-ratio", "scenario.mtcd_per_ue", "MTCDs per UE"),
+        _key_flag(users, "--users", "scenario.n_u", "number of UEs"),
+        _key_flag(trace, "--seed", "scenario.seed", "master random seed"),
+        _key_flag(trace, "--duration-s", "scenario.horizon_s", "simulated horizon, seconds"))
     _key_flag(timer, "--ti", "scenario.t_i_s", "inactivity timer, seconds")
     _key_flag(budget, "--tmax-us", "queue.t_max_s", "processing-delay budget, microseconds",
               lambda text: _number(text, 1e-6))  # the config holds seconds
@@ -283,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default scenario.t_i_s)")
     p.add_argument("--simulate", action="store_true",
                    help="append simulated rates and an RMSE footer")
-    p.set_defaults(func=cmd_rates)
+    p.set_defaults(func=cmd_rates,
+                   trace_flags={a.dest: a.option_strings[0] for a in trace_flags})
 
     p = sub.add_parser("dimension", parents=[common, users, timer, budget],
                        help="minimum SL instance count for a device population")

@@ -187,6 +187,9 @@ def build(cfg: dict) -> ToolConfig:
     with _under("geometry"):
         geom = CellGeometry(**g, mean_speed_mps=dists.mean(speed_dist))
     sl_us = q.pop("sl_times_us")
+    for key, v in sl_us.items():  # a time > 0 that is 0 in seconds would read as <= 0
+        _require(not v > 0 or v * 1e-6 > 0, f"queue.sl_times_us.{key}",
+                 "large enough not to underflow to 0 s", v)
     with _under("queue.sl_times_us", sl_us):
         sl_times = SlServiceTimes(**{k: v * 1e-6 for k, v in sl_us.items()})
     with _under("queue"):

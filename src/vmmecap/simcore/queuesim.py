@@ -32,12 +32,13 @@ already in that order:
   event sources, through a heap; with m = 1 that heap stays empty and a
   message walks through all four stages at once.
 
-The backlog a message finds counts the messages that reached the FE before
-it and have not yet left the SDB. When the SDB freed up strictly before
-the arrival and no message waits in the pool's departure heap, every
-earlier message has left the SDB, so the backlog is the arrival alone and
-the FIFO of SDB departures is dropped unread. At a tie (`free_db == t`)
-the seqs decide, so the FIFO is walked.
+The backlog a message finds counts it and the earlier FE arrivals yet to
+leave the SDB: those in a FIFO of SDB departures to come and in the pool's
+departure heap, so no counter is kept. When the SDB freed up strictly
+before the arrival and the heap is empty, the backlog is the arrival
+alone, which the largest backlog (1 from the first trigger on) counts
+already, and the FIFO is dropped unread. At a tie (`free_db == t`) the
+seqs decide, so the FIFO is walked.
 
 Response time per message covers the four stages only — the
 inter-message gap shapes arrival timing but is not vMME processing time.
@@ -82,7 +83,8 @@ the same steps from there on, so one snapshot past the window finds every
 pair of runs that agreed earlier. Where they agree, the parent keeps its
 own responses before that trigger and the child's after it, the only ones
 the child sends, and takes over the child's end state; else it runs the
-part itself. The result is the same, field for field, for every number of
+part itself, and a child that found no idle trigger sent only where it
+stopped. The result is the same, field for field, for every number of
 parts; one part takes the same path with no child. The exponential law
 runs in one part, because its draws follow event order.
 """
@@ -100,7 +102,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import ParameterError, VmmeCapError
 from ..queueing import QueueParams, stages
 from .triggers import PROC_HR, PROC_SR, TriggerTrace, check_seed
 from .stats import batch_means
@@ -116,7 +118,7 @@ PIPE_BLOCK = 1 << 20  # bytes read from a child's pipe at a time
 
 # the chain state a cold part hands to the parent at its end
 _CARRIED = ("free_fe", "free_sl", "free_db", "free_oi", "pool", "departed", "follow",
-            "sq_fol", "in_chain", "backlog")
+            "sq_fol", "in_chain")
 
 
 @dataclass(frozen=True)
@@ -147,7 +149,7 @@ class _Chain:
         # departures, which strictly increase (every service takes time), so
         # the FIFO stays sorted.
         self.in_chain = deque()
-        self.backlog = self.max_backlog = 0  # messages inside the chain
+        self.max_backlog = min(n_trig, 1)  # the largest backlog found; the first trigger finds 1
         self.busy = (0.0, 0.0, 0.0, 0.0)  # exponential law only
         # a block of unit exponentials, used from units[u] on; none at first
         self.units, self.u = [], DRAW_BLOCK
@@ -202,9 +204,8 @@ class _Kernel:
         pooled, exp, draw, block = self.m > 1, self.exp, self.draw, DRAW_BLOCK
         free_fe, free_sl, free_db, free_oi = c.free_fe, c.free_sl, c.free_db, c.free_oi
         pool, departed, follow, in_chain = c.pool, c.departed, c.follow, c.in_chain
-        sq_fol, backlog, max_backlog = c.sq_fol, c.backlog, c.max_backlog
+        sq_fol, max_backlog, units, u = c.sq_fol, c.max_backlog, c.units, c.u
         busy_fe, busy_sl, busy_db, busy_oi = c.busy
-        units, u = c.units, c.u
         respond = c.responses.append
         inf = math.inf  # a local: the loop reads it for every message
         t_fol = follow[0][0] if follow else inf  # the head's FE arrival
@@ -231,14 +232,13 @@ class _Kernel:
                     if free_db < t and not departed:
                         # every earlier message has left the SDB: the chain holds this one
                         in_chain.clear()
-                        backlog = 1
                     else:
                         while in_chain and in_chain[0] < (t, sq):
                             in_chain.popleft()
-                            backlog -= 1
-                        backlog += 1
-                    if backlog > max_backlog:
-                        max_backlog = backlog
+                        # those yet to leave the SDB, those yet to leave the pool, this one
+                        backlog = len(in_chain) + len(departed) + 1
+                        if backlog > max_backlog:
+                            max_backlog = backlog
                     fe_arr = t
                     s_fe, s_sl, s_db, s_oi = svcs[typ]
                     if exp:  # four draws a message, so a block is used up exactly
@@ -278,9 +278,8 @@ class _Kernel:
             if k < len(firsts):  # not the sentinel
                 raise
         c.free_fe, c.free_sl, c.free_db, c.free_oi = free_fe, free_sl, free_db, free_oi
-        c.sq_fol, c.backlog, c.max_backlog = sq_fol, backlog, max_backlog
+        c.sq_fol, c.max_backlog, c.units, c.u = sq_fol, max_backlog, units, u
         c.busy = (busy_fe, busy_sl, busy_db, busy_oi)
-        c.units, c.u = units, u
 
     def busy_sums(self, c: _Chain) -> tuple:
         """The four stages' busy sums. The exponential law's are the loop's; under
@@ -333,9 +332,9 @@ def _cold_part(kern: _Kernel, a: int, b: int, out) -> None:
     SNAP_STEPS triggers if they end sooner, then steps one trigger at a time,
     for at most SNAP_STEPS triggers, to the first whose arrival finds the
     chain idle, and snapshots it there. Written: a pickle of ((trigger,
-    `_idle_state` or None if no trigger was idle), the number of responses
-    from that trigger on, the largest backlog from that trigger on, end
-    state); then those responses, the only ones the parent can keep.
+    `_idle_state`), the number of responses and the largest backlog from
+    that trigger on, end state), then those responses, the only ones the
+    parent keeps; with no idle trigger, ((trigger, None), 0, 0, None) alone.
     """
     c = _Chain(kern.m, kern.n_trig)
     hi = min(a + SNAP_STEPS, b)
@@ -345,36 +344,36 @@ def _cold_part(kern: _Kernel, a: int, b: int, out) -> None:
     while j < hi and (state := _idle_state(kern, c, j)) is None:
         kern.run(c, j, j + 1)
         j += 1
-    n = len(c.responses)
-    c.max_backlog = 0
+    if state is None:
+        pickle.dump(((j, None), 0, 0, None), out)
+        return
+    c.responses, c.max_backlog = array("d"), 0  # the parent takes what follows alone
     kern.run(c, j, b)
-    kept = memoryview(c.responses)[n:]
-    pickle.dump(((j, state), len(kept), c.max_backlog,
+    pickle.dump(((j, state), len(c.responses), c.max_backlog,
                  tuple(getattr(c, name) for name in _CARRIED)), out)
-    out.write(kept)
-
-
-def _read(f, n: int, into: array) -> None:
-    """Read n bytes of `f`, a block at a time, onto the end of `into`."""
-    while n:
-        block = f.read(min(n, PIPE_BLOCK))
-        if not block:
-            raise EOFError("a part's process ended before its output")
-        into.frombytes(block)
-        n -= len(block)
+    out.write(c.responses)
 
 
 def _join(kern: _Kernel, c: _Chain, a: int, b: int, f) -> None:
     """Carry the true chain `c` through part [a, b): up to the snapshot of the
     cold run that `f` reads and, if the two runs agree there, take the cold
     run's rest; else to the part's end."""
-    got = pickle.load(f)
+    lost = f"the process of triggers {a} to {b - 1} ended without its output"
+    try:
+        got = pickle.load(f)
+    except (EOFError, pickle.UnpicklingError):
+        raise VmmeCapError(lost) from None
     if isinstance(got, BaseException):
         raise got
     (j, state), n_kept, top, end = got
     kern.run(c, a, j)
     if state is not None and _idle_state(kern, c, j) == state:
-        _read(f, 8 * n_kept, c.responses)
+        step = PIPE_BLOCK // c.responses.itemsize
+        try:  # fromfile raises EOFError on a short read
+            for n in range(n_kept, 0, -step):
+                c.responses.fromfile(f, min(n, step))
+        except EOFError:
+            raise VmmeCapError(lost) from None
         c.max_backlog = max(c.max_backlog, top)
         for name, value in zip(_CARRIED, end):
             setattr(c, name, value)

@@ -249,7 +249,9 @@ class TestCli:
             "sim_lam_msgs_per_s"] + [f"sim_{r}_per_s" for r in rates]
 
     def test_rates_needs_no_device_without_simulate(self, tmp_path):
-        assert run_cli(["rates", "--users", "0"], tmp_path)[0] == 0
+        p = tmp_path / "nobody.yaml"  # a file: `rates` takes --users only with --simulate
+        p.write_text("scenario: {n_u: 0}\n")
+        assert run_cli(["rates", "--config", str(p)], tmp_path)[0] == 0
 
     def test_config_error_exit_code(self, tmp_path):
         code = main(["rates", "--config", "/no/such/file.yaml"])
@@ -435,6 +437,14 @@ class TestCli:
         assert capsys.readouterr().err == \
             "config error: queue.sl_times_us.t_sr1 must be > 0, got -1.0\n"
 
+    def test_service_time_that_underflows(self, tmp_path, capsys):
+        # > 0 as written, but 0 s once scaled from microseconds
+        p = tmp_path / "tiny.yaml"
+        p.write_text("queue: {sl_times_us: {t_sr1: 1.0e-320}}\n")
+        assert main(["dimension", "--config", str(p), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == ("config error: queue.sl_times_us.t_sr1 must be large "
+                                           "enough not to underflow to 0 s, got 1e-320\n")
+
     @pytest.mark.parametrize("argv", [
         ["capacity", "--users", "5"], ["capacity", "--seed", "9"],
         ["capacity", "--duration-s", "7"], ["scalability", "--users", "5"],
@@ -476,13 +486,26 @@ class TestCli:
         _, by_file = run_cli(["simulate", "--config", str(p)], tmp_path, fmt="json")
         assert _without_walls(by_flags) == _without_walls(by_file)
 
-    def test_exact_rates_ignore_the_seed(self, tmp_path):
-        def row(seed):
-            _, text = run_cli(["rates", "--ti", "10", "--seed", seed], tmp_path, fmt="json")
-            return json.loads(text)["rows"]
+    def test_exact_rates_ignore_the_seed(self, tmp_path, capsys):
+        # no seed moves an exact rate, so `rates` takes none without --simulate
+        code, text = run_cli(["rates", "--ti", "10"], tmp_path, fmt="json")
+        assert code == 0 and "seed" not in json.loads(text)["meta"]
+        assert json.loads(text)["rows"][0]["lam_s_sr_per_s"] == \
+            pytest.approx(0.01169692524554546, rel=1e-12)
+        assert main(["rates", "--ti", "10", "--seed", "5", "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == "config error: rates takes --seed only with --simulate\n"
 
-        assert row("5") == row("7")
-        assert row("5")[0]["lam_s_sr_per_s"] == pytest.approx(0.01169692524554546, rel=1e-12)
+    @pytest.mark.parametrize("flag, value", [("--users", "5"), ("--mtcd-ratio", "2"),
+                                             ("--duration-s", "100"), ("--seed", "5")])
+    def test_rates_takes_trace_flags_only_with_simulate(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["rates", "--ti", "10", flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: rates takes {flag} only with --simulate\n"
+        assert not out.exists()
+        code, text = run_cli(["rates", "--simulate", "--ti", "10", "--users", "20",
+                              "--duration-s", "200", flag, value], tmp_path, fmt="json")
+        assert code == 0 and json.loads(text)["meta"]["seed"] >= 0
 
     def test_timer_past_every_slot_count(self, tmp_path, capsys):
         # t / delta_t overflows to inf: no gap outlasts the timer

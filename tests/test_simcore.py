@@ -4,9 +4,11 @@ with the analytic model at small scale."""
 import bisect
 import csv
 import heapq
+import io
 import math
 import multiprocessing
 import os
+import pickle
 import sys
 import threading
 import tracemalloc
@@ -19,7 +21,8 @@ from scipy import stats  # an oracle here; the package itself imports no SciPy
 
 from vmmecap import dists, mmpp
 from vmmecap.config import load_config
-from vmmecap.errors import ParameterError
+from vmmecap.cli import main
+from vmmecap.errors import ParameterError, VmmeCapError
 from vmmecap.mmpp import MmppParams, mmpp_packet_streams, mmpp_stream_chunks
 from vmmecap.queueing import response_at, weighted_sl_service_time
 from vmmecap.simcore import (
@@ -1616,19 +1619,21 @@ def _force_parts(monkeypatch, n_parts):
     own run made in the part before it took over the child's run."""
     monkeypatch.setattr(queuesim, "MIN_PART_TRIGGERS", 1)
     monkeypatch.setattr(queuesim, "_cpus", lambda: n_parts)
-    starts, taken = [], []
-    join, read = queuesim._join, queuesim._read
+    seen, taken = [], []
+    join, idle = queuesim._join, queuesim._idle_state
+
+    def idle_spy(kern, c, j):  # in the parent, `_join`'s one check at the snapshot
+        seen.append(len(c.responses))
+        return idle(kern, c, j)
 
     def join_spy(kern, c, a, b, f):
-        starts.append(len(c.responses))
-        return join(kern, c, a, b, f)
-
-    def read_spy(f, n, into):  # a take-over's one read, onto the parent's responses
-        taken.append(len(into) - starts[-1])
-        return read(f, n, into)
+        start, follow = len(c.responses), c.follow
+        join(kern, c, a, b, f)
+        if c.follow is not follow:  # the child's end state, unpickled, was taken over
+            taken.append(seen[-1] - start)
 
     monkeypatch.setattr(queuesim, "_join", join_spy)
-    monkeypatch.setattr(queuesim, "_read", read_spy)
+    monkeypatch.setattr(queuesim, "_idle_state", idle_spy)
     return lambda: taken
 
 
@@ -1839,6 +1844,47 @@ class TestTimePartitions:
         monkeypatch.setattr(queuesim, "_cold_part", fail)
         with pytest.raises(ValueError, match="part from"):
             run_queue_sim(trace, cfg.queue, "deterministic")
+        _no_children()
+
+    def test_a_part_with_no_snapshot_sends_its_header_alone(self, cfg):
+        # about 110 % of one SL server: the chain never empties, so no trigger
+        # past the window is idle, and the parent will run the part itself
+        trace = poisson_triggers(3500.0, 3500.0, 1500.0, 5.0, 17)
+        kern = queuesim._Kernel(trace, replace(cfg.queue, m=1), "deterministic", 9)
+        a = len(trace) // 2
+        out = io.BytesIO()
+        queuesim._cold_part(kern, a, len(trace), out)
+        out.seek(0)
+        (j, state), n_kept, top, end = pickle.load(out)
+        assert state is None and (n_kept, top, end) == (0, 0, None)
+        assert a < j < len(trace) and out.read() == b""
+
+    @pytest.mark.parametrize("cut", ["header", "responses"])
+    def test_a_part_that_ends_without_its_output(self, cfg, monkeypatch, cut):
+        trace = poisson_triggers(1000.0, 1000.0, 300.0, 2.0, 8)
+        cold = queuesim._cold_part
+
+        def lose(kern, a, b, out):
+            if cut == "header":
+                os._exit(1)  # nothing flushed
+            whole = io.BytesIO()
+            cold(kern, a, b, whole)
+            out.write(whole.getvalue()[:-8])  # one response short
+
+        _force_parts(monkeypatch, 3)
+        monkeypatch.setattr(queuesim, "_cold_part", lose)
+        with pytest.raises(VmmeCapError, match=r"^the process of triggers \d+ to \d+ ended "
+                                               r"without its output$"):
+            run_queue_sim(trace, cfg.queue, "deterministic")
+        _no_children()
+
+    def test_a_lost_part_exits_4(self, monkeypatch, tmp_path, capsys):
+        _force_parts(monkeypatch, 2)
+        monkeypatch.setattr(queuesim, "_cold_part", lambda kern, a, b, out: os._exit(1))
+        assert main(["simulate", "--users", "50", "--duration-s", "200", "--seed", "4",
+                     "--out", str(tmp_path / "x")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: the process of triggers ") and err.count("\n") == 1
         _no_children()
 
     def test_error_in_the_parent(self, cfg, monkeypatch):
