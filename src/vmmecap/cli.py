@@ -22,8 +22,9 @@ from . import __version__
 from .config import ToolConfig, load_config
 from .econ import scalability_table
 from .errors import ConfigError, InfeasibleError, InstabilityError, ParameterError, VmmeCapError
-from .queueing import capacity, dimension, stages, system_response
+from .queueing import capacity, dimension, system_response
 from .simcore import generate_triggers, measured_rates, rmse, run_queue_sim
+from .simcore.triggers import MAX_DEVICES
 from .workload import aggregate_rates, htc_rates, mtc_rates
 
 
@@ -96,13 +97,21 @@ def _meta(cfg: ToolConfig, **extra) -> dict:
     return {"tool_version": __version__, "config_digest": cfg.digest, **extra}
 
 
-def _scenario_counts(cfg: ToolConfig, command: str | None = None) -> tuple[int, int]:
+def _scenario_counts(cfg: ToolConfig, command: str | None = None,
+                     traced: bool = False) -> tuple[int, int]:
     """(n_u, n_d), with n_d = round(MTCDs per UE * n_u) as `capacity` counts them.
-    A `command` named here needs at least one device."""
-    n_u = cfg.scenario["n_u"]
-    n_d = int(round(cfg.scenario["mtcd_per_ue"] * n_u))
+    A `command` named here needs at least one device, and one that builds a
+    trace (`traced`) at most MAX_DEVICES, the ids a trace holds."""
+    n_u, per_ue = cfg.scenario["n_u"], cfg.scenario["mtcd_per_ue"]
+    if not math.isfinite(per_ue * n_u):
+        raise ConfigError(f"scenario.mtcd_per_ue must give a finite MTCD count, "
+                          f"got {per_ue:g} MTCDs per UE for {n_u} UEs")
+    n_d = int(round(per_ue * n_u))
     if command is not None and n_u + n_d == 0:
         raise ConfigError(f"{command} needs at least one device, got 0 UEs and 0 MTCDs")
+    if traced and n_u + n_d > MAX_DEVICES:
+        raise ConfigError(f"scenario.n_u and scenario.mtcd_per_ue must give {command} at most "
+                          f"{MAX_DEVICES} devices, got {n_u} UEs + {n_d} MTCDs")
     return n_u, n_d
 
 
@@ -125,7 +134,8 @@ def cmd_rates(cfg: ToolConfig, args) -> None:
             if getattr(args, key) is not None:
                 raise ConfigError(f"rates takes {flag} only with --simulate")
     tis = [cfg.scenario["t_i_s"]] if args.ti is None else _parse_grid(args.ti, "--ti")
-    n_u, n_d = _scenario_counts(cfg, "rates --simulate" if args.simulate else None)
+    n_u, n_d = _scenario_counts(cfg, "rates --simulate" if args.simulate else None,
+                                traced=args.simulate)
     horizon, seed = cfg.scenario["horizon_s"], cfg.scenario["seed"]
     sim_cols = _sim_cols(n_u, n_d) if args.simulate else []
     walls = {}  # wall seconds of each phase over the grid, for the output's meta
@@ -169,8 +179,7 @@ def cmd_dimension(cfg: ToolConfig, args) -> None:
         "lambda_msgs_per_s": rates.lam_total_msgs,
         "m_min": m,
         "t_mean_us": total * 1e6,
-        **{f"t_{s.key}_us": breakdown[f"{s.key}_s"] * 1e6
-           for s in stages(cfg.queue, breakdown["t_sl_bar_s"])},
+        **{f"t_{key.removesuffix('_s')}_us": t * 1e6 for key, t in breakdown.items()},
         "t_max_us": cfg.queue.t_max_s * 1e6,
     }]
     _emit(rows, _meta(cfg), args)
@@ -222,7 +231,7 @@ def cmd_scalability(cfg: ToolConfig, args) -> None:
 
 def cmd_simulate(cfg: ToolConfig, args) -> None:
     ti, horizon, seed = (cfg.scenario[k] for k in ("t_i_s", "horizon_s", "seed"))
-    n_u, n_d = _scenario_counts(cfg, "simulate")
+    n_u, n_d = _scenario_counts(cfg, "simulate", traced=True)
     walls = {}  # wall seconds of each phase, for the output's meta
     trace = _timed(walls, "generate_s", generate_triggers, cfg.mix, cfg.geom, cfg.mmpp,
                    n_u, n_d, ti, horizon, seed, speed_dist=cfg.speed_dist)

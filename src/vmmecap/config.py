@@ -162,6 +162,7 @@ def build(cfg: dict) -> ToolConfig:
     s = cfg["scenario"]
     for key in ("n_u", "mtcd_per_ue", "t_i_s", "seed"):
         _require(s[key] >= 0, f"scenario.{key}", ">= 0", s[key])
+    _require(s["mtcd_per_ue"] < math.inf, "scenario.mtcd_per_ue", "finite", s["mtcd_per_ue"])
     _require(0 < s["horizon_s"] < math.inf, "scenario.horizon_s", "finite and > 0",
              s["horizon_s"])
     _require(s["service_law"] in ("deterministic", "exponential"), "scenario.service_law",

@@ -39,12 +39,12 @@ class CostSchedule:
         for name, v in self.__dict__.items():
             if name == "egress_tiers_gb_usd":
                 continue
-            if v < 0:
+            if not v >= 0:
                 raise FieldError(name, ">= 0", v)
         if not self.seconds_per_month > 0:  # every monthly charge divides by it
             raise FieldError("seconds_per_month", "> 0", self.seconds_per_month)
         tiers = self.egress_tiers_gb_usd
-        if not tiers or any(w <= 0 or usd < 0 for w, usd in tiers):
+        if not tiers or not all(w > 0 and usd >= 0 for w, usd in tiers):
             raise FieldError("egress_tiers_gb_usd",
                              "one or more brackets of width > 0 and price >= 0", tiers)
 
@@ -54,7 +54,7 @@ def tiered_egress_cost(monthly_gb: float, sched: CostSchedule) -> float:
 
     Volume beyond the last bracket is billed at the last bracket's rate.
     """
-    if monthly_gb < 0:
+    if not monthly_gb >= 0:
         raise ParameterError(f"egress volume must be >= 0, got {monthly_gb}")
     rem = monthly_gb
     cost = 0.0
@@ -82,9 +82,9 @@ def cost_per_second(
     the whole outbound volume (lam_msgs * o_size_bytes), so egress costs m
     times the tiered cost of that volume.
     """
-    if m < 1:
+    if not m >= 1:
         raise ParameterError(f"m must be >= 1, got {m}")
-    if lam_msgs < 0 or n_u < 0:
+    if not (lam_msgs >= 0 and n_u >= 0):
         raise ParameterError("lam_msgs and n_u must be >= 0")
     spm = sched.seconds_per_month
 
@@ -129,7 +129,7 @@ class ScalabilityPoint:
 
 
 def classify(psi: float, gamma: float) -> str:
-    if psi < 0:
+    if not psi >= 0:
         raise ParameterError(f"psi must be >= 0, got {psi}")
     if psi >= 1.0:
         return "positive"
@@ -141,9 +141,9 @@ def classify(psi: float, gamma: float) -> str:
 def productivity(lam_msgs: float, t_mean_s: float, cost_usd_per_s: float,
                  t_hat_s: float) -> tuple[float, float]:
     """(f, F): delay discount f = 1/(1 + T/T_hat) and throughput-per-dollar F."""
-    if cost_usd_per_s <= 0:
+    if not cost_usd_per_s > 0:
         raise ParameterError("cost must be > 0")
-    if t_hat_s <= 0:
+    if not t_hat_s > 0:
         raise ParameterError("t_hat must be > 0")
     f = 1.0 / (1.0 + t_mean_s / t_hat_s)
     return f, lam_msgs * f / cost_usd_per_s

@@ -80,7 +80,7 @@ def erlang_c(m: int, a: float) -> float:
     """
     if not (isinstance(m, int) and m >= 1):
         raise ParameterError(f"m must be an integer >= 1, got {m}")
-    if a < 0:
+    if not a >= 0:
         raise ParameterError(f"offered load must be >= 0, got {a}")
     if a >= m:
         raise InstabilityError("SL", a, float(m))
@@ -93,7 +93,7 @@ def erlang_c(m: int, a: float) -> float:
 def weighted_sl_service_time(rates: ProcedureRates, times: SlServiceTimes) -> float:
     """Mean per-message SL processing time under the current procedure mix, s."""
     lam = rates.lam_total_msgs
-    if lam <= 0:
+    if not lam > 0:
         raise ParameterError("total message rate is zero: service-time mix undefined")
     # every rate scaled by one power of two, which is exact, so that subnormal
     # rates times the service times do not underflow to a zero mean
@@ -123,7 +123,7 @@ def stages(params: QueueParams, t_sl: float, m: float | None = None) -> tuple[St
 def mmm_response(lam: float, mu: float, c: float, stage: str = "SL") -> float:
     """Mean response time (wait + service) of an M/M/c queue, seconds; with
     c = inf nothing waits."""
-    if lam < 0 or mu <= 0:
+    if not (lam >= 0 and mu > 0):
         raise ParameterError(f"need lam >= 0 and mu > 0, got lam={lam}, mu={mu}")
     if c == math.inf:
         return 1.0 / mu
@@ -139,7 +139,7 @@ def response_at(lam: float, t_sl: float, params: QueueParams, m: float | None = 
     m = params.m if m is None else m
     parts = {f"{s.key}_s": mmm_response(lam, s.mu, s.servers, s.label)
              for s in stages(params, t_sl, m)}
-    return sum(parts.values()), {**parts, "t_sl_bar_s": t_sl}
+    return sum(parts.values()), parts
 
 
 def system_response(rates: ProcedureRates, params: QueueParams):
@@ -159,6 +159,8 @@ def _meets(lam: float, t_sl: float, params: QueueParams, m: float, t_max: float)
 def dimension(rates: ProcedureRates, params: QueueParams, t_max: float | None = None) -> int:
     """Smallest SL instance count whose total response meets the budget."""
     t_max = params.t_max_s if t_max is None else t_max
+    if not t_max > 0:  # as QueueParams checks t_max_s
+        raise ParameterError(f"t_max must be > 0, got {t_max}")
     lam = rates.lam_total_msgs
     if lam == 0:
         return 1
@@ -208,9 +210,11 @@ def capacity(
     """
     if not (isinstance(m, int) and m >= 1):
         raise ParameterError(f"m must be an integer >= 1, got {m}")
-    if mtcd_per_ue < 0:
-        raise ParameterError(f"mtcd_per_ue must be >= 0, got {mtcd_per_ue}")
+    if not 0 <= mtcd_per_ue < math.inf:
+        raise ParameterError(f"mtcd_per_ue must be finite and >= 0, got {mtcd_per_ue}")
     t_max = params.t_max_s if t_max is None else t_max
+    if not t_max > 0:  # as QueueParams checks t_max_s
+        raise ParameterError(f"t_max must be > 0, got {t_max}")
     per_ue = htc_rates(mix, geom, t_i)
     if mtcd_per_ue > 0 and mmpp is None:
         raise ParameterError("MTCDs requested but no MMPP parameters given")

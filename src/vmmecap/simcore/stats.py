@@ -73,8 +73,8 @@ def _t_quantile(p: float, df: int) -> float:
 
 def measured_rates(trace, n_u: int, n_d: int, horizon_s: float) -> ProcedureRates:
     """Empirical per-device and aggregate rates from a trigger trace."""
-    if horizon_s <= 0:
-        raise ParameterError(f"horizon must be > 0, got {horizon_s}")
+    if not 0 < horizon_s < math.inf:
+        raise ParameterError(f"horizon must be finite and > 0, got {horizon_s}")
     c = trace.counts()
 
     def per(count, n):

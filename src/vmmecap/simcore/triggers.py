@@ -319,8 +319,8 @@ def _interval_triggers(start, end, dev, t_i: float, horizon_s: float, motion=Non
     with `motion` (`_ue_chunks`), every cell-edge crossing while it is open
     is an HR. Triggers outside [0, horizon) are dropped, so a session open
     at 0 keeps its SRR and HRs in the horizon. The SRs come first, then the
-    SRRs, then the HRs, so a stable sort by device and time puts an SR first
-    at a tie: a session of zero length opens before it closes.
+    SRRs, then the HRs, so a stable sort by time puts an SR first at a tie:
+    a session of zero length opens before it closes.
     """
     sr_t, srr_t, sess_d = _sessions(start, end, dev, t_i)
     keep = (sr_t >= 0.0) & (sr_t < horizon_s)
@@ -380,7 +380,7 @@ def generate_triggers(
         raise ParameterError(f"horizon must be finite and > 0, got {horizon_s}")
     if not 0 <= settle_s < math.inf:
         raise ParameterError(f"settle_s must be finite and >= 0, got {settle_s}")
-    if n_u < 0 or n_d < 0:
+    if not (n_u >= 0 and n_d >= 0):
         raise ParameterError("device counts must be >= 0")
     if not t_i >= 0:
         raise ParameterError(f"inactivity timer must be >= 0, got {t_i}")
@@ -439,33 +439,31 @@ def _pack(parts: list, horizon_s: float, n_u: int, n_d: int) -> TriggerTrace:
 
 
 def _sort_parts(parts: list) -> tuple:
-    """(times, devices, procs) of the parts, stably sorted by time, then device.
+    """(times, devices, procs) of the parts, stably sorted by time.
 
-    The order is `np.lexsort((device, time))`'s: an unstable sort on time,
-    then each run of equal times put in order of device, then of position
-    in `parts` (`_repair_ties`). `parts` is emptied, and each column's parts
-    are dropped once joined, so few full-size copies coexist.
+    Equal times keep the order their parts were built in: an unstable sort
+    on time, then each run of equal times put back in input order
+    (`_repair_ties`). `parts` is emptied, and each column's parts are
+    dropped once joined, so few full-size copies coexist.
     """
     all_t, all_d, all_p = (list(c) for c in zip(*parts))
     parts.clear()
     time_s = np.concatenate(all_t)
     del all_t
-    dev_id = np.concatenate(all_d)
-    del all_d
     order = np.argsort(time_s)
     time_s = time_s[order]
-    dev_id = dev_id[order]
-    _repair_ties(order, time_s, dev_id)
+    _repair_ties(order, time_s)
+    dev_id = np.concatenate(all_d)[order]
+    del all_d
     return time_s, dev_id, np.concatenate(all_p)[order]
 
 
-def _repair_ties(order: np.ndarray, time_s: np.ndarray, dev_id: np.ndarray) -> None:
-    """Put each run of equal times by device, then by input position, in place.
+def _repair_ties(order: np.ndarray, time_s: np.ndarray) -> None:
+    """Put each run of equal times in input order, in place.
 
-    `order` sorts the input by time, and `time_s` and `dev_id` are already
-    in that order; `order` and `dev_id` are permuted together. A run of two,
-    the common one (an MTCD's SR and SRR at T_I = 0), is one vectorised
-    compare-and-swap; longer runs are sorted by a `lexsort` over their
+    `order` sorts the input by time, and `time_s` is already in that order.
+    A run of two, the common one (an MTCD's SR and SRR at T_I = 0), is one
+    vectorised min/max; longer runs are sorted by a `lexsort` over their
     members only, so no run costs more than its own sort.
     """
     tie = np.flatnonzero(time_s[1:] == time_s[:-1])  # time_s[i] == time_s[i + 1]
@@ -474,18 +472,15 @@ def _repair_ties(order: np.ndarray, time_s: np.ndarray, dev_id: np.ndarray) -> N
     pair[1:] &= ~chained
     pair[:-1] &= ~chained
     i = tie[pair]
-    a, b, da, db = order[i], order[i + 1], dev_id[i], dev_id[i + 1]
-    swap = (da > db) | ((da == db) & (a > b))
-    order[i], order[i + 1] = np.where(swap, b, a), np.where(swap, a, b)
-    dev_id[i], dev_id[i + 1] = np.minimum(da, db), np.maximum(da, db)
+    a, b = order[i], order[i + 1]
+    order[i], order[i + 1] = np.minimum(a, b), np.maximum(a, b)
     long_run = tie[~pair]
     # every member of a run of three or more, once each; not np.union1d, whose
     # np.unique imports numpy.ma (about 1 MB and 14 ms) on a process's first sort
     at = np.sort(np.concatenate((long_run, long_run + 1)))
     at = at[np.diff(at, prepend=-1) != 0]
-    sub, dev = order[at], dev_id[at]
-    k = np.lexsort((sub, dev, time_s[at]))
-    order[at], dev_id[at] = sub[k], dev[k]
+    sub = order[at]
+    order[at] = sub[np.lexsort((sub, time_s[at]))]
 
 
 def poisson_triggers(

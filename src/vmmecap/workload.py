@@ -255,7 +255,7 @@ def htc_rates(mix: TrafficMix, geom: CellGeometry, t_i: float) -> tuple[float, f
     longer than t_i, or the standby gap); the matching release makes the SRR
     rate identical. Handovers occur at cell crossings while connected.
     """
-    if t_i < 0:
+    if not t_i >= 0:
         raise ParameterError(f"inactivity timer must be >= 0, got {t_i}")
     lam_sess = mix.session_rate
     lam_sr = 0.0
@@ -282,7 +282,7 @@ def mtc_rates(params: MmppParams, t_i: float) -> tuple[float, float]:
     P(gap > t_i), the gap tail under the slotted chain's Palm law
     (`mmpp.gap_survival`).
     """
-    if t_i < 0:
+    if not t_i >= 0:
         raise ParameterError(f"inactivity timer must be >= 0, got {t_i}")
     mean_rate = mmpp_stationary(params)[2]
     if mean_rate == 0:  # a silent stream has no gaps
@@ -302,7 +302,7 @@ def aggregate_rates(
     n_d: float,
 ) -> ProcedureRates:
     """Scale per-device rates to fleet totals; MTCDs are stationary (no HR)."""
-    if n_u < 0 or n_d < 0:
+    if not (n_u >= 0 and n_d >= 0):
         raise ParameterError("device counts must be >= 0")
     lam_u_sr, lam_u_srr, lam_u_hr = per_ue
     lam_s_sr, lam_s_srr = per_mtcd

@@ -419,6 +419,18 @@ class TestCli:
                      id="simulate-overlay33-mmpp.q"),
         pytest.param(["dimension"], {"queue": {"sl_times_us": {"t_sr1": -1.0}}},
                      "queue.sl_times_us.t_sr1", id="dimension-queue.sl_times_us.t_sr1"),
+        # MTCD counts that are not finite: 5e308 overflows, inf per UE is no count
+        *(pytest.param(argv, None, "scenario.mtcd_per_ue", id=" ".join(argv)) for argv in (
+            ["dimension", "--users", "5", "--mtcd-ratio", "1e308"],
+            ["simulate", "--users", "5", "--mtcd-ratio", "1e308"],
+            ["rates", "--simulate", "--users", "5", "--mtcd-ratio", "1e308"],
+            ["capacity", "--mtcd-ratio", "inf"],
+            ["dimension", "--users", "0", "--mtcd-ratio", "inf"])),
+        # more devices than a trace's int32 ids hold, found before any is built
+        *(pytest.param(argv, None, "scenario.n_u", id=" ".join(argv)) for argv in (
+            ["simulate", "--users", "3000000000", "--duration-s", "1"],
+            ["rates", "--simulate", "--ti", "10", "--users", "3000000000", "--duration-s", "10"],
+            ["simulate", "--users", "2000000000", "--mtcd-ratio", "0.1", "--duration-s", "1"])),
     ])
     def test_bad_value_exit_code(self, argv, overlay, key, tmp_path, capsys):
         if overlay is not None:
@@ -428,6 +440,11 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key} ") and err.count("\n") == 1
+
+    def test_dimension_of_more_devices_than_a_trace_holds(self, tmp_path, capsys):
+        # dimensioning builds no trace, so int32 ids do not bound it: the FE saturates
+        assert main(["dimension", "--users", "3000000000", "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err.startswith("infeasible model: ")
 
     def test_service_time_error_shows_the_value_given(self, tmp_path, capsys):
         # microseconds, as written, not the seconds the model holds

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vmmecap import econ
 from vmmecap.config import load_config
 from vmmecap.errors import InfeasibleError, InstabilityError, ParameterError
 from vmmecap.queueing import (
@@ -20,6 +21,7 @@ from vmmecap.queueing import (
     system_response,
     weighted_sl_service_time,
 )
+from vmmecap.simcore import generate_triggers, measured_rates, poisson_triggers
 from vmmecap.workload import MSGS_PER_PROC, aggregate_rates, htc_rates, mtc_rates
 
 
@@ -144,6 +146,7 @@ class TestSystemResponse:
     def test_worked_example(self, cfg):
         r = _rates(1000.0, 1000.0, 500.0)  # 7000 msgs/s
         total, parts = system_response(r, replace(cfg.queue, m=1))
+        assert list(parts) == ["fe_s", "sl_s", "db_s", "oi_s"]  # the stage delays alone
         assert parts["fe_s"] == pytest.approx(8.85e-6, abs=0.01e-6)
         assert parts["sl_s"] == pytest.approx(318.9e-6, abs=0.1e-6)
         assert parts["db_s"] == pytest.approx(10.75e-6, abs=0.01e-6)
@@ -279,6 +282,48 @@ class TestCapacity:
             return response_at(lam, t_sl, cfg.queue, 7)[0]
 
         assert total(res.n_u_max) <= 0.92e-3 < total(res.n_u_max + 1)
+
+
+NAN = math.nan
+# Each call passes NaN (or an infinite horizon) where a range check stands;
+# each check is written as the condition a valid value meets, so NaN fails it.
+_RANGE_CHECKS = {
+    "tiered_egress_cost": lambda c: econ.tiered_egress_cost(NAN, c.cost),
+    "cost_per_second-m": lambda c: econ.cost_per_second(NAN, 1.0, 1.0, c.cost),
+    "cost_per_second-lam_msgs": lambda c: econ.cost_per_second(1, NAN, 1.0, c.cost),
+    "cost_per_second-n_u": lambda c: econ.cost_per_second(1, 1.0, NAN, c.cost),
+    "classify": lambda c: econ.classify(NAN, 0.8),
+    "productivity-cost": lambda c: econ.productivity(1.0, 1e-3, NAN, 1e-3),
+    "productivity-t_hat": lambda c: econ.productivity(1.0, 1e-3, 1.0, NAN),
+    "CostSchedule-field": lambda c: replace(c.cost, ci_storage_gb=NAN),
+    "CostSchedule-tier": lambda c: replace(c.cost, egress_tiers_gb_usd=((NAN, 0.1),)),
+    "erlang_c": lambda c: erlang_c(2, NAN),
+    "weighted_sl_service_time": lambda c: weighted_sl_service_time(_rates(NAN, 0.0, 0.0),
+                                                                   c.queue.sl_times),
+    "mmm_response-lam": lambda c: mmm_response(NAN, 1.0, 1),
+    "mmm_response-mu": lambda c: mmm_response(1.0, NAN, 1),
+    "capacity-mtcd_per_ue": lambda c: capacity(1, c.queue, c.mix, c.geom, c.mmpp, 10.0, NAN),
+    "capacity-t_max": lambda c: capacity(1, c.queue, c.mix, c.geom, c.mmpp, 10.0, 1.0, NAN),
+    "dimension-t_max": lambda c: dimension(_rates(1000.0, 1000.0, 500.0), c.queue, NAN),
+    "htc_rates": lambda c: htc_rates(c.mix, c.geom, NAN),
+    "mtc_rates": lambda c: mtc_rates(c.mmpp, NAN),
+    "aggregate_rates-n_u": lambda c: aggregate_rates((1.0, 1.0, 1.0), (1.0, 1.0), NAN, 1.0),
+    "aggregate_rates-n_d": lambda c: aggregate_rates((1.0, 1.0, 1.0), (1.0, 1.0), 1.0, NAN),
+    "measured_rates-nan": lambda c: measured_rates(poisson_triggers(5.0, 5.0, 5.0, 10.0, 1),
+                                                   0, 0, NAN),
+    "measured_rates-inf": lambda c: measured_rates(poisson_triggers(5.0, 5.0, 5.0, 10.0, 1),
+                                                   0, 0, math.inf),
+    "generate_triggers-n_u": lambda c: generate_triggers(c.mix, c.geom, c.mmpp, NAN, 1, 10.0,
+                                                         10.0, 1, c.speed_dist),
+    "generate_triggers-n_d": lambda c: generate_triggers(c.mix, c.geom, c.mmpp, 1, NAN, 10.0,
+                                                         10.0, 1, c.speed_dist),
+}
+
+
+@pytest.mark.parametrize("call", _RANGE_CHECKS.values(), ids=_RANGE_CHECKS.keys())
+def test_nan_fails_the_range_checks(cfg, call):
+    with pytest.raises(ParameterError):
+        call(cfg)
 
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)

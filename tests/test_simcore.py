@@ -237,18 +237,18 @@ class TestTraceInvariants:
         assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
-def _lexsorted(parts):
-    """Reference for `_pack`: the joined parts in `np.lexsort((device, time))` order."""
+def _stable_by_time(parts):
+    """Reference for `_pack`: the joined parts stably sorted by time."""
     t, d, p = (np.concatenate(c) for c in zip(*parts))
-    order = np.lexsort((d, t))
+    order = np.argsort(t, kind="stable")
     return t[order], d[order], p[order]
 
 
 class TestPack:
-    """`_pack` gives the order of a stable sort by time, then device."""
+    """`_pack` gives the order of a stable sort by time: equal times keep their input order."""
 
     def check(self, parts):
-        want = _lexsorted(parts)
+        want = _stable_by_time(parts)
         trace = triggers._pack(list(parts), 100.0, 0, 0)
         _assert_same((trace.time_s, trace.device_id, trace.procedure), want)
 
@@ -292,7 +292,7 @@ class TestPack:
         seen = self.packed_parts(monkeypatch)
         trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 20, 200, t_i, 2000.0, 5,
                                   speed_dist=cfg.speed_dist)
-        _assert_same((trace.time_s, trace.device_id, trace.procedure), _lexsorted(seen[0]))
+        _assert_same((trace.time_s, trace.device_id, trace.procedure), _stable_by_time(seen[0]))
         # at T_I = 0 each MTCD packet is an SR and an SRR at one time, SR first
         tie = (np.diff(trace.time_s) == 0) & (np.diff(trace.device_id) == 0)
         assert tie.any() == (t_i == 0.0)
@@ -302,7 +302,7 @@ class TestPack:
     def test_poisson_trace(self, monkeypatch):
         seen = self.packed_parts(monkeypatch)
         trace = poisson_triggers(50.0, 40.0, 10.0, 200.0, 6)
-        _assert_same((trace.time_s, trace.device_id, trace.procedure), _lexsorted(seen[0]))
+        _assert_same((trace.time_s, trace.device_id, trace.procedure), _stable_by_time(seen[0]))
 
 
 def _refuse_to_sort(parts):
@@ -398,12 +398,14 @@ class TestDeferredSort:
     @pytest.mark.parametrize("t_i, n_d, horizon, bound", [(10.0, 1000, 200.0, 29),
                                                           (0.0, 200, 2000.0, 50)])
     def test_sort_memory_per_trigger(self, cfg, t_i, n_d, horizon, bound):
-        # The sort's traced peak: the joined times and ids, the order, and a
-        # sorted copy of the times; at T_I = 0, half the triggers are SR/SRR
-        # pairs at one time, and their repair adds its index arrays. The
-        # bounds were set against the packer that sorted on the spot, read
-        # the same way on the same traces: 28.2 B per trigger at T_I = 10 s
-        # (4.5k triggers) and 49.0 B at T_I = 0 (17.7k).
+        # The sort's traced peak: the joined times, the order and a sorted
+        # copy of the times, 24 B per trigger; the ids are joined only after
+        # the tie repair. At T_I = 0, half the triggers are SR/SRR pairs at
+        # one time, and the repair's tie and pair positions add to the peak.
+        # The bounds were set against the packer that sorted on the spot,
+        # read the same way on the same traces: 28.2 B per trigger at
+        # T_I = 10 s (4.5k triggers) and 49.0 B at T_I = 0 (17.7k); this sort
+        # reads 24.4 and 40.5 B.
         trace = generate_triggers(cfg.mix, cfg.geom, cfg.mmpp, 20, n_d, t_i, horizon, 5,
                                   speed_dist=cfg.speed_dist)
         tracemalloc.start()
@@ -1065,7 +1067,7 @@ class TestTwoPopulations:
         ues = self.generate(cfg, n_u, 0, t_i)
         mtcds = self.generate(cfg, 0, n_d, t_i)
         assert len(ues) > 0 and len(mtcds) > 0
-        want = _lexsorted([(ues.time_s, ues.device_id, ues.procedure),
+        want = _stable_by_time([(ues.time_s, ues.device_id, ues.procedure),
                            (mtcds.time_s, mtcds.device_id + n_u, mtcds.procedure)])
         _assert_same((both.time_s, both.device_id, both.procedure), want)
         assert both.device_id.dtype == np.int32
